@@ -81,13 +81,11 @@ from .qualification import (
     srho_table,
 )
 from .operators import (
-    ConvergenceFailure,
     DimensionError,
     MembershipVerdict,
     OperatorError,
     SourceElement,
     SpectralModel,
-    jacobi_svd,
     load_matrix_csv,
     make_model,
     make_source_element,

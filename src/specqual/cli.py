@@ -26,13 +26,16 @@ import numpy as np
 from . import __version__
 from .expressions import ExprError
 from .filters import (
+    ALPHA_GRID_MIN,
     FilterError,
+    _check_alpha,
+    _check_lambda,
     default_alpha_grid,
     default_lambda_grid,
     get_filter,
     list_filters,
 )
-from .limits import LimitEstimate
+from .limits import LOG_SATURATION, LimitEstimate
 from .operators import (
     OperatorError,
     load_matrix_csv,
@@ -205,19 +208,14 @@ def _get_filter(args):
 
 
 def _alpha_grid(args, filt):
-    kw = {}
-    if args.alpha_min is not None:
-        kw["alpha_min"] = args.alpha_min
-    if args.alpha_max is not None:
-        kw["alpha_max"] = args.alpha_max
-    if args.per_decade is not None:
-        if args.per_decade < 8:
-            raise InputError("--per-decade must be at least 8")
-        kw["per_decade"] = args.per_decade
-    grid = default_alpha_grid(filt, **kw)
-    if np.any(grid <= 0):
-        raise InputError("alpha grid must be strictly positive")
-    return grid
+    lo = ALPHA_GRID_MIN if args.alpha_min is None else args.alpha_min
+    hi = filt.alpha_max / 2.0 if args.alpha_max is None else args.alpha_max
+    _check_alpha(filt, [lo, hi])
+    if not lo < hi:
+        raise InputError(f"--alpha-min {lo} must be below --alpha-max {hi}")
+    if args.per_decade is not None and args.per_decade < 8:
+        raise InputError("--per-decade must be at least 8")
+    return default_alpha_grid(filt, lo, hi, args.per_decade)
 
 
 def _lambda_grid(args, filt):
@@ -232,16 +230,18 @@ def _lambda_grid(args, filt):
             lo, hi, per = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise InputError(f"bad --lambda spec '{spec}'") from exc
-        if not (0 < lo < hi) or per < 1:
-            raise InputError("--lambda geo spec needs 0 < MIN < MAX and PERDECADE >= 1")
+        if not (0 < lo < hi < math.inf) or per < 1:
+            raise InputError("--lambda geo spec needs 0 < MIN < MAX < inf and PERDECADE >= 1")
+        _check_lambda(filt, [lo, hi])
         n = max(int(per * math.log10(hi / lo)) + 1, 2)
         return np.geomspace(lo, hi, n)
     try:
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
     except ValueError as exc:
         raise InputError(f"bad --lambda list '{spec}'") from exc
-    if vals.size == 0 or np.any(vals <= 0):
-        raise InputError("--lambda values must be positive")
+    if vals.size == 0 or not np.all((vals > 0) & np.isfinite(vals)):
+        raise InputError("--lambda values must be positive and finite")
+    _check_lambda(filt, vals)
     return np.sort(vals)
 
 
@@ -350,7 +350,8 @@ def cmd_construct(args) -> int:
         return EXIT_VERDICT
     alphas = res.rho_star.alphas
     h_vals = np.exp(res.h.log_at(alphas))
-    rho_vals = [_jsonable(v) for v in np.exp(np.minimum(res.rho_star.log_values, 709.0))]
+    rho_logs = np.minimum(res.rho_star.log_values, LOG_SATURATION)
+    rho_vals = [_jsonable(v) for v in np.exp(rho_logs)]
     if args.format == "csv":
         lines = ["alpha,h,rho_star"]
         for a_val, h_val, r_val in zip(alphas, h_vals, rho_vals):

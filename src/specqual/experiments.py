@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import FilterFamily, default_alpha_grid, default_lambda_grid
-from .limits import tail_limit
+from .limits import sat_exp, tail_limit
 from .operators import (
     MembershipVerdict,
     SourceElement,
@@ -127,9 +127,9 @@ def run_convergence(
         log_ratio = log_err - log_rho
         records.append(StudyRecord(
             alpha=float(a),
-            err=_sat(log_err),
-            rho=_sat(log_rho),
-            ratio=_sat(log_ratio),
+            err=sat_exp(log_err),
+            rho=sat_exp(log_rho),
+            ratio=sat_exp(log_ratio),
             log_err=log_err,
             log_ratio=log_ratio,
         ))
@@ -141,14 +141,6 @@ def run_convergence(
         rho_label=getattr(rho, "label", "rho"),
         source=source,
     )
-
-
-def _sat(logv: float) -> float:
-    if logv == -math.inf:
-        return 0.0
-    if logv > 709.0:
-        return math.inf
-    return math.exp(logv)
 
 
 def fit_order(study: ConvergenceStudy, window: tuple[float, float] | None = None) -> SlopeFit:

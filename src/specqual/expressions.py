@@ -242,7 +242,8 @@ def to_string(expr: FuncExpr) -> str:
             return name
         case Unary("neg", child):
             inner = to_string(child)
-            if _prec(child) < 3:
+            # '-a^b' would re-parse as '(-a)^b', so every binary operand is wrapped
+            if isinstance(child, Binary):
                 inner = f"({inner})"
             return f"-{inner}"
         case Unary(op, child):

@@ -24,6 +24,8 @@ from typing import Callable
 
 import numpy as np
 
+from .limits import sat_exp_array
+
 NEG_INF = -np.inf
 
 # H3 deep-probe parameters: the residual must have shrunk at alpha=1e-300,
@@ -32,6 +34,8 @@ H3_PROBE_ALPHA = 1e-300
 H3_ABS_TOL = 0.05
 H3_SHRINK = 0.5
 H3_LAMBDA_MIN = 0.01
+
+ALPHA_GRID_MIN = 1e-7  # default small end of the working alpha grid
 
 
 class FilterError(ValueError):
@@ -202,7 +206,7 @@ def _ex3_exp():
         return out.reshape(np.broadcast(a, lm).shape)
 
     def r_value(a, lm):
-        return _sat_exp(r_log(a, lm))
+        return sat_exp_array(r_log(a, lm))
 
     def r_sign(a, lm):
         return np.ones(np.broadcast(a, lm).shape)
@@ -318,7 +322,7 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
         return out.reshape(np.broadcast(a, lm).shape)
 
     def r_value(a, lm):
-        return _sat_exp(r_log(a, lm))
+        return sat_exp_array(r_log(a, lm))
 
     def r_sign(a, lm):
         return np.ones(np.broadcast(a, lm).shape)
@@ -373,7 +377,7 @@ def _landweber(mu: float = 0.5):
             return np.log1p(-mu * np.asarray(lm, float)) / np.asarray(a, float)
 
     def r_value(a, lm):
-        return _sat_exp(r_log(a, lm))
+        return sat_exp_array(r_log(a, lm))
 
     def r_sign(a, lm):
         return np.where(np.asarray(lm, float) >= lam_sup, 0, 1) * np.ones(
@@ -402,7 +406,7 @@ def _showalter():
         )
 
     def r_value(a, lm):
-        return _sat_exp(r_log(a, lm))
+        return sat_exp_array(r_log(a, lm))
 
     def r_sign(a, lm):
         return np.ones(np.broadcast(a, lm).shape)
@@ -411,16 +415,6 @@ def _showalter():
         id="showalter", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
         _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
     )
-
-
-def _sat_exp(logv):
-    logv = np.asarray(logv, dtype=float)
-    out = np.empty_like(logv)
-    hi = logv > 709.0
-    with np.errstate(under="ignore"):
-        np.exp(logv, out=out, where=~hi)
-    out[hi] = np.inf
-    return out.reshape(logv.shape)
 
 
 _BUILDERS: dict[str, Callable[..., FilterFamily]] = {
@@ -506,7 +500,7 @@ class AxiomReport:
         return self.h1_finite and self.h2_bounded and self.h3_pointwise
 
 
-def default_alpha_grid(filt: FilterFamily, alpha_min: float = 1e-7,
+def default_alpha_grid(filt: FilterFamily, alpha_min: float = ALPHA_GRID_MIN,
                        alpha_max: float | None = None,
                        per_decade: int | None = None) -> np.ndarray:
     """Working geometric alpha grid; oscillatory families get 8x density."""
@@ -589,8 +583,8 @@ def verify_srm_axioms(filt: FilterFamily,
     if h3_lams.size == 0:
         h3_lams = lambda_grid[lambda_grid > 0]
     with np.errstate(all="ignore"):
-        r_floor = np.abs(_sat_exp(filt._r_log(np.array([alpha_grid[0]]), h3_lams)))
-        r_deep = np.abs(_sat_exp(filt._r_log(np.array([H3_PROBE_ALPHA]), h3_lams)))
+        r_floor = np.abs(sat_exp_array(filt._r_log(np.array([alpha_grid[0]]), h3_lams)))
+        r_deep = np.abs(sat_exp_array(filt._r_log(np.array([H3_PROBE_ALPHA]), h3_lams)))
     r_floor = np.ravel(r_floor)
     r_deep = np.ravel(r_deep)
     ok = (r_deep <= H3_ABS_TOL) | (r_deep <= H3_SHRINK * r_floor)

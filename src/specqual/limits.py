@@ -36,7 +36,7 @@ DRIFT_TOL = 0.005  # relative block-to-block movement that triggers correction
 STAB_TOL = 0.05    # max relative movement for a "stabilized" verdict
 N_BLOCKS = 4
 TAIL_FRACTION = 0.5
-LOG_SATURATION = 709.0
+LOG_SATURATION = 709.0  # exp overflow edge for IEEE doubles
 
 
 @dataclass(frozen=True)
@@ -69,12 +69,20 @@ class LimitEstimate:
         return self.value > FLOOR and (self.stabilized or self.trend != "down")
 
 
-def _sat_exp(logv: float) -> float:
-    if logv == -math.inf:
-        return 0.0
-    if logv > LOG_SATURATION:
-        return math.inf
-    return math.exp(logv)
+def sat_exp(logv: float) -> float:
+    """math.exp of a scalar log value, saturating to +inf past the overflow edge."""
+    return math.inf if logv > LOG_SATURATION else math.exp(logv)
+
+
+def sat_exp_array(logv) -> np.ndarray:
+    """np.exp of log values, saturating to +inf past the overflow edge."""
+    logv = np.asarray(logv, dtype=float)
+    out = np.empty_like(logv)
+    hi = logv > LOG_SATURATION
+    with np.errstate(under="ignore"):
+        np.exp(logv, out=out, where=~hi)
+    out[hi] = np.inf
+    return out
 
 
 def _block_extrema(xs, lv, edges, pick_min: bool):
@@ -131,10 +139,10 @@ def tail_limit(
 
     edges = np.linspace(x_lo, xs[-1], n_blocks + 1)
     ms_log, xe = _block_extrema(t_xs, t_lv, edges, pick_min)
-    ms = [_sat_exp(v) if not math.isnan(v) else math.nan for v in ms_log]
+    ms = [sat_exp(v) for v in ms_log]
 
-    raw_min = _sat_exp(float(np.min(t_lv)))
-    raw_max = _sat_exp(float(np.max(t_lv)))
+    raw_min = sat_exp(float(np.min(t_lv)))
+    raw_max = sat_exp(float(np.max(t_lv)))
 
     meta = dict(meta or {})
     meta.update({

@@ -3,10 +3,10 @@
 The convergence theory lives in infinite dimensions, but every statement
 about rates reduces to coefficient inequalities against the spectrum of
 the normal operator.  This module provides finite eigen-decompositions
-(synthetic diagonal spectra or a one-sided Jacobi SVD of a dense
-matrix), source elements x_j = s(eig_j) w_j, application of the
-regularized inverse in the eigenbasis, and a tail-decay membership probe
-for the source sets R(s(T*T)).
+(synthetic diagonal spectra or a LAPACK SVD of a dense matrix), source
+elements x_j = s(eig_j) w_j, application of the regularized inverse in
+the eigenbasis, and a tail-decay membership probe for the source sets
+R(s(T*T)).
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import FilterFamily, ParameterRangeError, _check_alpha
+from .limits import sat_exp
 
 MAX_DIM = 512
-JACOBI_MAX_SWEEPS = 60
 MEMBERSHIP_TAIL_SHARE = 0.10   # last-quartile share of sum v_j^2 marking decay
 MEMBERSHIP_GROWTH = 10.0       # |v_j| may exceed the running floor by this factor
 SOURCE_FLOOR = 1e-300
@@ -31,10 +31,6 @@ class OperatorError(ValueError):
 
 
 class DimensionError(OperatorError):
-    pass
-
-
-class ConvergenceFailure(OperatorError):
     pass
 
 
@@ -126,87 +122,31 @@ def load_matrix_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def jacobi_svd(matrix: np.ndarray, tol: float = 1e-12):
-    """One-sided Jacobi SVD of a small dense matrix.
+def svd_decompose(matrix: np.ndarray, tol: float = 1e-12):
+    """Spectral model of T*T from a dense matrix via the LAPACK SVD.
 
-    Columns are rotated pairwise until every off-diagonal Gram entry is
-    below tol relative to the column norms.  Returns (U, sigma, V) with
-    A = U @ diag(sigma) @ V.T, sigma descending.
+    Returns (model, U, sigma, V) with A = U @ diag(sigma) @ V.T, sigma
+    descending; eigenvalues are the squared singular values above
+    tol * sigma_max.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2:
         raise OperatorError("matrix must be 2-d")
-    m, n = A.shape
-    if m > MAX_DIM or n > MAX_DIM:
+    if max(A.shape) > MAX_DIM:
         raise DimensionError(f"matrix dimensions capped at {MAX_DIM}, got {A.shape}")
     if not 1e-14 <= tol <= 1e-8:
         raise OperatorError(f"tol must lie in [1e-14, 1e-8], got {tol}")
-    transposed = m < n
-    if transposed:
-        A = A.T
-        m, n = n, m
-
-    W = A.copy()
-    V = np.eye(n)
-    # numerically zero columns count as converged; rotating them chases noise
-    norm_floor = (np.finfo(float).eps * np.linalg.norm(A)) ** 2
-    for sweep in range(JACOBI_MAX_SWEEPS):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                app = float(W[:, p] @ W[:, p])
-                aqq = float(W[:, q] @ W[:, q])
-                apq = float(W[:, p] @ W[:, q])
-                if app <= norm_floor or aqq <= norm_floor:
-                    continue
-                if abs(apq) <= tol * math.sqrt(app * aqq) or apq == 0.0:
-                    continue
-                rotated = True
-                zeta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(1.0, zeta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                Wp = W[:, p].copy()
-                W[:, p] = c * Wp - s * W[:, q]
-                W[:, q] = s * Wp + c * W[:, q]
-                Vp = V[:, p].copy()
-                V[:, p] = c * Vp - s * V[:, q]
-                V[:, q] = s * Vp + c * V[:, q]
-        if not rotated:
-            break
-    else:
-        raise ConvergenceFailure(f"Jacobi SVD did not converge in {JACOBI_MAX_SWEEPS} sweeps")
-
-    sigma = np.linalg.norm(W, axis=0)
-    order = np.argsort(sigma)[::-1]
-    sigma = sigma[order]
-    V = V[:, order]
-    U = np.zeros((m, n))
-    for k in range(n):
-        if sigma[k] > 0:
-            U[:, k] = W[:, order[k]] / sigma[k]
-        else:
-            U[k % m, k] = 1.0
-    if transposed:
-        return V, sigma, U
-    return U, sigma, V
-
-
-def svd_decompose(matrix: np.ndarray, tol: float = 1e-12):
-    """Spectral model of T*T from a dense matrix via the Jacobi SVD.
-
-    Returns (model, U, sigma, V); eigenvalues are the squared singular
-    values above tol * sigma_max.
-    """
-    U, sigma, V = jacobi_svd(matrix, tol)
-    keep = sigma > (sigma[0] * tol if sigma[0] > 0 else 0.0)
+    if not np.all(np.isfinite(A)):
+        raise OperatorError("matrix entries must be finite")
+    U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+    keep = sigma > sigma[0] * tol
     if not np.any(keep):
         raise OperatorError("matrix is numerically zero; no spectral model")
     model = SpectralModel(
         eigenvalues=(sigma[keep] ** 2),
-        provenance=f"dense-svd({matrix.shape[0]}x{matrix.shape[1]})",
+        provenance=f"dense-svd({A.shape[0]}x{A.shape[1]})",
     )
-    return model, U, sigma, V
+    return model, U, sigma, Vt.T
 
 
 def make_source_element(model: SpectralModel, s, w: np.ndarray) -> SourceElement:
@@ -247,12 +187,7 @@ def regularize(model: SpectralModel, filt: FilterFamily, alpha: float,
 def regularization_error(model: SpectralModel, filt: FilterFamily, alpha: float,
                          source: SourceElement) -> float:
     """l2 reconstruction error sqrt(sum_j r_j^2 x_j^2); may underflow to 0."""
-    lr = log_regularization_error(model, filt, alpha, source)
-    if lr == -math.inf:
-        return 0.0
-    if lr > 709.0:
-        return math.inf
-    return math.exp(lr)
+    return sat_exp(log_regularization_error(model, filt, alpha, source))
 
 
 def log_regularization_error(model: SpectralModel, filt: FilterFamily, alpha: float,

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import FilterFamily, default_alpha_grid, default_lambda_grid
-from .limits import CAP, FLOOR, LimitEstimate, tail_limit
+from .limits import CAP, FLOOR, LOG_SATURATION, LimitEstimate, sat_exp_array, tail_limit
 from .rates import (
     TabulatedOrder,
     TabulatedSource,
@@ -473,7 +473,7 @@ def check_order_source_pair(
     gamma = None
     if holds:
         g_min = float(gam_log[worst])
-        gamma = math.inf if g_min > 709.0 else math.exp(max(g_min, -745.0))
+        gamma = math.inf if g_min > LOG_SATURATION else math.exp(max(g_min, -745.0))
     return PairVerdict(
         holds=holds,
         gamma=gamma,
@@ -685,14 +685,14 @@ def construct_weak_qualification(
     lo = np.full(lams.shape, alphas[0] * 1e-3)
     hi = np.full(lams.shape, filt.alpha_max * (1.0 - 1e-12))
     with np.errstate(all="ignore"):
-        top_ok = _sat_exp_arr(filt._r_log(hi, lams)) <= lams
+        top_ok = sat_exp_array(filt._r_log(hi, lams)) <= lams
     theta = np.where(top_ok, hi, np.nan)
     active = ~top_ok
     steps = int(math.ceil(math.log2(float(filt.alpha_max) / bisect_tol)))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         with np.errstate(all="ignore"):
-            ok = _sat_exp_arr(filt._r_log(mid, lams)) <= lams
+            ok = sat_exp_array(filt._r_log(mid, lams)) <= lams
         lo = np.where(active & ok, mid, lo)
         hi = np.where(active & ~ok, mid, hi)
     theta = np.where(active, lo, theta)
@@ -761,16 +761,6 @@ def construct_weak_qualification(
     )
     return ConstructResult(h=h_tab, rho_star=rho_star, certificate=certificate,
                            theta=theta, f=f, lambdas=lams)
-
-
-def _sat_exp_arr(logv):
-    logv = np.asarray(logv, dtype=float)
-    out = np.empty_like(logv)
-    hi = logv > 709.0
-    with np.errstate(under="ignore"):
-        np.exp(logv, out=out, where=~hi)
-    out[hi] = np.inf
-    return out
 
 
 def _verify_part_b_hypotheses(filt, alphas, lams):

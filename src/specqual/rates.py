@@ -37,8 +37,7 @@ from .expressions import (
     to_string,
     variables_of,
 )
-
-LOG_SATURATION = 709.0  # exp overflow edge for IEEE doubles
+from .limits import sat_exp_array
 
 # decay-to-zero proxy thresholds
 FAST_DECAY_REL = 1e-3
@@ -144,7 +143,7 @@ class TabulatedOrder:
         return float(out) if np.ndim(out) == 0 else out
 
     def at(self, alpha):
-        out = _sat_exp(self.log_at(alpha))
+        out = sat_exp_array(self.log_at(alpha))
         return float(out) if np.ndim(out) == 0 else out
 
 
@@ -163,17 +162,8 @@ class TabulatedSource:
         return float(out) if np.ndim(out) == 0 else out
 
     def at(self, lam):
-        out = _sat_exp(self.log_at(lam))
+        out = sat_exp_array(self.log_at(lam))
         return float(out) if np.ndim(out) == 0 else out
-
-
-def _sat_exp(logv):
-    logv = np.asarray(logv, dtype=float)
-    out = np.empty_like(logv)
-    hi = logv > LOG_SATURATION
-    np.exp(logv, out=out, where=~hi)
-    out[hi] = np.inf
-    return out
 
 
 def _loglog_interp(x, xs, ys):
@@ -297,7 +287,7 @@ def precedes(rho1, rho2, grid: np.ndarray | None = None) -> CompareVerdict:
         exceed = np.nonzero(lr > median + math.log(DIVERGENCE_GROWTH))[0]
         return CompareVerdict(holds=False, witness_alpha=float(grid[exceed[-1]]))
     tail = lr[: len(lr) // 2]  # small-alpha half of the ascending grid
-    c = float(_sat_exp(np.max(tail)))
+    c = float(sat_exp_array(np.max(tail)))
     return CompareVerdict(holds=True, constant=c)
 
 

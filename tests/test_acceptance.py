@@ -229,7 +229,7 @@ def test_criterion_9_infrastructure(tmp_path):
     recon_ok = True
     for n in (8, 64):
         A = rng.normal(size=(n, n))
-        U, s, V = sq.jacobi_svd(A)
+        _, U, s, V = sq.svd_decompose(A)
         resid = np.linalg.norm(A - U @ np.diag(s) @ V.T) / np.linalg.norm(A)
         recon_ok = recon_ok and resid < 1e-10
 

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from specqual.cli import main
@@ -155,6 +156,48 @@ class TestConverge:
                            "--source", "lambda", "--model", str(path), "--dim", "2")
         assert code == 0
         assert json.loads(out)["study"]["model"].startswith("dense-svd")
+        # the byte-identical contract holds for a full-size LAPACK decomposition
+        rng = np.random.default_rng(64)
+        q1, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+        q2, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+        sigma = np.arange(1, 65, dtype=float) ** -1.0
+        np.savetxt(path, q1 @ np.diag(sigma) @ q2.T, delimiter=",", fmt="%.17g")
+        argv = ("converge", "--filter", "tikhonov", "--source", "lambda",
+                "--model", str(path))
+        code1, out1, _ = run(capsys, *argv)
+        code2, out2, _ = run(capsys, *argv)
+        assert code1 == code2 == 0
+        assert json.loads(out1)["study"]["model"] == "dense-svd(64x64)"
+        assert out1.encode() == out2.encode()
+
+    def test_non_finite_matrix_exits_two(self, capsys, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,nan\n0.0,0.5\n")
+        code, out, err = run(capsys, "converge", "--filter", "tikhonov",
+                             "--source", "lambda", "--model", str(path))
+        assert code == 2
+        assert out == ""
+        doc = json.loads(err)
+        assert set(doc) == {"error", "message"} and "finite" in doc["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("classify", "--filter", "tikhonov", "--order", "alpha", "--alpha-min", "-1"),
+    ("classify", "--filter", "tikhonov", "--order", "alpha",
+     "--alpha-min", "0.3", "--alpha-max", "0.01"),
+    ("classify", "--filter", "tikhonov", "--order", "alpha", "--alpha-max", "5"),
+    ("srho", "--filter", "landweber", "--order", "alpha", "--lambda", "3"),
+    ("srho", "--filter", "tikhonov", "--order", "alpha", "--lambda", "inf"),
+], ids=["negative-alpha-min", "alpha-min-above-max", "alpha-max-beyond-family",
+        "lambda-beyond-family", "lambda-inf"])
+def test_out_of_range_grid_exits_two(capsys, argv):
+    """A grid bound outside the family's range is an input error, not a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    doc = json.loads(err)
+    assert set(doc) == {"error", "message"}
+    assert "order function" not in doc["message"]  # a range error, not a rejected order
 
 
 class TestConfigAndDeterminism:

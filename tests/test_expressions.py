@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specqual.expressions import (
@@ -127,6 +127,7 @@ def _trees(var):
 class TestRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(tree=_trees("alpha"))
+    @example(tree=Unary("neg", Binary("^", Var("alpha"), Const(0.5))))
     def test_print_parse_print_is_stable(self, tree):
         """Printing and re-parsing evaluates identically at sampled points."""
         text = to_string(tree)

@@ -12,43 +12,52 @@ from specqual.filters import residual_value
 
 
 class TestJacobiSVD:
+    """The dense SVD behind svd_decompose."""
+
     def test_diagonal_input(self):
-        _, s, _ = sq.jacobi_svd(np.diag([3.0, 2.0, 1.0]))
+        _, _, s, _ = sq.svd_decompose(np.diag([3.0, 2.0, 1.0]))
         np.testing.assert_allclose(s, [3.0, 2.0, 1.0], atol=1e-14)
 
     def test_permutation_input(self):
-        _, s, _ = sq.jacobi_svd(np.array([[0.0, 1.0], [1.0, 0.0]]))
+        _, _, s, _ = sq.svd_decompose(np.array([[0.0, 1.0], [1.0, 0.0]]))
         np.testing.assert_allclose(s, [1.0, 1.0], atol=1e-14)
 
     @pytest.mark.parametrize("shape", [(8, 8), (12, 5), (5, 12), (64, 64)])
     def test_reconstruction(self, shape):
         rng = np.random.default_rng(1234)
         A = rng.normal(size=shape)
-        U, s, V = sq.jacobi_svd(A)
+        _, U, s, V = sq.svd_decompose(A)
         resid = np.linalg.norm(A - U @ np.diag(s) @ V.T) / np.linalg.norm(A)
         assert resid < 1e-10
 
     def test_matches_reference_singular_values(self):
         rng = np.random.default_rng(7)
         A = rng.normal(size=(16, 16))
-        _, s, _ = sq.jacobi_svd(A)
+        _, _, s, _ = sq.svd_decompose(A)
         np.testing.assert_allclose(s, np.linalg.svd(A, compute_uv=False),
                                    rtol=1e-12, atol=1e-12)
 
     def test_dimension_cap(self):
         with pytest.raises(sq.DimensionError):
-            sq.jacobi_svd(np.zeros((600, 3)))
+            sq.svd_decompose(np.zeros((600, 3)))
 
     def test_tolerance_bounds(self):
         with pytest.raises(sq.OperatorError):
-            sq.jacobi_svd(np.eye(3), tol=1e-2)
+            sq.svd_decompose(np.eye(3), tol=1e-2)
 
     def test_rank_deficient(self):
         A = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        U, s, V = sq.jacobi_svd(A)
+        _, U, s, V = sq.svd_decompose(A)
         resid = np.linalg.norm(A - U @ np.diag(s) @ V.T) / np.linalg.norm(A)
         assert resid < 1e-10
         assert np.sum(s > 1e-10 * s[0]) == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_entries_rejected(self, bad):
+        A = np.eye(3)
+        A[1, 2] = bad
+        with pytest.raises(sq.OperatorError, match="finite"):
+            sq.svd_decompose(A)
 
 
 class TestSpectralModels:
