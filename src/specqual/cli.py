@@ -68,121 +68,134 @@ class InputError(ValueError):
     pass
 
 
+# cap on --per-decade and the geo: PERDECADE, checked before any grid is
+# built: 8x the oscillatory default of 512 points per decade
+MAX_PER_DECADE = 4096
+
+
 class _Parser(argparse.ArgumentParser):
+    """Raises InputError instead of exiting and accepts no abbreviated flags.
+
+    ``value_flags`` lists the flags that take one value; ``commands`` maps
+    each subcommand name to its parser.
+    """
+
+    def __init__(self, **kwargs):
+        self.value_flags: list[str] = []
+        self.commands: dict[str, _Parser] = {}
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.nargs is None:
+            self.value_flags += action.option_strings
+        return action
+
     def error(self, message):  # argparse would sys.exit(2) with usage text
         raise InputError(message)
 
 
-def _add_common(p: _Parser, need_filter=True):
-    if need_filter:
-        p.add_argument("--filter", default=None, help="catalog filter id (required)")
-    p.add_argument("--param", action="append", default=[], metavar="K=V",
-                   help="filter parameter (repeatable), e.g. k=1 or mu=0.5")
-    p.add_argument("--alpha-min", type=float, default=None)
-    p.add_argument("--alpha-max", type=float, default=None)
-    p.add_argument("--per-decade", type=int, default=None,
-                   help="alpha grid density (>= 8)")
-    p.add_argument("--lambda", dest="lambda_spec", default=None,
-                   help="comma list '0.01,0.1,1' or 'geo:MIN:MAX:PERDECADE'")
-    p.add_argument("--config", default=None, help="JSON config file; flags override it")
-    p.add_argument("--out", default=None, help="output path (stdout when omitted)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0, help="seed for sampled generators")
-
-
 def build_parser() -> _Parser:
+    """The specqual parser; each subcommand registers only the flags it reads."""
     p = _Parser(prog="specqual",
                 description="Qualification analysis for spectral regularization filters")
     p.add_argument("--version", action="version", version=f"specqual {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    c = sub.add_parser("classify", parents=[], help="classify an order function")
-    _add_common(c)
-    c.add_argument("--order", default=None, help="order expression in alpha (required)")
-    c.add_argument("--require", choices=("weak", "strong", "optimal"), default=None,
+    def command(name, help_text, grid=True, lam=False, fmt=True):
+        p.commands[name] = c = sub.add_parser(name, help=help_text)
+        c.add_argument("--filter", required=True, help="catalog filter id")
+        c.add_argument("--param", action="append", default=[], metavar="K=V",
+                       help="filter parameter (repeatable), e.g. k=1 or mu=0.5")
+        if grid:
+            c.add_argument("--alpha-min", type=float)
+            c.add_argument("--alpha-max", type=float)
+            c.add_argument("--per-decade", type=int,
+                           help=f"alpha grid density (8..{MAX_PER_DECADE})")
+        if lam:
+            c.add_argument("--lambda", dest="lambda_spec",
+                           help="comma list '0.01,0.1,1' or 'geo:MIN:MAX:PERDECADE'")
+        c.add_argument("--config", help="JSON object of flag values; flags override it")
+        c.add_argument("--out", help="output path (stdout when omitted)")
+        if fmt:
+            c.add_argument("--format", choices=("json", "csv"), default="json")
+        return c
+
+    c = command("classify", "classify an order function", lam=True, fmt=False)
+    c.add_argument("--order", required=True, help="order expression in alpha")
+    c.add_argument("--require", choices=("weak", "strong", "optimal"),
                    help="exit 1 unless this level is reached")
 
-    c = sub.add_parser("srho", help="estimate the induced source function")
-    _add_common(c)
-    c.add_argument("--order", default=None)
+    c = command("srho", "estimate the induced source function", lam=True)
+    c.add_argument("--order", required=True)
 
-    c = sub.add_parser("classical", help="bracket the classical qualification order")
-    _add_common(c)
+    command("classical", "bracket the classical qualification order", grid=False)
 
-    c = sub.add_parser("mp-check", help="check the increasing-weight inequality")
-    _add_common(c)
-    c.add_argument("--order", default=None)
+    c = command("mp-check", "check the increasing-weight inequality", fmt=False)
+    c.add_argument("--order", required=True)
     c.add_argument("--a", type=float, default=1.0, help="right end of the interval (0, a]")
 
-    c = sub.add_parser("construct", help="build the (h, rho*) weak-qualification pair")
-    _add_common(c)
+    command("construct", "build the (h, rho*) weak-qualification pair")
 
-    c = sub.add_parser("converge", help="run a convergence study on a spectral model")
-    _add_common(c)
+    c = command("converge", "run a convergence study on a spectral model")
     c.add_argument("--order", default="alpha")
-    c.add_argument("--source", default=None, help="source expression in lambda (required)")
+    c.add_argument("--source", required=True, help="source expression in lambda")
     c.add_argument("--model", default="diag:j^-2",
                    help="'diag:RULE' (j^-2, j^-4, exp) or a CSV matrix path")
     c.add_argument("--dim", type=int, default=200)
     c.add_argument("--generator", default="j^-0.6",
                    help="generator decay 'j^-Q' for w_j = j^-Q")
-    c.add_argument("--fit-window", default=None, metavar="LO:HI",
-                   help="alpha window for the slope fit")
+    c.add_argument("--fit-window", metavar="LO:HI", help="alpha window for the slope fit")
     return p
 
 
-# flags that always take exactly one value; merged to --flag=value form so
-# expressions with a leading minus (e.g. -1/ln(alpha)) survive argparse
-_VALUE_FLAGS = {
-    "--filter", "--param", "--order", "--source", "--lambda", "--alpha-min",
-    "--alpha-max", "--per-decade", "--config", "--out", "--format", "--seed",
-    "--require", "--a", "--model", "--dim", "--generator", "--fit-window",
-}
-
-
-def _merge_flag_values(argv: list[str]) -> list[str]:
+def _merge_flag_values(argv: list[str], value_flags) -> list[str]:
+    """``--flag VALUE`` as ``--flag=VALUE``, so that values with a leading
+    minus (e.g. -1/ln(alpha)) are not read as flags."""
     out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _VALUE_FLAGS and i + 1 < len(argv):
-            out.append(f"{tok}={argv[i + 1]}")
-            i += 2
-        else:
-            out.append(tok)
-            i += 1
+    tokens = iter(argv)
+    for tok in tokens:
+        value = next(tokens, None) if tok in value_flags else None
+        out.append(tok if value is None else f"{tok}={value}")
     return out
 
 
-def _scan_config_path(argv) -> str | None:
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if tok.startswith("--config="):
-            return tok.split("=", 1)[1]
-    return None
-
-
-def _load_config_defaults(path: str) -> dict:
-    """Config file values become parser defaults; CLI flags override them."""
+def _config_flags(path: str, command: str, value_flags) -> list[str]:
+    """A JSON config object as flags: key K is --K, a list is a comma list,
+    and each entry of a ``param`` object is one --param=K=V."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise InputError("config file must hold a JSON object")
-    out = {}
+    keys = [flag[2:] for flag in value_flags if flag != "--config"]
+    out = []
     for key, value in doc.items():
-        attr = key.replace("-", "_")
-        if attr == "lambda":
-            attr = "lambda_spec"
-            if isinstance(value, list):
-                value = ",".join(repr(float(v)) for v in value)
-        if attr == "param" and isinstance(value, dict):
-            value = [f"{k}={v}" for k, v in value.items()]
-        out[attr] = value
+        if key not in keys:
+            raise InputError(f"unknown config key '{key}' for {command}; "
+                             f"keys are flag names: {', '.join(keys)}")
+        if key == "param" and isinstance(value, dict):
+            out += [f"--param={k}={v}" for k, v in value.items()]
+        elif isinstance(value, list):
+            out.append(f"--{key}={','.join(map(str, value))}")
+        else:
+            out.append(f"--{key}={value}")
     return out
+
+
+def _argv_with_config(parser: _Parser, argv: list[str]) -> list[str]:
+    """The argument list the parser reads: the config file's values go in as
+    flags ahead of the command line's own, so that the last one wins gives
+    defaults < config < flags."""
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:  # --version, --help or a bad subcommand: argparse reports it
+        return argv
+    flags = _merge_flag_values(argv[1:], command.value_flags)
+    paths = [tok.split("=", 1)[1] for tok in flags if tok.startswith("--config=")]
+    config = _config_flags(paths[-1], argv[0], command.value_flags) if paths else []
+    return [argv[0], *config, *flags]
 
 
 def _parse_params(pairs) -> dict:
@@ -213,8 +226,8 @@ def _alpha_grid(args, filt):
     _check_alpha(filt, [lo, hi])
     if not lo < hi:
         raise InputError(f"--alpha-min {lo} must be below --alpha-max {hi}")
-    if args.per_decade is not None and args.per_decade < 8:
-        raise InputError("--per-decade must be at least 8")
+    if args.per_decade is not None and not 8 <= args.per_decade <= MAX_PER_DECADE:
+        raise InputError(f"--per-decade must be in 8..{MAX_PER_DECADE}")
     return default_alpha_grid(filt, lo, hi, args.per_decade)
 
 
@@ -230,8 +243,9 @@ def _lambda_grid(args, filt):
             lo, hi, per = float(parts[1]), float(parts[2]), int(parts[3])
         except ValueError as exc:
             raise InputError(f"bad --lambda spec '{spec}'") from exc
-        if not (0 < lo < hi < math.inf) or per < 1:
-            raise InputError("--lambda geo spec needs 0 < MIN < MAX < inf and PERDECADE >= 1")
+        if not (0 < lo < hi < math.inf) or not 1 <= per <= MAX_PER_DECADE:
+            raise InputError("--lambda geo spec needs 0 < MIN < MAX < inf and "
+                             f"PERDECADE in 1..{MAX_PER_DECADE}")
         _check_lambda(filt, [lo, hi])
         n = max(int(per * math.log10(hi / lo)) + 1, 2)
         return np.geomspace(lo, hi, n)
@@ -260,8 +274,11 @@ def _order(args, alpha_grid):
 
 def _emit(args, text: str):
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write --out {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -455,29 +472,11 @@ _COMMANDS = {
 }
 
 
-def _require_args(args):
-    needs_order = args.command in ("classify", "srho", "mp-check")
-    if getattr(args, "filter", None) is None:
-        raise InputError("--filter is required (via flag or config file)")
-    if needs_order and getattr(args, "order", None) is None:
-        raise InputError("--order is required (via flag or config file)")
-    if args.command == "converge" and getattr(args, "source", None) is None:
-        raise InputError("--source is required (via flag or config file)")
-
-
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    argv = _merge_flag_values(argv)
     parser = build_parser()
     try:
-        config_path = _scan_config_path(argv)
-        if config_path:
-            defaults = _load_config_defaults(config_path)
-            for sub_action in parser._subparsers._group_actions[0].choices.values():
-                known = {a.dest for a in sub_action._actions}
-                sub_action.set_defaults(**{k: v for k, v in defaults.items() if k in known})
-        args = parser.parse_args(argv)
-        _require_args(args)
+        args = parser.parse_args(_argv_with_config(parser, argv))
         return _COMMANDS[args.command](args)
     except InputError as exc:
         _structured_error(str(exc))

@@ -66,7 +66,9 @@ class FilterFamily:
     """A parametric spectral filter with closed-form residual channels.
 
     ``g`` and ``residual_*`` callables accept numpy arrays (broadcast
-    over alpha and lambda).  Instances are immutable and safe to share.
+    over alpha and lambda).  ``_r_value`` defaults to exp of ``_r_log``
+    (saturating) and ``_r_sign`` to +1.  Instances are immutable and safe
+    to share.
     """
 
     id: str
@@ -85,6 +87,12 @@ class FilterFamily:
             raise FilterError(f"alpha_max must be positive, got {self.alpha_max}")
         if not self.h2_constant > 0:
             raise FilterError(f"h2_constant must be positive, got {self.h2_constant}")
+        r_log = self._r_log
+        if self._r_value is None:
+            object.__setattr__(self, "_r_value", lambda a, lm: sat_exp_array(r_log(a, lm)))
+        if self._r_sign is None:
+            object.__setattr__(self, "_r_sign",
+                               lambda a, lm: np.ones(np.broadcast(a, lm).shape))
 
 
 def _check_alpha(filt: FilterFamily, alpha) -> np.ndarray:
@@ -160,12 +168,9 @@ def _tikhonov():
     def r_log(a, lm):
         return np.log(a) - np.log(a + lm)
 
-    def r_sign(a, lm):
-        return np.ones(np.broadcast(a, lm).shape)
-
     return FilterFamily(
         id="tikhonov", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log, _r_value=r_value,
     )
 
 
@@ -205,15 +210,9 @@ def _ex3_exp():
         out[pos] = np.log1p(lm[pos]) - _softplus(u)
         return out.reshape(np.broadcast(a, lm).shape)
 
-    def r_value(a, lm):
-        return sat_exp_array(r_log(a, lm))
-
-    def r_sign(a, lm):
-        return np.ones(np.broadcast(a, lm).shape)
-
     return FilterFamily(
         id="ex3_exp", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log,
     )
 
 
@@ -229,12 +228,9 @@ def _ex4_log():
     def r_log(a, lm):
         return np.log1p(lm) - np.log(1.0 - lm * np.log(a))
 
-    def r_sign(a, lm):
-        return np.ones(np.broadcast(a, lm).shape)
-
     return FilterFamily(
         id="ex4_log", alpha_max=0.3, h2_constant=1.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log, _r_value=r_value,
     )
 
 
@@ -321,16 +317,10 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
         out[pos] = np.logaddexp(t1, t2)
         return out.reshape(np.broadcast(a, lm).shape)
 
-    def r_value(a, lm):
-        return sat_exp_array(r_log(a, lm))
-
-    def r_sign(a, lm):
-        return np.ones(np.broadcast(a, lm).shape)
-
     return FilterFamily(
         id=fid, alpha_max=alpha_max, h2_constant=h2, oscillatory=True,
         params=params or {},
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log,
     )
 
 
@@ -376,9 +366,6 @@ def _landweber(mu: float = 0.5):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log1p(-mu * np.asarray(lm, float)) / np.asarray(a, float)
 
-    def r_value(a, lm):
-        return sat_exp_array(r_log(a, lm))
-
     def r_sign(a, lm):
         return np.where(np.asarray(lm, float) >= lam_sup, 0, 1) * np.ones(
             np.broadcast(a, lm).shape, dtype=int
@@ -387,7 +374,7 @@ def _landweber(mu: float = 0.5):
     return FilterFamily(
         id="landweber", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
         params={"mu": float(mu)}, lambda_sup=lam_sup,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log, _r_sign=r_sign,
     )
 
 
@@ -405,15 +392,9 @@ def _showalter():
             np.broadcast(a, lm).shape
         )
 
-    def r_value(a, lm):
-        return sat_exp_array(r_log(a, lm))
-
-    def r_sign(a, lm):
-        return np.ones(np.broadcast(a, lm).shape)
-
     return FilterFamily(
         id="showalter", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log,
     )
 
 

@@ -1,17 +1,26 @@
 """Command-line interface: exit codes, formats, determinism, config files."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from specqual.cli import main
+from specqual.cli import MAX_PER_DECADE, build_parser, main
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def assert_input_error(code, out, err):
+    """Exit 2, nothing on stdout, a structured JSON error on stderr."""
+    assert code == 2
+    assert out == ""
+    assert set(json.loads(err)) == {"error", "message"}
 
 
 class TestClassify:
@@ -235,3 +244,76 @@ class TestConfigAndDeterminism:
               "--lambda", "1", "--format", "csv", "--out", str(out)])
         raw = out.read_bytes()
         assert b"\r" not in raw and raw.endswith(b"\n")
+
+
+SRHO_CONFIG = {"filter": "tikhonov", "order": "alpha", "lambda": [1]}
+
+
+@pytest.mark.parametrize("command,config", [
+    ("classify", {"filter": "tikhonov", "order": "alpha", "require": "bogus"}),
+    ("srho", {**SRHO_CONFIG, "alpha_min": [1]}),
+    ("srho", {**SRHO_CONFIG, "lambda": ["a"]}),
+    ("srho", {**SRHO_CONFIG, "format": "xml"}),
+    ("srho", {**SRHO_CONFIG, "lamda": [1]}),
+    ("srho", {**SRHO_CONFIG, "config": "other.json"}),
+], ids=["bad-choice", "underscore-key", "bad-list-value", "bad-format", "typo-key",
+        "nested-config"])
+def test_config_values_checked_like_flags(capsys, tmp_path, command, config):
+    """A config value passes the same checks as the flag it names."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert_input_error(*run(capsys, command, "--config", str(cfg)))
+
+
+@pytest.mark.parametrize("argv", [
+    *[(cmd, "--filter", "tikhonov", *extra, "--seed", "1") for cmd, extra in [
+        ("classify", ("--order", "alpha")), ("srho", ("--order", "alpha")),
+        ("classical", ()), ("mp-check", ("--order", "alpha")), ("construct", ()),
+        ("converge", ("--source", "lambda"))]],
+    ("classical", "--filter", "tikhonov", "--lambda", "1"),
+    ("classical", "--filter", "tikhonov", "--alpha-min", "1e-5"),
+    ("classical", "--filter", "tikhonov", "--alpha-max", "0.1"),
+    ("classical", "--filter", "tikhonov", "--per-decade", "16"),
+    ("mp-check", "--filter", "tikhonov", "--order", "alpha", "--lambda", "1"),
+    ("construct", "--filter", "tikhonov", "--lambda", "1"),
+    ("converge", "--filter", "tikhonov", "--source", "lambda", "--lambda", "1"),
+    ("classify", "--filter", "tikhonov", "--order", "alpha", "--format", "csv"),
+    ("mp-check", "--filter", "tikhonov", "--order", "alpha", "--format", "csv"),
+], ids=lambda argv: f"{argv[0]}{argv[-2]}")
+def test_flags_a_subcommand_does_not_read_exit_two(capsys, argv):
+    assert_input_error(*run(capsys, *argv))
+
+
+@pytest.mark.parametrize("argv", [
+    ("--per-decade", str(MAX_PER_DECADE + 1)),
+    ("--per-decade", "10000000000"),
+    ("--lambda", f"geo:0.01:10:{MAX_PER_DECADE + 1}"),
+    ("--lambda", "geo:1e-300:1e300:10000000000"),
+], ids=["per-decade-above-cap", "per-decade-huge", "geo-above-cap", "geo-huge"])
+def test_grid_density_cap_exits_two(capsys, argv):
+    """Checked before any grid is built, so a huge density allocates nothing."""
+    assert_input_error(*run(capsys, "srho", "--filter", "tikhonov", "--order", "alpha",
+                            *argv))
+
+
+def test_grid_density_at_cap_accepted(capsys):
+    code, _, _ = run(capsys, "srho", "--filter", "tikhonov", "--order", "alpha",
+                     "--lambda", f"geo:1:1.001:{MAX_PER_DECADE}", "--alpha-min", "1e-3",
+                     "--per-decade", str(MAX_PER_DECADE))
+    assert code == 0
+
+
+@pytest.mark.parametrize("out", ["missing-dir/report.json", "."],
+                         ids=["missing-directory", "directory"])
+def test_unwritable_out_exits_two(capsys, tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    assert_input_error(*run(capsys, "classical", "--filter", "tikhonov", "--out", out))
+
+
+def test_readme_flag_table_matches_parser():
+    """The README's per-subcommand flag table lists what the parser registers."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, flags=re.MULTILINE)
+    documented = {cmd: set(re.findall(r"`(--[a-z-]+)`", flags)) for cmd, flags in rows}
+    registered = {cmd: set(p.value_flags) for cmd, p in build_parser().commands.items()}
+    assert documented == registered
