@@ -102,16 +102,18 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"specqual {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, grid=True, lam=False, fmt=True):
+    def command(name, help_text, grid=True, lam=False, fmt=True, grid_note=""):
         p.commands[name] = c = sub.add_parser(name, help=help_text)
         c.add_argument("--filter", required=True, help="catalog filter id")
         c.add_argument("--param", action="append", default=[], metavar="K=V",
                        help="filter parameter (repeatable), e.g. k=1 or mu=0.5")
         if grid:
-            c.add_argument("--alpha-min", type=float)
-            c.add_argument("--alpha-max", type=float)
+            c.add_argument("--alpha-min", type=float,
+                           help=f"small end of the alpha grid{grid_note}")
+            c.add_argument("--alpha-max", type=float,
+                           help=f"large end of the alpha grid{grid_note}")
             c.add_argument("--per-decade", type=int,
-                           help=f"alpha grid density (8..{MAX_PER_DECADE})")
+                           help=f"alpha grid density (8..{MAX_PER_DECADE}){grid_note}")
         if lam:
             c.add_argument("--lambda", dest="lambda_spec",
                            help="comma list '0.01,0.1,1' or 'geo:MIN:MAX:PERDECADE'")
@@ -131,13 +133,17 @@ def build_parser() -> _Parser:
 
     command("classical", "bracket the classical qualification order", grid=False)
 
-    c = command("mp-check", "check the increasing-weight inequality", fmt=False)
+    c = command("mp-check", "check the increasing-weight inequality", fmt=False,
+                grid_note="; certifies --order only, the check samples its own "
+                          "grid on (0, a]")
     c.add_argument("--order", required=True)
     c.add_argument("--a", type=float, default=1.0, help="right end of the interval (0, a]")
 
     command("construct", "build the (h, rho*) weak-qualification pair")
 
-    c = command("converge", "run a convergence study on a spectral model")
+    c = command("converge", "run a convergence study on a spectral model",
+                grid_note="; certifies --order only, the study uses a fixed "
+                          "150-point alpha grid")
     c.add_argument("--order", default="alpha")
     c.add_argument("--source", required=True, help="source expression in lambda")
     c.add_argument("--model", default="diag:j^-2",

@@ -29,7 +29,7 @@ from .qualification import (
     check_order_source_pair,
     check_strong_pair,
     classify,
-    estimate_srho,
+    srho_table,
 )
 from .rates import TabulatedSource
 
@@ -325,7 +325,7 @@ def maximal_source_demo(
     # tabulate s_rho on a grid covering the model spectrum
     eigs = model.eigenvalues
     lam_tab = np.geomspace(float(eigs[-1]) * 0.5, float(eigs[0]) * 2.0, 33)
-    vals = np.array([estimate_srho(filt, rho, float(l), alpha_grid).value for l in lam_tab])
+    vals = np.array([est.value for est in srho_table(filt, rho, lam_tab, alpha_grid).values()])
     if not np.all(np.isfinite(vals) & (vals > 0)):
         raise ExperimentError("s_rho is not finite and positive over the spectrum")
     s_rho = TabulatedSource(lambdas=lam_tab, log_values=np.log(vals),

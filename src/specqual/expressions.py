@@ -338,7 +338,7 @@ def eval_array(expr: FuncExpr, binding: dict[str, np.ndarray | float]):
 def _eval_array(expr: FuncExpr, binding):
     match expr:
         case Const(v):
-            return v
+            return np.float64(v)  # IEEE arithmetic, so that 1/0 is inf, not an exception
         case Var(name):
             if name not in binding:
                 raise UnboundVariableError(name)

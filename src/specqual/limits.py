@@ -85,20 +85,26 @@ def sat_exp_array(logv) -> np.ndarray:
     return out
 
 
-def _block_extrema(xs, lv, edges, pick_min: bool):
-    """Extremum of lv per block, with the x where it is attained."""
-    ms, xe = [], []
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mask = (xs >= lo) & (xs <= hi)
-        seg = lv[mask]
-        seg_x = xs[mask]
-        if seg.size == 0:
-            ms.append(math.nan)
-            xe.append(0.5 * (lo + hi))
+def _block_extrema(t_xs, t_lv, edges, pick_min: bool):
+    """Extremum of each row of t_lv per block, with the x where it is attained.
+
+    ``t_xs`` is ascending, so each closed block [lo, hi] is a contiguous
+    column slice.  Returns two (rows, blocks) arrays; an empty block holds
+    nan and the block midpoint.
+    """
+    rows = np.arange(t_lv.shape[0])
+    ms = np.full((t_lv.shape[0], len(edges) - 1), math.nan)
+    xe = np.empty_like(ms)
+    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        i0 = np.searchsorted(t_xs, lo, "left")
+        i1 = np.searchsorted(t_xs, hi, "right")
+        if i0 >= i1:
+            xe[:, j] = 0.5 * (lo + hi)
             continue
-        idx = int(np.argmin(seg) if pick_min else np.argmax(seg))
-        ms.append(float(seg[idx]))
-        xe.append(float(seg_x[idx]))
+        seg = t_lv[:, i0:i1]
+        idx = np.argmin(seg, axis=1) if pick_min else np.argmax(seg, axis=1)
+        ms[:, j] = seg[rows, idx]
+        xe[:, j] = t_xs[i0 + idx]
     return ms, xe
 
 
@@ -118,43 +124,62 @@ def tail_limit(
     stab_tol: float = STAB_TOL,
     n_blocks: int = N_BLOCKS,
     tail_fraction: float = TAIL_FRACTION,
-    meta: dict | None = None,
-) -> LimitEstimate:
+    meta: dict | list | None = None,
+) -> LimitEstimate | list[LimitEstimate]:
     """Estimate lim inf/sup of exp(log_values) as x = -ln(alpha) -> +inf.
 
     ``xs`` must be ascending (toward alpha -> 0); ``log_values`` holds
     ln(q) and may contain +-inf (q saturated or exactly zero).
+
+    ``log_values`` may also be 2-d, one row per sequence on the shared
+    ``xs`` (rows x points); then the result is a list with one estimate
+    per row, and ``meta`` may be a list with one dict per row.  The block
+    extrema of all rows are found at once; each row's estimate is the one
+    a 1-d call on that row returns.
     """
     if kind not in ("liminf", "limsup"):
         raise ValueError(f"kind must be liminf or limsup, got {kind!r}")
     xs = np.asarray(xs, dtype=float)
     lv = np.asarray(log_values, dtype=float)
-    if xs.shape != lv.shape or xs.ndim != 1 or xs.size < 8:
-        raise ValueError("need matching 1-d arrays with at least 8 points")
+    if xs.ndim != 1 or xs.size < 8 or lv.ndim not in (1, 2) or lv.shape[-1] != xs.size:
+        raise ValueError("need a 1-d xs with at least 8 points and log_values "
+                         "of matching width (1-d, or 2-d with one row per sequence)")
+    rows = lv.reshape(-1, xs.size)
+    metas = meta if isinstance(meta, list) else [meta] * rows.shape[0]
+    if len(metas) != rows.shape[0]:
+        raise ValueError("meta needs one dict per row of log_values")
 
-    pick_min = kind == "liminf"
     x_lo = xs[0] + tail_fraction * (xs[-1] - xs[0])
-    tail_mask = xs >= x_lo
-    t_xs, t_lv = xs[tail_mask], lv[tail_mask]
+    start = np.searchsorted(xs, x_lo, "left")
+    t_xs, t_lv = xs[start:], rows[:, start:]
 
     edges = np.linspace(x_lo, xs[-1], n_blocks + 1)
-    ms_log, xe = _block_extrema(t_xs, t_lv, edges, pick_min)
-    ms = [sat_exp(v) for v in ms_log]
+    ms_log, xe = _block_extrema(t_xs, t_lv, edges, kind == "liminf")
+    raw_min = np.min(t_lv, axis=1)
+    raw_max = np.max(t_lv, axis=1)
 
-    raw_min = sat_exp(float(np.min(t_lv)))
-    raw_max = sat_exp(float(np.max(t_lv)))
-
-    meta = dict(meta or {})
-    meta.update({
+    grid = {
         "estimator": "block-trend",
         "x_range": (float(xs[0]), float(xs[-1])),
         "alpha_range": (float(math.exp(-xs[-1])), float(math.exp(-xs[0]))),
         "points": int(xs.size),
         "tail_points": int(t_xs.size),
-        "blocks": [None if math.isnan(m) else m for m in ms],
-        "extrapolated": False,
-    })
+    }
+    out = []
+    for i in range(rows.shape[0]):
+        ms = [sat_exp(v) for v in ms_log[i].tolist()]
+        row_meta = {**(metas[i] or {}), **grid,
+                    "blocks": [None if math.isnan(m) else m for m in ms],
+                    "extrapolated": False}
+        out.append(_row_limit(kind, ms, xe[i].tolist(), sat_exp(float(raw_min[i])),
+                              sat_exp(float(raw_max[i])), row_meta,
+                              cap, floor, drift_tol, stab_tol))
+    return out if lv.ndim == 2 else out[0]
 
+
+def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap, floor, drift_tol, stab_tol):
+    """The trend verdict of one sequence from its block extrema ``ms``
+    (attained at ``xe``) and its raw tail extrema."""
     m2, m3, m4 = ms[-3], ms[-2], ms[-1]
     x2, x3, x4 = xe[-3], xe[-2], xe[-1]
 
@@ -225,7 +250,7 @@ def tail_limit(
         return LimitEstimate(kind, m4, raw_min, raw_max, False, meta)
 
     # flat (or noisy) blocks: report the late-window extremum
-    value = min(m3, m4) if pick_min else max(m3, m4)
+    value = min(m3, m4) if kind == "liminf" else max(m3, m4)
     stab = abs(m4 - m3) <= stab_tol * max(abs(m3), abs(m4), floor)
     meta["trend"] = "flat"
     return LimitEstimate(kind, value, raw_min, raw_max, stab, meta)

@@ -49,6 +49,8 @@ SCHEMA_VERSION = 1
 DEEP_ALPHA_MIN = 1e-300
 DEEP_PER_DECADE = 16
 
+MP_LAMBDA_MIN = 1e-4  # small end of the increasing-weight check's lambda grid
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 LAMBDA_TINY = 1e-300
 
@@ -211,6 +213,14 @@ def _source_log(s, lams) -> np.ndarray:
     return np.asarray(s.log_at(lams), dtype=float)
 
 
+def _ascending_x(alpha_grid):
+    """x = -ln(alpha) in ascending order, with the alphas in that order."""
+    alphas = np.asarray(alpha_grid, dtype=float)
+    xs = -np.log(alphas)
+    order = np.argsort(xs)
+    return xs[order], alphas[order]
+
+
 # ---------------------------------------------------------------------------
 # s_rho estimation
 # ---------------------------------------------------------------------------
@@ -227,19 +237,7 @@ def estimate_srho(
     +inf to the ratio, so methods that annihilate the component exactly
     (truncation) report an infinite source value.
     """
-    _require_certified(rho, "order function")
-    if not lam > 0:
-        raise QualificationError(f"lambda must be positive, got {lam}")
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt)
-    alphas = np.asarray(alpha_grid, dtype=float)
-
-    with np.errstate(all="ignore"):
-        log_ratio = _order_log(rho, alphas) - filt._r_log(alphas, np.float64(lam))
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
-    return tail_limit(xs[order], log_ratio[order], "liminf",
-                      meta={"lambda": float(lam)})
+    return srho_table(filt, rho, np.array([lam], dtype=float), alpha_grid)[float(lam)]
 
 
 def srho_table(
@@ -248,31 +246,47 @@ def srho_table(
     lambda_grid: np.ndarray | None = None,
     alpha_grid: np.ndarray | None = None,
 ) -> dict[float, LimitEstimate]:
+    """``estimate_srho`` at every lambda: one residual mesh over
+    (lambda x alpha) and one batched tail estimate."""
+    _require_certified(rho, "order function")
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(filt)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(filt)
-    return {
-        float(lam): estimate_srho(filt, rho, float(lam), alpha_grid)
-        for lam in np.asarray(lambda_grid, dtype=float)
-    }
+    lams = np.asarray(lambda_grid, dtype=float)
+    bad = lams[~(lams > 0)]
+    if bad.size:
+        raise QualificationError(f"lambda must be positive, got {bad[0]}")
+    xs, alphas = _ascending_x(alpha_grid)
+
+    with np.errstate(all="ignore"):
+        log_ratio = _order_log(rho, alphas) - filt._r_log(alphas, lams[:, None])
+    ests = tail_limit(xs, log_ratio, "liminf",
+                      meta=[{"lambda": float(lam)} for lam in lams])
+    return {float(lam): est for lam, est in zip(lams, ests)}
 
 
 # ---------------------------------------------------------------------------
 # pair predicates
 # ---------------------------------------------------------------------------
 
-def _pair_limsup(filt, s, rho, lam, alphas) -> LimitEstimate:
-    """limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha)."""
+def _pair_limsup(filt, s, rho, lam, alphas):
+    """limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha).
+
+    One estimate for a scalar ``lam``; a list of estimates, one per
+    lambda, for an array.
+    """
+    lams = np.asarray(lam, dtype=float)
+    flat = np.atleast_1d(lams)
+    xs, alphas = _ascending_x(alphas)
     with np.errstate(all="ignore"):
         lq = (
-            float(np.ravel(_source_log(s, np.float64(lam)))[0])
-            + np.asarray(filt._r_log(alphas, np.float64(lam)), dtype=float)
+            np.asarray(_source_log(s, flat), dtype=float)[:, None]
+            + np.asarray(filt._r_log(alphas, flat[:, None]), dtype=float)
             - _order_log(rho, alphas)
         )
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
-    return tail_limit(xs[order], lq[order], "limsup", meta={"lambda": float(lam)})
+    ests = tail_limit(xs, lq, "limsup", meta=[{"lambda": v} for v in flat.tolist()])
+    return ests if lams.ndim else ests[0]
 
 
 def check_weak_pair(
@@ -290,15 +304,15 @@ def check_weak_pair(
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(filt)
     alphas = np.asarray(alpha_grid, dtype=float)
+    lams = np.asarray(lambda_grid, dtype=float)
 
     witnesses = []
     bound = 0.0
     estimates = {}
-    for lam in np.asarray(lambda_grid, dtype=float):
-        est = _pair_limsup(filt, s, rho, float(lam), alphas)
-        estimates[float(lam)] = est
+    for lam, est in zip(lams.tolist(), _pair_limsup(filt, s, rho, lams, alphas)):
+        estimates[lam] = est
         if not est.bounded:
-            witnesses.append((float(np.min(alphas)), float(lam)))
+            witnesses.append((float(np.min(alphas)), lam))
         else:
             bound = max(bound, est.tail_max)
     holds = not witnesses
@@ -334,21 +348,36 @@ def check_strong_pair(
     )
 
 
-def _refine_minima(log_q, lo, hi, iters=80):
+def _refine_minima(log_q, lo, hi):
     """Batched golden-section minimization of log_q over [lo, hi].
 
     ``log_q`` maps an array of lambda to an array of ln q; ``lo``/``hi``
-    are equal-shaped bracket endpoints in ln-lambda.  Returns the
+    are equal-shaped bracket endpoints in ln-lambda, one lane per entry,
+    and every call of ``log_q`` evaluates all lanes at once.  Each
+    iteration evaluates one new interior point per lane and reuses the
+    other (Kiefer 1953).  A lane stops when its bracket can no longer be
+    split in double precision (a < c < d < b fails).  Returns the
     refined lambdas and values, one per lane.
     """
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
-    for _ in range(iters):
-        c = b - GOLDEN * (b - a)
-        d = a + GOLDEN * (b - a)
-        left = log_q(np.exp(c)) < log_q(np.exp(d))
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
+    c = b - GOLDEN * (b - a)
+    d = a + GOLDEN * (b - a)
+    fc, fd = log_q(np.exp(c)), log_q(np.exp(d))
+    active = (a < c) & (c < d) & (d < b)
+    # each pass moves a up or b down in every active lane, so the brackets
+    # run out of doubles to split and the loop ends
+    while True:
+        left = fc < fd  # the minimum lies in [a, d], else in [c, b]
+        a = np.where(active & ~left, c, a)
+        b = np.where(active & left, d, b)
+        new = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
+        c, d = np.where(left, new, d), np.where(left, c, new)
+        active &= (a < c) & (c < d) & (d < b)
+        if not active.any():
+            break
+        f_new = log_q(np.exp(new))
+        fc, fd = np.where(left, f_new, fd), np.where(left, fc, f_new)
     lam = np.exp(0.5 * (a + b))
     return lam, log_q(lam)
 
@@ -516,25 +545,19 @@ def estimate_classical_order(
         lambda_grid = default_lambda_grid(filt, per_decade=2)
     if alpha_grid is None:
         alpha_grid = _deep_alpha_grid(filt)
-    alphas = np.asarray(alpha_grid, dtype=float)
+    lams = np.asarray(lambda_grid, dtype=float)
+    xs, alphas = _ascending_x(alpha_grid)
     log_alpha = np.log(alphas)
-    xs = -log_alpha
-    order = np.argsort(xs)
 
     with np.errstate(all="ignore"):
-        rlog = {float(lam): np.asarray(filt._r_log(alphas, np.float64(lam)), dtype=float)
-                for lam in np.asarray(lambda_grid, dtype=float)}
+        rlog = np.asarray(filt._r_log(alphas, lams[:, None]), dtype=float)
+    log_lam = np.log(lams)[:, None]
 
     passed = []
     for mu in mu_grid:
-        ok = True
-        for lam, lr in rlog.items():
-            lq = mu * math.log(lam) + lr - mu * log_alpha
-            est = tail_limit(xs[order], lq[order], "limsup", n_blocks=5)
-            if not est.bounded:
-                ok = False
-                break
-        passed.append(ok)
+        lq = mu * log_lam + rlog - mu * log_alpha
+        ests = tail_limit(xs, lq, "limsup", n_blocks=5)
+        passed.append(all(est.bounded for est in ests))
 
     low = None
     high = None
@@ -572,14 +595,19 @@ def check_mp_qualification(
     infinite classical order keep a meaningful order of convergence.
     """
     _require_certified(rho, "order function")
-    if not a > 0:
-        raise QualificationError(f"interval bound a must be positive, got {a}")
+    if not 0 < a < math.inf:
+        raise QualificationError(f"interval bound a must be positive and finite, got {a}")
+    if lambda_grid is None:
+        lam_top = a if filt.lambda_sup is None else min(a, 0.95 * filt.lambda_sup)
+        if not lam_top >= MP_LAMBDA_MIN:
+            raise QualificationError(
+                f"interval bound a={a:g} leaves the default lambda grid "
+                f"[{MP_LAMBDA_MIN:g}, {lam_top:g}] empty")
+        lambda_grid = np.geomspace(MP_LAMBDA_MIN, lam_top,
+                                   int(16 * math.log10(lam_top / MP_LAMBDA_MIN)) + 1)
     if alpha_grid is None:
         top = min(a, filt.alpha_max * (1 - 1e-12))
         alpha_grid = np.geomspace(1e-7, top, int(64 * math.log10(top / 1e-7)))
-    if lambda_grid is None:
-        lam_top = a if filt.lambda_sup is None else min(a, 0.95 * filt.lambda_sup)
-        lambda_grid = np.geomspace(1e-4, lam_top, int(16 * math.log10(lam_top / 1e-4)) + 1)
     alphas = np.asarray(alpha_grid, dtype=float)
     lams = np.asarray(lambda_grid, dtype=float)
 
@@ -622,11 +650,8 @@ def _windowed_certificate(filt, rho, alphas, lams) -> dict:
         # suffix maxima over lambda: sup of |r| on [lam_j, lam_max]
         suffix = np.flip(np.maximum.accumulate(np.flip(R, axis=1), axis=1), axis=1)
         lrho = _order_log(rho, alphas)
-    h_vals = np.full(alphas.shape, np.nan)
-    for i in range(len(alphas)):
-        ok = np.nonzero(suffix[i] <= lrho[i] + 1e-9)[0]
-        if ok.size:
-            h_vals[i] = lams[ok[0]]
+    ok = suffix <= lrho[:, None] + 1e-9
+    h_vals = np.where(np.any(ok, axis=1), lams[np.argmax(ok, axis=1)], np.nan)
     found = np.isfinite(h_vals)
     tail = found[: max(len(alphas) // 2, 1)]
     holds = bool(np.all(tail))

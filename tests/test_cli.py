@@ -52,6 +52,11 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--filter", "tikhonov")
         assert code == 2
 
+    def test_constant_division_by_zero_exits_two(self, capsys):
+        """1/(1-1) evaluates to inf, so the order is rejected, not a traceback."""
+        assert_input_error(*run(capsys, "classify", "--filter", "tikhonov",
+                                "--order", "1/(1-1)"))
+
 
 class TestSrho:
     def test_tikhonov_table_matches_identity(self, capsys):
@@ -125,6 +130,13 @@ class TestMpCheck:
                            "--order", "(1-0.5*sqrt(alpha))^(1/alpha)")
         doc = json.loads(out)
         assert doc["weak_certificate"]["holds"]
+
+    @pytest.mark.parametrize("a", ["inf", "5e-5", "1e-6", "9e-5"])
+    def test_interval_bound_out_of_range_exits_two(self, capsys, a):
+        """A non-finite a, or one below the lambda grid's 1e-4 floor (which
+        would sample lambda outside (0, a]), is an input error."""
+        assert_input_error(*run(capsys, "mp-check", "--filter", "showalter",
+                                "--order", "exp(-1/sqrt(alpha))", "--a", a))
 
 
 class TestConstruct:

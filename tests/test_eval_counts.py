@@ -1,0 +1,67 @@
+"""Evaluation counts of the estimator core.
+
+Calls to a filter's ``_r_log`` and to ``tail_limit`` are deterministic, so
+they gate the batched estimators without any wall-clock measurement.
+``_r_log`` is counted on a ``dataclasses.replace`` copy of the filter and
+``tail_limit`` by patching the name ``qualification`` calls.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import specqual as sq
+from specqual import qualification
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    calls = {"r_log": 0, "tail_limit": 0}
+    tail_limit = qualification.tail_limit
+
+    def counted_tail_limit(*args, **kwargs):
+        calls["tail_limit"] += 1
+        return tail_limit(*args, **kwargs)
+
+    monkeypatch.setattr(qualification, "tail_limit", counted_tail_limit)
+    return calls
+
+
+def counted_filter(calls, fid, **params):
+    filt = sq.get_filter(fid, **params)
+    r_log = filt._r_log
+
+    def counted_r_log(alpha, lam):
+        calls["r_log"] += 1
+        return r_log(alpha, lam)
+
+    return dataclasses.replace(filt, _r_log=counted_r_log)
+
+
+def test_full_ex9_classify(counts):
+    """s_rho table, order-source pair, classical order and mp-check."""
+    filt = counted_filter(counts, "ex9_osc")
+    report = sq.classify(filt, sq.order_fn("exp(-1/sqrt(alpha))"))
+    assert report.level == "strong"
+    assert counts["r_log"] <= 100
+    assert counts["tail_limit"] <= 20
+
+
+@pytest.mark.parametrize("n_lambda", [3, 30])
+def test_srho_table_is_one_batch(counts, n_lambda):
+    filt = counted_filter(counts, "ex8_osc", k=1.0)
+    sq.srho_table(filt, sq.order_fn("alpha"), np.geomspace(0.01, 10.0, n_lambda))
+    assert counts == {"r_log": 1, "tail_limit": 1}
+
+
+def test_weak_pair_is_one_batch(counts):
+    filt = counted_filter(counts, "tikhonov")
+    sq.check_weak_pair(filt, sq.source_fn("lambda"), sq.order_fn("alpha"))
+    assert counts == {"r_log": 1, "tail_limit": 1}
+
+
+def test_classical_order_is_one_batch_per_mu(counts):
+    filt = counted_filter(counts, "tikhonov")
+    co = sq.estimate_classical_order(filt)
+    assert counts == {"r_log": 1, "tail_limit": len(co.mu_grid)}

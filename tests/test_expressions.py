@@ -128,6 +128,7 @@ class TestRoundTrip:
     @settings(max_examples=120, deadline=None)
     @given(tree=_trees("alpha"))
     @example(tree=Unary("neg", Binary("^", Var("alpha"), Const(0.5))))
+    @example(tree=Binary("/", Const(1.0), Binary("-", Const(1.0), Const(1.0))))
     def test_print_parse_print_is_stable(self, tree):
         """Printing and re-parsing evaluates identically at sampled points."""
         text = to_string(tree)

@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import specqual as sq
-from specqual.limits import CAP, FLOOR, tail_limit
-from specqual.qualification import _pair_limsup, srho_table
+from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit
+from specqual.qualification import _pair_limsup, _refine_minima, srho_table
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
@@ -53,6 +55,164 @@ class TestTailLimit:
         vals = np.full(400, 1e10)  # large but below the divergence cap
         est = tail_limit(xs, np.log(vals), "liminf")
         assert math.isfinite(est.value)
+
+
+def _fields(est):
+    """Every field of an estimate, as exact text (repr keeps each double's bits)."""
+    return repr((est.kind, est.value, est.tail_min, est.tail_max, est.stabilized,
+                 est.grid_meta))
+
+
+# one sequence: ln q = level + c * shape(x), with +-inf written at some points
+_SHAPES = {
+    "drift": lambda x: 1.0 / x,
+    "geometric": lambda x: np.exp(-x / 4.0),
+    "linear": lambda x: x / 10.0,
+    "oscillating": np.sin,
+}
+_ROW = st.tuples(
+    st.floats(-5.0, 5.0),
+    st.floats(-30.0, 30.0),
+    st.sampled_from(sorted(_SHAPES)),
+    st.lists(st.tuples(st.integers(0, 10_000), st.sampled_from([np.inf, -np.inf])),
+             max_size=6),
+)
+
+
+def _masked_blocks(xs, lv, kind, n_blocks):
+    """Block extrema by their definition: closed blocks [lo, hi] over the
+    tail, each picked out with a boolean mask."""
+    x_lo = xs[0] + TAIL_FRACTION * (xs[-1] - xs[0])
+    edges = np.linspace(x_lo, xs[-1], n_blocks + 1)
+    out = []
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        seg = lv[(xs >= lo) & (xs <= hi)]
+        if seg.size == 0:
+            out.append(None)
+        else:
+            out.append(sat_exp(float(np.min(seg) if kind == "liminf" else np.max(seg))))
+    return out
+
+
+class TestBatchedTailLimit:
+    """A 2-d call is the per-row 1-d calls, field for field."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.01, 1.0), min_size=7, max_size=90),
+        rows=st.lists(_ROW, min_size=1, max_size=5),
+        kind=st.sampled_from(["liminf", "limsup"]),
+        n_blocks=st.sampled_from([4, 5]),
+    )
+    def test_rows_match_single_calls(self, steps, rows, kind, n_blocks):
+        xs = 1.0 + np.concatenate([[0.0], np.cumsum(steps)])
+        lv = np.empty((len(rows), xs.size))
+        for i, (level, c, shape, infs) in enumerate(rows):
+            lv[i] = level + c * _SHAPES[shape](xs)
+            for pos, val in infs:
+                lv[i, pos % xs.size] = val
+        metas = [{"row": i} for i in range(len(rows))]
+        batched = tail_limit(xs, lv, kind, n_blocks=n_blocks, meta=metas)
+        assert isinstance(batched, list) and len(batched) == len(rows)
+        for i, est in enumerate(batched):
+            single = tail_limit(xs, lv[i], kind, n_blocks=n_blocks, meta=metas[i])
+            assert _fields(est) == _fields(single)
+            assert est.grid_meta["blocks"] == _masked_blocks(xs, lv[i], kind, n_blocks)
+
+    def test_width_mismatch_rejected(self):
+        xs = np.linspace(1.0, 16.0, 40)
+        with pytest.raises(ValueError):
+            tail_limit(xs, np.zeros((3, 39)), "liminf")
+
+
+def _reference_srho(filt, rho, lams, alphas):
+    """One 1-d tail_limit call per lambda."""
+    xs = -np.log(alphas)
+    order = np.argsort(xs)
+    out = {}
+    for lam in lams:
+        with np.errstate(all="ignore"):
+            lv = np.asarray(rho.log_at(alphas)) - filt._r_log(alphas, np.float64(lam))
+        out[float(lam)] = tail_limit(xs[order], lv[order], "liminf",
+                                     meta={"lambda": float(lam)})
+    return out
+
+
+def _reference_pair_limsup(filt, s, rho, lams, alphas):
+    """One 1-d tail_limit call per lambda."""
+    xs = -np.log(alphas)
+    order = np.argsort(xs)
+    out = {}
+    for lam in lams:
+        with np.errstate(all="ignore"):
+            lq = (float(np.ravel(s.log_at(np.float64(lam)))[0])
+                  + np.asarray(filt._r_log(alphas, np.float64(lam)))
+                  - np.asarray(rho.log_at(alphas)))
+        out[float(lam)] = tail_limit(xs[order], lq[order], "limsup",
+                                     meta={"lambda": float(lam)})
+    return out
+
+
+# (filter fixture, order fixture, source fixture, alpha grid)
+BATCH_CASES = [
+    ("ex8", "rho_alpha", "s_sqrt", None),
+    ("ex9", "rho_exp_sqrt", "s_sqrt", None),
+    ("ex4", "rho_log", "s_ratio", EX4_GRID),
+]
+
+
+class TestBatchedEstimators:
+    """The batched estimators equal a loop of 1-d estimates, bit for bit."""
+
+    @pytest.mark.parametrize("filt,rho,s,grid", BATCH_CASES,
+                             ids=[case[0] for case in BATCH_CASES])
+    def test_srho_table_matches_loop(self, request, filt, rho, s, grid):
+        filt, rho = request.getfixturevalue(filt), request.getfixturevalue(rho)
+        alphas = sq.default_alpha_grid(filt) if grid is None else grid
+        lams = sq.default_lambda_grid(filt)
+        table = srho_table(filt, rho, lams, alphas)
+        reference = _reference_srho(filt, rho, lams, alphas)
+        assert list(table) == list(reference)
+        for lam, est in table.items():
+            assert _fields(est) == _fields(reference[lam])
+
+    @pytest.mark.parametrize("filt,rho,s,grid", BATCH_CASES,
+                             ids=[case[0] for case in BATCH_CASES])
+    def test_weak_pair_matches_loop(self, request, filt, rho, s, grid):
+        filt, rho, s = (request.getfixturevalue(name) for name in (filt, rho, s))
+        alphas = sq.default_alpha_grid(filt) if grid is None else grid
+        lams = sq.default_lambda_grid(filt)
+        verdict = sq.check_weak_pair(filt, s, rho, lams, alphas)
+        reference = _reference_pair_limsup(filt, s, rho, lams, alphas)
+        estimates = verdict.detail["estimates"]
+        assert list(estimates) == list(reference)
+        for lam, est in estimates.items():
+            assert _fields(est) == _fields(reference[lam])
+        unbounded = [lam for lam, est in reference.items() if not est.bounded]
+        assert verdict.witnesses == [(float(np.min(alphas)), lam) for lam in unbounded]
+        if verdict.holds:
+            assert verdict.bound_k == max(est.tail_max for est in reference.values())
+
+
+class TestGoldenRefinement:
+    @pytest.mark.parametrize("shape", ["quadratic", "kink"])
+    def test_lands_on_known_minimum(self, shape):
+        """The minimizer in ln lambda is found to within 4 ulp (taken at
+        max(|t|, 1), the resolution of ln lambda for lambda near 1)."""
+        rng = np.random.default_rng(11)
+        t = rng.uniform(-20.0, 20.0, (6, 3))
+        lo = t - rng.uniform(1e-3, 2.0, t.shape)
+        hi = t + rng.uniform(1e-3, 2.0, t.shape)
+
+        def log_q(lam):
+            d = np.log(lam) - t
+            return d * d if shape == "quadratic" else np.abs(d)
+
+        lam, q = _refine_minima(log_q, lo, hi)
+        assert lam.shape == t.shape
+        ulp = np.spacing(np.maximum(np.abs(t), 1.0))
+        assert np.all(np.abs(np.log(lam) - t) <= 4 * ulp)
+        np.testing.assert_array_equal(q, log_q(lam))
 
 
 class TestSourceEstimates:
