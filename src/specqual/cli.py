@@ -28,6 +28,7 @@ from .expressions import ExprError
 from .filters import (
     ALPHA_GRID_MIN,
     FilterError,
+    UnknownFilterError,
     _check_alpha,
     _check_lambda,
     default_alpha_grid,
@@ -35,7 +36,7 @@ from .filters import (
     get_filter,
     list_filters,
 )
-from .limits import LOG_SATURATION, LimitEstimate
+from .limits import LOG_SATURATION
 from .operators import (
     OperatorError,
     load_matrix_csv,
@@ -50,7 +51,7 @@ from .qualification import (
     classify,
     construct_weak_qualification,
     estimate_classical_order,
-    estimate_srho,
+    srho_table,
     _jsonable,
 )
 from .experiments import ExperimentError, fit_order, run_convergence
@@ -71,6 +72,12 @@ class InputError(ValueError):
 # cap on --per-decade and the geo: PERDECADE, checked before any grid is
 # built: 8x the oscillatory default of 512 points per decade
 MAX_PER_DECADE = 4096
+
+# classify and srho reject a lambda below this multiple of the alpha grid's
+# small end: the s_rho limit lives where alpha << lambda, and the tail the
+# estimator reads (the small-alpha half of the grid in log scale) must reach
+# it.  On the default grid the floor is 1e-5.
+LAMBDA_FLOOR_FACTOR = 100.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -220,7 +227,7 @@ def _parse_params(pairs) -> dict:
 def _get_filter(args):
     try:
         return get_filter(args.filter, **_parse_params(args.param))
-    except FilterError as exc:
+    except UnknownFilterError as exc:
         raise InputError(f"{exc}; available: {', '.join(list_filters())}") from exc
     except TypeError as exc:
         raise InputError(f"bad parameters for filter '{args.filter}': {exc}") from exc
@@ -237,7 +244,19 @@ def _alpha_grid(args, filt):
     return default_alpha_grid(filt, lo, hi, args.per_decade)
 
 
-def _lambda_grid(args, filt):
+def _lambda_grid(args, filt, alpha_grid):
+    """The sampled lambdas, none below LAMBDA_FLOOR_FACTOR x min(alpha_grid)."""
+    lams = _lambda_values(args, filt)
+    floor = LAMBDA_FLOOR_FACTOR * float(np.min(alpha_grid))
+    if np.min(lams) < floor:
+        raise InputError(
+            f"lambda {float(np.min(lams)):.6g} is below the floor {floor:.6g} "
+            f"({LAMBDA_FLOOR_FACTOR:g} x the alpha grid's small end); "
+            "raise lambda or lower --alpha-min")
+    return lams
+
+
+def _lambda_values(args, filt):
     spec = args.lambda_spec
     if spec is None:
         return default_lambda_grid(filt)
@@ -301,7 +320,7 @@ def cmd_classify(args) -> int:
     filt = _get_filter(args)
     agrid = _alpha_grid(args, filt)
     rho = _order(args, agrid)
-    report = classify(filt, rho, _lambda_grid(args, filt), agrid)
+    report = classify(filt, rho, _lambda_grid(args, filt, agrid), agrid)
     _emit(args, _dump_json(report.to_json_dict()))
     if args.require and LEVEL_RANK[report.level] < LEVEL_RANK[args.require]:
         return EXIT_VERDICT
@@ -312,12 +331,11 @@ def cmd_srho(args) -> int:
     filt = _get_filter(args)
     agrid = _alpha_grid(args, filt)
     rho = _order(args, agrid)
-    rows = []
-    unstable = False
-    for lam in _lambda_grid(args, filt):
-        est: LimitEstimate = estimate_srho(filt, rho, float(lam), agrid)
-        unstable = unstable or not est.stabilized
-        rows.append((float(lam), est))
+    lams = _lambda_grid(args, filt, agrid)
+    table = srho_table(filt, rho, lams, agrid)
+    # one row per requested lambda, so a repeated lambda prints twice
+    rows = [(lam, table[lam]) for lam in lams.tolist()]
+    unstable = not all(est.stabilized for est in table.values())
     if args.format == "csv":
         lines = ["lambda,estimate,stabilized"]
         for lam, est in rows:

@@ -307,15 +307,12 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
         return out.reshape(np.broadcast(a, lm).shape)
 
     def r_log(a, lm):
-        a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.zeros(a.shape)  # lambda == 0 -> r = 1 -> log 0
-        pos = lm > 0
-        an, ln_ = a[pos], lm[pos]
-        t1 = -ln_ / an
-        with np.errstate(divide="ignore"):
-            t2 = coeff_log(an) - 0.5 * np.log(ln_) + np.log(np.abs(np.sin(ln_ ** 1.5 / an)))
-        out[pos] = np.logaddexp(t1, t2)
-        return out.reshape(np.broadcast(a, lm).shape)
+        # each factor on its own axis, then one broadcast; lambda == 0
+        # gives r = 1 (its nan from inf - inf is replaced by log 1 = 0)
+        a, lm = np.asarray(a, float), np.asarray(lm, float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t2 = coeff_log(a) - 0.5 * np.log(lm) + np.log(np.abs(np.sin(lm ** 1.5 / a)))
+            return np.where(lm > 0, np.logaddexp(-lm / a, t2), 0.0)
 
     return FilterFamily(
         id=fid, alpha_max=alpha_max, h2_constant=h2, oscillatory=True,
@@ -325,9 +322,6 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
 
 
 def _ex8_osc(k: float = 1.0):
-    if k <= 0:
-        raise FilterError(f"ex8_osc requires k > 0, got {k}")
-
     def coeff_log(a):
         return k * np.log(a)
 
@@ -349,8 +343,6 @@ def _ex10_osc():
 
 
 def _landweber(mu: float = 0.5):
-    if not 0 < mu:
-        raise FilterError(f"landweber requires mu > 0, got {mu}")
     lam_sup = 1.0 / mu
 
     def g(a, lm):
@@ -426,11 +418,18 @@ def list_filters() -> list[str]:
 
 
 def get_filter(name: str, **params) -> FilterFamily:
-    """Instantiate a catalog family by id (aliases ex3..ex10 accepted)."""
+    """Instantiate a catalog family by id (aliases ex3..ex10 accepted).
+
+    Every catalog parameter (``k`` of ex8_osc, ``mu`` of landweber) is a
+    positive finite real; any other value raises ``FilterError``.
+    """
     key = _ALIASES.get(name, name)
     builder = _BUILDERS.get(key)
     if builder is None:
         raise UnknownFilterError(name)
+    for param, value in params.items():
+        if not 0 < value < math.inf:
+            raise FilterError(f"{key} requires {param} positive and finite, got {value}")
     return builder(**params)
 
 

@@ -108,6 +108,18 @@ def _block_extrema(t_xs, t_lv, edges, pick_min: bool):
     return ms, xe
 
 
+def _tail_edge(xs, tail_fraction):
+    """The x at which the tail of the ascending grid ``xs`` begins."""
+    return xs[0] + tail_fraction * (xs[-1] - xs[0])
+
+
+def tail_start(xs, tail_fraction: float = TAIL_FRACTION) -> int:
+    """Index of the first column of the ascending grid ``xs`` that
+    ``tail_limit`` reads; the columns before it are never read, so a
+    caller may leave them unevaluated."""
+    return int(np.searchsorted(xs, _tail_edge(xs, tail_fraction), "left"))
+
+
 def _richardson(x1, m1, x2, m2):
     """Limit of the model m(x) = L + c/x through two points."""
     return (m2 * x2 - m1 * x1) / (x2 - x1)
@@ -129,7 +141,9 @@ def tail_limit(
     """Estimate lim inf/sup of exp(log_values) as x = -ln(alpha) -> +inf.
 
     ``xs`` must be ascending (toward alpha -> 0); ``log_values`` holds
-    ln(q) and may contain +-inf (q saturated or exactly zero).
+    ln(q) and may contain +-inf (q saturated or exactly zero).  Only the
+    columns from ``tail_start(xs, tail_fraction)`` on are read: the head
+    columns before it are never read and may hold anything, NaN included.
 
     ``log_values`` may also be 2-d, one row per sequence on the shared
     ``xs`` (rows x points); then the result is a list with one estimate
@@ -149,11 +163,10 @@ def tail_limit(
     if len(metas) != rows.shape[0]:
         raise ValueError("meta needs one dict per row of log_values")
 
-    x_lo = xs[0] + tail_fraction * (xs[-1] - xs[0])
-    start = np.searchsorted(xs, x_lo, "left")
+    start = tail_start(xs, tail_fraction)
     t_xs, t_lv = xs[start:], rows[:, start:]
 
-    edges = np.linspace(x_lo, xs[-1], n_blocks + 1)
+    edges = np.linspace(_tail_edge(xs, tail_fraction), xs[-1], n_blocks + 1)
     ms_log, xe = _block_extrema(t_xs, t_lv, edges, kind == "liminf")
     raw_min = np.min(t_lv, axis=1)
     raw_max = np.max(t_lv, axis=1)

@@ -35,7 +35,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import FilterFamily, default_alpha_grid, default_lambda_grid
-from .limits import CAP, FLOOR, LOG_SATURATION, LimitEstimate, sat_exp_array, tail_limit
+from .limits import (CAP, FLOOR, LOG_SATURATION, LimitEstimate, sat_exp_array,
+                     tail_limit, tail_start)
 from .rates import (
     TabulatedOrder,
     TabulatedSource,
@@ -213,12 +214,18 @@ def _source_log(s, lams) -> np.ndarray:
     return np.asarray(s.log_at(lams), dtype=float)
 
 
-def _ascending_x(alpha_grid):
-    """x = -ln(alpha) in ascending order, with the alphas in that order."""
+def _tail_mesh(alpha_grid, n_rows):
+    """The grid x = -ln(alpha) in ascending order and a NaN (rows x points)
+    mesh on it, with the alphas of the columns ``tail_limit`` reads and the
+    view of those columns.  Only that view needs filling: ``tail_limit``
+    never reads the head columns before it."""
     alphas = np.asarray(alpha_grid, dtype=float)
     xs = -np.log(alphas)
     order = np.argsort(xs)
-    return xs[order], alphas[order]
+    xs = xs[order]
+    k = tail_start(xs)
+    mesh = np.full((n_rows, xs.size), np.nan)
+    return xs, mesh, alphas[order[k:]], mesh[:, k:]
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +264,9 @@ def srho_table(
     bad = lams[~(lams > 0)]
     if bad.size:
         raise QualificationError(f"lambda must be positive, got {bad[0]}")
-    xs, alphas = _ascending_x(alpha_grid)
-
+    xs, log_ratio, alphas, tail = _tail_mesh(alpha_grid, lams.size)
     with np.errstate(all="ignore"):
-        log_ratio = _order_log(rho, alphas) - filt._r_log(alphas, lams[:, None])
+        tail[:] = _order_log(rho, alphas) - filt._r_log(alphas, lams[:, None])
     ests = tail_limit(xs, log_ratio, "liminf",
                       meta=[{"lambda": float(lam)} for lam in lams])
     return {float(lam): est for lam, est in zip(lams, ests)}
@@ -278,9 +284,9 @@ def _pair_limsup(filt, s, rho, lam, alphas):
     """
     lams = np.asarray(lam, dtype=float)
     flat = np.atleast_1d(lams)
-    xs, alphas = _ascending_x(alphas)
+    xs, lq, alphas, tail = _tail_mesh(alphas, flat.size)
     with np.errstate(all="ignore"):
-        lq = (
+        tail[:] = (
             np.asarray(_source_log(s, flat), dtype=float)[:, None]
             + np.asarray(filt._r_log(alphas, flat[:, None]), dtype=float)
             - _order_log(rho, alphas)
@@ -546,16 +552,19 @@ def estimate_classical_order(
     if alpha_grid is None:
         alpha_grid = _deep_alpha_grid(filt)
     lams = np.asarray(lambda_grid, dtype=float)
-    xs, alphas = _ascending_x(alpha_grid)
+    xs, lq, alphas, tail = _tail_mesh(alpha_grid, lams.size)
     log_alpha = np.log(alphas)
 
     with np.errstate(all="ignore"):
         rlog = np.asarray(filt._r_log(alphas, lams[:, None]), dtype=float)
     log_lam = np.log(lams)[:, None]
 
+    # one mesh serves every mu: its tail is refilled in place, summed in
+    # the order (mu*ln(lm) + ln|r|) - mu*ln(alpha)
     passed = []
     for mu in mu_grid:
-        lq = mu * log_lam + rlog - mu * log_alpha
+        np.add(mu * log_lam, rlog, out=tail)
+        np.subtract(tail, mu * log_alpha, out=tail)
         ests = tail_limit(xs, lq, "limsup", n_blocks=5)
         passed.append(all(est.bounded for est in ests))
 
@@ -615,7 +624,8 @@ def check_mp_qualification(
         R = np.asarray(filt._r_log(alphas[:, None], lams[None, :]), dtype=float)
         lrho_lam = _order_log(rho, lams)
         lS = np.max(R + lrho_lam[None, :], axis=1)
-        ratio_log = lS - _order_log(rho, alphas)
+        lrho = _order_log(rho, alphas)
+        ratio_log = lS - lrho
 
     finite = ratio_log[np.isfinite(ratio_log)]
     median = float(np.median(finite)) if finite.size else 0.0
@@ -628,7 +638,7 @@ def check_mp_qualification(
 
     certificate = None
     if with_weak_certificate and not passes:
-        certificate = _windowed_certificate(filt, rho, alphas, lams)
+        certificate = _windowed_certificate(R, lrho, lams)
     if passes:
         return MPVerdict(passes=True, gamma=est.tail_max,
                          weak_certificate=certificate)
@@ -643,17 +653,19 @@ def check_mp_qualification(
                      weak_certificate=certificate)
 
 
-def _windowed_certificate(filt, rho, alphas, lams) -> dict:
-    """Does some vanishing window h(alpha) give sup_{lm>=h} |r| <= rho(alpha)?"""
+def _windowed_certificate(R, lrho, lams) -> dict:
+    """Does some vanishing window h(alpha) give sup_{lm>=h} |r| <= rho(alpha)?
+
+    ``R`` is the (alpha x lambda) mesh of ln|r| and ``lrho`` holds
+    ln rho(alpha), one entry per row of ``R``.
+    """
     with np.errstate(all="ignore"):
-        R = np.asarray(filt._r_log(alphas[:, None], lams[None, :]), dtype=float)
         # suffix maxima over lambda: sup of |r| on [lam_j, lam_max]
         suffix = np.flip(np.maximum.accumulate(np.flip(R, axis=1), axis=1), axis=1)
-        lrho = _order_log(rho, alphas)
     ok = suffix <= lrho[:, None] + 1e-9
     h_vals = np.where(np.any(ok, axis=1), lams[np.argmax(ok, axis=1)], np.nan)
     found = np.isfinite(h_vals)
-    tail = found[: max(len(alphas) // 2, 1)]
+    tail = found[: max(len(lrho) // 2, 1)]
     holds = bool(np.all(tail))
     vanishing = False
     if holds:

@@ -221,6 +221,49 @@ def test_out_of_range_grid_exits_two(capsys, argv):
     assert "order function" not in doc["message"]  # a range error, not a rejected order
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--filter", "ex8_osc", "--param", "k=nan", "--order", "alpha"),
+    ("classify", "--filter", "ex8_osc", "--param", "k=inf", "--order", "alpha"),
+    ("srho", "--filter", "landweber", "--param", "mu=inf", "--order", "alpha"),
+], ids=["k-nan", "k-inf", "mu-inf"])
+def test_non_finite_filter_parameter_exits_two(capsys, argv):
+    """Not a nan verdict, a +inf verdict or a traceback."""
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, out, err)
+    assert "positive and finite" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("srho", "--order", "alpha", "--lambda", "1e-300"),
+    ("srho", "--order", "alpha^0.5", "--lambda", "1e-200"),
+    ("classify", "--order", "alpha", "--lambda", "1e-6,1"),
+    ("srho", "--order", "alpha", "--lambda", "0.05", "--alpha-min", "1e-3"),
+], ids=["srho-1e-300", "srho-sqrt-1e-200", "classify-1e-6", "raised-alpha-min"])
+def test_lambda_below_floor_exits_two(capsys, argv):
+    """A lambda below 100 x the alpha grid's small end has no tail to
+    estimate from; it is an input error, not a false exit 3."""
+    code, out, err = run(capsys, argv[0], "--filter", "tikhonov", *argv[1:])
+    assert_input_error(code, out, err)
+    assert "floor" in json.loads(err)["message"]
+
+
+def test_lambda_at_floor_accepted(capsys):
+    code, out, _ = run(capsys, "srho", "--filter", "tikhonov", "--order", "alpha",
+                       "--lambda", "1e-5")
+    assert code == 0
+    row, = json.loads(out)["table"]
+    assert row["estimate"] == pytest.approx(1e-5, rel=1e-12) and row["stabilized"]
+
+
+def test_srho_repeated_lambda_prints_each_row(capsys):
+    code, out, _ = run(capsys, "srho", "--filter", "tikhonov", "--order", "alpha",
+                       "--lambda", "1,0.5,1", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.5", "1.0", "1.0"]
+    assert lines[2] == lines[3]
+
+
 class TestConfigAndDeterminism:
     def test_config_supplies_required_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

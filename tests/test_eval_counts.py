@@ -1,9 +1,10 @@
 """Evaluation counts of the estimator core.
 
-Calls to a filter's ``_r_log`` and to ``tail_limit`` are deterministic, so
-they gate the batched estimators without any wall-clock measurement.
-``_r_log`` is counted on a ``dataclasses.replace`` copy of the filter and
-``tail_limit`` by patching the name ``qualification`` calls.
+Calls to a filter's ``_r_log``, the (alpha, lambda) points they evaluate,
+and calls to ``tail_limit`` are deterministic, so they gate the batched
+estimators without any wall-clock measurement.  ``_r_log`` is counted on a
+``dataclasses.replace`` copy of the filter and ``tail_limit`` by patching
+the name ``qualification`` calls.
 """
 
 import dataclasses
@@ -13,11 +14,12 @@ import pytest
 
 import specqual as sq
 from specqual import qualification
+from specqual.limits import tail_start
 
 
 @pytest.fixture
 def counts(monkeypatch):
-    calls = {"r_log": 0, "tail_limit": 0}
+    calls = {"r_log": 0, "tail_limit": 0, "points": 0}
     tail_limit = qualification.tail_limit
 
     def counted_tail_limit(*args, **kwargs):
@@ -34,6 +36,7 @@ def counted_filter(calls, fid, **params):
 
     def counted_r_log(alpha, lam):
         calls["r_log"] += 1
+        calls["points"] += np.broadcast(alpha, lam).size
         return r_log(alpha, lam)
 
     return dataclasses.replace(filt, _r_log=counted_r_log)
@@ -46,22 +49,34 @@ def test_full_ex9_classify(counts):
     assert report.level == "strong"
     assert counts["r_log"] <= 100
     assert counts["tail_limit"] <= 20
+    # 224,982 points when every mesh covered its whole alpha grid
+    assert counts["points"] <= 157_000
+
+
+def tail_columns(alpha_grid):
+    """The number of alphas of ``alpha_grid`` that ``tail_limit`` reads."""
+    xs = np.sort(-np.log(alpha_grid))
+    return xs.size - tail_start(xs)
 
 
 @pytest.mark.parametrize("n_lambda", [3, 30])
 def test_srho_table_is_one_batch(counts, n_lambda):
     filt = counted_filter(counts, "ex8_osc", k=1.0)
     sq.srho_table(filt, sq.order_fn("alpha"), np.geomspace(0.01, 10.0, n_lambda))
-    assert counts == {"r_log": 1, "tail_limit": 1}
+    points = n_lambda * tail_columns(sq.default_alpha_grid(filt))
+    assert counts == {"r_log": 1, "tail_limit": 1, "points": points}
 
 
 def test_weak_pair_is_one_batch(counts):
     filt = counted_filter(counts, "tikhonov")
     sq.check_weak_pair(filt, sq.source_fn("lambda"), sq.order_fn("alpha"))
-    assert counts == {"r_log": 1, "tail_limit": 1}
+    points = sq.default_lambda_grid(filt).size * tail_columns(sq.default_alpha_grid(filt))
+    assert counts == {"r_log": 1, "tail_limit": 1, "points": points}
 
 
 def test_classical_order_is_one_batch_per_mu(counts):
     filt = counted_filter(counts, "tikhonov")
     co = sq.estimate_classical_order(filt)
-    assert counts == {"r_log": 1, "tail_limit": len(co.mu_grid)}
+    points = (sq.default_lambda_grid(filt, per_decade=2).size
+              * tail_columns(qualification._deep_alpha_grid(filt)))
+    assert counts == {"r_log": 1, "tail_limit": len(co.mu_grid), "points": points}

@@ -175,3 +175,78 @@ def test_residual_identity_randomized(fid, ax, lx):
     direct = 1.0 - lam * g
     if math.isfinite(direct) and math.isfinite(rv.value):
         assert abs(direct - rv.value) <= 1e-12 * max(1.0, abs(rv.value))
+
+
+def _osc_oracle(coeff):
+    """r = e^(-lm/a) + c(a) lm^(-1/2) |sin(phase)| at the given phase."""
+    def r(mp, a, lm, phase):
+        return mp.exp(-lm / a) + coeff(mp, a) * lm ** mp.mpf(-0.5) * abs(mp.sin(phase))
+    return r
+
+
+def _ex7_oracle(mp, a, lm, phase):
+    if lm < 2 * a:
+        return 1 - lm / (2 * a - (a + 2 * a * a) / mp.log(3))
+    return a * (1 + lm) / (lm * mp.log(a / (a + lm)) + a * (1 + lm))
+
+
+# r_alpha(lambda) of every catalog family at its default parameters, in
+# mpmath arithmetic: (mp, alpha, lambda, phase) -> r
+RESIDUAL_ORACLES = {
+    "tikhonov": lambda mp, a, lm, phase: a / (a + lm),
+    "tsvd": lambda mp, a, lm, phase: mp.mpf(0 if lm >= a else 1),
+    "ex3_exp": lambda mp, a, lm, phase: (1 + lm) / (1 + lm * mp.exp(1 / a)),
+    "ex4_log": lambda mp, a, lm, phase: (1 + lm) / (1 - lm * mp.log(a)),
+    "ex7_piecewise": _ex7_oracle,
+    "ex8_osc": _osc_oracle(lambda mp, a: a),
+    "ex9_osc": _osc_oracle(lambda mp, a: mp.exp(-1 / mp.sqrt(a))),
+    "ex10_osc": _osc_oracle(lambda mp, a: -1 / mp.log(a)),
+    "landweber": lambda mp, a, lm, phase: mp.exp(mp.log(1 - lm / 2) / a),  # mu = 0.5
+    "showalter": lambda mp, a, lm, phase: mp.exp(-lm / a),
+}
+
+# Measured on the test's grid, as |ln|r| - oracle| / max(1, |oracle|): at
+# most 1.1e-15 (ex7_piecewise; ex10_osc 7.5e-16, every other family
+# <= 2.8e-16, tsvd exact).  The bound leaves room for a libm that rounds
+# differently.
+RESIDUAL_LOG_TOL = 2e-15
+
+
+@pytest.mark.parametrize("fid", ALL_IDS)
+def test_residual_log_matches_high_precision_oracle(fid):
+    """``_r_log`` against 50-digit mpmath down to alpha = 1e-300.
+
+    The oscillatory phase lambda^(3/2)/alpha is taken as the double the
+    kernel forms: at alpha = 1e-300 it is ~1e300, and its rounding alone
+    moves it by ~1e284 radians, so no double kernel can follow the sine of
+    the exact phase there.
+    """
+    mpmath = pytest.importorskip("mpmath")
+    assert sorted(RESIDUAL_ORACLES) == sorted(ALL_IDS)
+    filt = sq.get_filter(fid)
+    alphas = np.geomspace(1e-300, filt.alpha_max / 2, 41)[:, None]
+    lam_hi = 10.0 if filt.lambda_sup is None else 0.95 * filt.lambda_sup
+    lams = np.geomspace(1e-4, lam_hi, 9)[None, :]
+    with np.errstate(all="ignore"):
+        got = filt._r_log(alphas, lams)
+        phase = lams ** 1.5 / alphas
+    oracle = RESIDUAL_ORACLES[fid]
+    mpf = mpmath.mp.mpf
+    with mpmath.workdps(50):
+        for (i, j), value in np.ndenumerate(got):
+            r = oracle(mpmath.mp, mpf(alphas[i, 0]), mpf(lams[0, j]), mpf(phase[i, j]))
+            if r == 0:
+                assert value == -np.inf
+                continue
+            want = mpmath.log(abs(r))
+            err = abs(mpf(value) - want) / max(1, abs(want))
+            assert err <= RESIDUAL_LOG_TOL, (fid, alphas[i, 0], lams[0, j])
+
+
+@pytest.mark.parametrize("fid,param", [
+    ("ex8_osc", "k"), ("landweber", "mu"),
+])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_parameter_must_be_positive_and_finite(fid, param, value):
+    with pytest.raises(sq.FilterError, match=param):
+        sq.get_filter(fid, **{param: value})

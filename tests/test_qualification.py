@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specqual as sq
-from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit
+from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_start
+from specqual import qualification
 from specqual.qualification import _pair_limsup, _refine_minima, srho_table
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
@@ -79,6 +80,17 @@ _ROW = st.tuples(
 )
 
 
+def _sequences(steps, rows):
+    """An ascending x grid from its steps, and one row of ln q per _ROW."""
+    xs = 1.0 + np.concatenate([[0.0], np.cumsum(steps)])
+    lv = np.empty((len(rows), xs.size))
+    for i, (level, c, shape, infs) in enumerate(rows):
+        lv[i] = level + c * _SHAPES[shape](xs)
+        for pos, val in infs:
+            lv[i, pos % xs.size] = val
+    return xs, lv
+
+
 def _masked_blocks(xs, lv, kind, n_blocks):
     """Block extrema by their definition: closed blocks [lo, hi] over the
     tail, each picked out with a boolean mask."""
@@ -105,12 +117,7 @@ class TestBatchedTailLimit:
         n_blocks=st.sampled_from([4, 5]),
     )
     def test_rows_match_single_calls(self, steps, rows, kind, n_blocks):
-        xs = 1.0 + np.concatenate([[0.0], np.cumsum(steps)])
-        lv = np.empty((len(rows), xs.size))
-        for i, (level, c, shape, infs) in enumerate(rows):
-            lv[i] = level + c * _SHAPES[shape](xs)
-            for pos, val in infs:
-                lv[i, pos % xs.size] = val
+        xs, lv = _sequences(steps, rows)
         metas = [{"row": i} for i in range(len(rows))]
         batched = tail_limit(xs, lv, kind, n_blocks=n_blocks, meta=metas)
         assert isinstance(batched, list) and len(batched) == len(rows)
@@ -118,6 +125,26 @@ class TestBatchedTailLimit:
             single = tail_limit(xs, lv[i], kind, n_blocks=n_blocks, meta=metas[i])
             assert _fields(est) == _fields(single)
             assert est.grid_meta["blocks"] == _masked_blocks(xs, lv[i], kind, n_blocks)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        steps=st.lists(st.floats(0.01, 1.0), min_size=7, max_size=90),
+        rows=st.lists(_ROW, min_size=1, max_size=5),
+        kind=st.sampled_from(["liminf", "limsup"]),
+        n_blocks=st.sampled_from([4, 5]),
+    )
+    def test_head_columns_are_never_read(self, steps, rows, kind, n_blocks):
+        """NaN before tail_start(xs) changes no field of any estimate, and
+        tail_start is the first x at or past the tail's left edge."""
+        xs, lv = _sequences(steps, rows)
+        k = tail_start(xs)
+        x_lo = xs[0] + TAIL_FRACTION * (xs[-1] - xs[0])
+        assert xs[k] >= x_lo and (k == 0 or xs[k - 1] < x_lo)
+        headless = lv.copy()
+        headless[:, :k] = np.nan
+        full = tail_limit(xs, lv, kind, n_blocks=n_blocks)
+        tail_only = tail_limit(xs, headless, kind, n_blocks=n_blocks)
+        assert [_fields(e) for e in tail_only] == [_fields(e) for e in full]
 
     def test_width_mismatch_rejected(self):
         xs = np.linspace(1.0, 16.0, 40)
@@ -192,6 +219,26 @@ class TestBatchedEstimators:
         assert verdict.witnesses == [(float(np.min(alphas)), lam) for lam in unbounded]
         if verdict.holds:
             assert verdict.bound_k == max(est.tail_max for est in reference.values())
+
+
+class TestClassicalOrderMesh:
+    @pytest.mark.parametrize("fid", ["tikhonov", "ex4_log", "ex9_osc"])
+    def test_matches_full_mesh_per_mu(self, fid):
+        """The tail-only mesh, refilled per mu, passes the same mu as a
+        fresh full (lambda x alpha) mesh per mu."""
+        filt = sq.get_filter(fid)
+        co = sq.estimate_classical_order(filt)
+        lams = sq.default_lambda_grid(filt, per_decade=2)
+        alphas = np.sort(qualification._deep_alpha_grid(filt))[::-1]
+        xs = -np.log(alphas)
+        with np.errstate(all="ignore"):
+            rlog = filt._r_log(alphas, lams[:, None])
+        passed = []
+        for mu in co.mu_grid:
+            lq = mu * np.log(lams)[:, None] + rlog - mu * np.log(alphas)
+            passed.append(all(est.bounded for est in
+                              tail_limit(xs, lq, "limsup", n_blocks=5)))
+        assert co.passed == passed
 
 
 class TestGoldenRefinement:
