@@ -495,9 +495,16 @@ def default_alpha_grid(filt: FilterFamily, alpha_min: float = ALPHA_GRID_MIN,
 
 def default_lambda_grid(filt: FilterFamily, lam_min: float = 1e-2,
                         lam_max: float = 10.0, per_decade: int = 4) -> np.ndarray:
-    """Default lambda sample set, clamped below the family's valid bound."""
+    """Default lambda sample set, clamped below the family's valid bound.
+
+    The grid ascends and stays below ``lambda_sup``: when the clamped top
+    falls to or below ``lam_min`` (landweber with mu >= 0.95 / lam_min),
+    the grid spans the decade below the clamped top instead.
+    """
     if filt.lambda_sup is not None:
         lam_max = min(lam_max, 0.95 * filt.lambda_sup)
+        if lam_max <= lam_min:
+            lam_min = lam_max / 10.0
     decades = math.log10(lam_max / lam_min)
     n = max(int(round(per_decade * decades)) + 1, 4)
     return np.geomspace(lam_min, lam_max, n)

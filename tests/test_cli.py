@@ -264,6 +264,24 @@ def test_srho_repeated_lambda_prints_each_row(capsys):
     assert lines[2] == lines[3]
 
 
+def test_landweber_tight_bound_samples_below_sup(capsys):
+    """mu = 100 used to sample a descending grid from lambda_sup = 0.01 down."""
+    code, out, _ = run(capsys, "classify", "--filter", "landweber", "--param", "mu=100",
+                       "--order", "alpha")
+    assert code == 0
+    lams = [row["lambda"] for row in json.loads(out)["srho_table"]]
+    assert lams == sorted(lams) and len(set(lams)) == len(lams)
+    assert max(lams) < 0.01
+
+
+def test_landweber_bound_below_lambda_floor_exits_two(capsys):
+    """mu = 1e300 puts the whole default grid under the lambda floor."""
+    code, out, err = run(capsys, "srho", "--filter", "landweber", "--param", "mu=1e300",
+                         "--order", "alpha")
+    assert_input_error(code, out, err)
+    assert "floor" in json.loads(err)["message"]
+
+
 class TestConfigAndDeterminism:
     def test_config_supplies_required_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -80,3 +80,14 @@ def test_classical_order_is_one_batch_per_mu(counts):
     points = (sq.default_lambda_grid(filt, per_decade=2).size
               * tail_columns(qualification._deep_alpha_grid(filt)))
     assert counts == {"r_log": 1, "tail_limit": len(co.mu_grid), "points": points}
+
+
+@pytest.mark.parametrize("fid", ["tikhonov", "tsvd", "showalter"])
+def test_convergence_study_is_one_mesh(counts, fid):
+    """One (alpha x eigenvalue) mesh per study; a per-alpha loop made 150 calls."""
+    filt = counted_filter(counts, fid)
+    model = sq.make_model("j^-2", 64)
+    elem = sq.make_source_element(model, sq.source_fn("lambda"), np.ones(model.dim))
+    grid = np.geomspace(1e-5, 0.5, 150)
+    sq.run_convergence(model, filt, elem, sq.order_fn("alpha"), grid)
+    assert counts == {"r_log": 1, "tail_limit": 0, "points": grid.size * model.dim}

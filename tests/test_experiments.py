@@ -7,6 +7,9 @@ import pytest
 
 import specqual as sq
 from specqual.experiments import ConvergenceStudy, StudyRecord
+from specqual.filters import _check_alpha
+from specqual.limits import sat_exp
+from specqual.operators import _filter_lambda_check
 
 STUDY_GRID = np.geomspace(1e-5, 0.5, 220)
 
@@ -65,6 +68,94 @@ class TestRunConvergence:
         assert lines[0] == "alpha,err,rho,ratio"
         assert len(lines) == len(STUDY_GRID) + 1
         assert "\r" not in text
+
+
+def log_error_at(model, filt, alpha, source):
+    """ln of the reconstruction error at one alpha, reduced on its own: the
+    terms of the one row, compacted to the finite ones, then log-sum-exp."""
+    _check_alpha(filt, alpha)
+    _filter_lambda_check(model, filt)
+    with np.errstate(all="ignore"):
+        lr = np.asarray(filt._r_log(np.float64(alpha), model.eigenvalues), dtype=float)
+        terms = 2.0 * lr + 2.0 * np.log(np.abs(source.x_dagger))
+        finite = terms[terms > -np.inf]
+        if finite.size == 0:
+            return -math.inf
+        peak = float(np.max(finite))
+        return 0.5 * (peak + math.log(float(np.sum(np.exp(finite - peak)))))
+
+
+def study_by_loop(model, filt, source, rho, grid):
+    """The study as one scalar error and one scalar log rho per alpha."""
+    records = []
+    for a in np.sort(np.asarray(grid, dtype=float))[::-1]:
+        log_err = log_error_at(model, filt, float(a), source)
+        log_rho = float(rho.log_at(float(a)))
+        log_ratio = log_err - log_rho
+        records.append(StudyRecord(alpha=float(a), err=sat_exp(log_err), rho=sat_exp(log_rho),
+                                   ratio=sat_exp(log_ratio), log_err=log_err,
+                                   log_ratio=log_ratio))
+    return records
+
+
+class TestBatchedStudy:
+    """One (alpha x eigenvalue) mesh per study gives, bit for bit, the
+    records of the per-alpha loop.  The spectra all lie below landweber's
+    lambda_sup = 2; tsvd rows between two eigenvalues drop the terms with
+    r = 0, and the generator with zeros drops the x_j = 0 terms."""
+
+    @pytest.mark.parametrize("fid", sq.list_filters())
+    def test_records_match_scalar_loop(self, fid):
+        filt = sq.get_filter(fid, **({"k": 1.0} if fid == "ex8_osc" else {}))
+        grids = [np.geomspace(1e-5, filt.alpha_max / 2.0, 150),
+                 np.geomspace(1e-7, filt.alpha_max, 97)]
+        n_records = 0
+        for rule, dim in (("j^-2", 200), ("j^-4", 64), ("exp", 32)):
+            model = sq.make_model(rule, dim)
+            j = np.arange(1, dim + 1, dtype=float)
+            combos = [("lambda", j ** -0.6, "alpha"),
+                      ("lambda^0.5", np.where(j % 3 == 0, 0.0, j ** -0.6),
+                       "exp(-1/sqrt(alpha))")]
+            for s_text, w, rho_text in combos:
+                elem = sq.make_source_element(model, sq.source_fn(s_text), w)
+                rho = sq.order_fn(rho_text)
+                for grid in grids:
+                    study = sq.run_convergence(model, filt, elem, rho, grid)
+                    want = study_by_loop(model, filt, elem, rho, grid)
+                    assert repr(study.records) == repr(want), (fid, rule, s_text, grid.size)
+                    n_records += len(want)
+        assert n_records == 6 * (150 + 97)
+
+    def test_tsvd_rows_drop_terms(self, model200, tsvd, w06):
+        """Rows whose alpha lies inside the spectrum keep only the r = 1 terms."""
+        elem = sq.make_source_element(model200, sq.source_fn("lambda"), w06)
+        grid = np.geomspace(1e-5, 0.5, 150)
+        errs = sq.log_regularization_error(model200, tsvd, grid, elem)
+        inside = (grid > model200.eigenvalues[-1]) & (grid <= model200.eigenvalues[0])
+        assert np.count_nonzero(inside) > 100
+        assert np.all(np.isfinite(errs[inside]))
+        assert np.all(errs[grid <= model200.eigenvalues[-1]] == -math.inf)
+
+    def test_scalar_form_is_a_float(self, model200, tikhonov, s_lambda, w06):
+        elem = sq.make_source_element(model200, s_lambda, w06)
+        got = sq.log_regularization_error(model200, tikhonov, 0.01, elem)
+        assert type(got) is float
+        for a in np.geomspace(1e-7, 1.0, 60).tolist():
+            assert sq.log_regularization_error(model200, tikhonov, a, elem) == \
+                log_error_at(model200, tikhonov, a, elem)
+        batch = sq.log_regularization_error(model200, tikhonov, np.array([0.01]), elem)
+        assert batch.shape == (1,) and batch[0] == got
+
+    @pytest.mark.parametrize("bad", [1.5, 0.0, -1e-3])
+    def test_out_of_range_alpha_message_matches_loop(self, model200, tikhonov, s_lambda,
+                                                     rho_alpha, w06, bad):
+        elem = sq.make_source_element(model200, s_lambda, w06)
+        grid = np.append(np.geomspace(1e-5, 0.5, 20), [bad, 2.0 * bad])
+        with pytest.raises(sq.ParameterRangeError) as from_loop:
+            study_by_loop(model200, tikhonov, elem, rho_alpha, grid)
+        with pytest.raises(sq.ParameterRangeError) as batched:
+            sq.run_convergence(model200, tikhonov, elem, rho_alpha, grid)
+        assert str(batched.value) == str(from_loop.value)
 
 
 class TestFitOrder:

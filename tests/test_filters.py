@@ -250,3 +250,24 @@ def test_residual_log_matches_high_precision_oracle(fid):
 def test_parameter_must_be_positive_and_finite(fid, param, value):
     with pytest.raises(sq.FilterError, match=param):
         sq.get_filter(fid, **{param: value})
+
+
+@pytest.mark.parametrize("mu", [95.0, 100.0, 1e4, 1e300])
+def test_landweber_default_lambda_grid_ascends_below_sup(mu):
+    """A clamped top at or below 0.01 used to give a descending grid that
+    sampled lambda_sup itself (mu = 100: [0.01, ..., 0.0095])."""
+    filt = sq.get_filter("landweber", mu=mu)
+    for lam_min in (1e-2, 1e-4):
+        lams = sq.default_lambda_grid(filt, lam_min=lam_min)
+        assert np.all(np.diff(lams) > 0)
+        assert lams[-1] < filt.lambda_sup
+        assert lams[-1] == pytest.approx(0.95 * filt.lambda_sup, rel=1e-12)
+
+
+@pytest.mark.parametrize("mu", [0.5, 9.0, 50.0, 94.0])
+def test_landweber_default_lambda_grid_below_95_unchanged(mu):
+    lam_max = min(10.0, 0.95 * (1.0 / mu))
+    n = max(int(round(4 * math.log10(lam_max / 1e-2))) + 1, 4)
+    want = np.geomspace(1e-2, lam_max, n)
+    got = sq.default_lambda_grid(sq.get_filter("landweber", mu=mu))
+    np.testing.assert_array_equal(got, want)

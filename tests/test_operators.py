@@ -265,3 +265,51 @@ def test_square_summable_generators_stay_inside(decay, scale):
     w = scale * np.arange(1, 121, dtype=float) ** -decay
     elem = sq.make_source_element(model, s, w)
     assert sq.membership_probe(model, elem.x_dagger, s).inside
+
+
+def _membership_loop(model, x, s):
+    """The membership probe with its running floor as a plain Python loop."""
+    from specqual.operators import MEMBERSHIP_GROWTH, MEMBERSHIP_TAIL_SHARE, SOURCE_FLOOR
+
+    if not np.any(x):
+        return sq.MembershipVerdict(inside=True, bound=0.0)
+    sv = np.asarray(s.at(model.eigenvalues), dtype=float)
+    degenerate = (sv < SOURCE_FLOOR) & (x != 0)
+    if np.any(degenerate):
+        return sq.MembershipVerdict(inside=False, witness_index=int(np.argmax(degenerate)) + 1,
+                                    reason="source function vanishes on a used component")
+    safe = sv >= SOURCE_FLOOR
+    v = np.zeros_like(x)
+    v[safe] = x[safe] / sv[safe]
+    total = float(np.sum(v ** 2))
+    quart = max(1, model.dim // 4)
+    if total > 0 and float(np.sum(v[-quart:] ** 2)) > MEMBERSHIP_TAIL_SHARE * total:
+        return sq.MembershipVerdict(inside=False, witness_index=model.dim - quart + 1,
+                                    reason="last-quartile share of the generator norm too large")
+    av = np.abs(v)
+    meaningful = av > 1e-12 * float(np.max(av))
+    floor = math.inf
+    for j in range(model.dim):
+        if not meaningful[j]:
+            continue
+        if av[j] > MEMBERSHIP_GROWTH * floor:
+            return sq.MembershipVerdict(inside=False, witness_index=j + 1,
+                                        reason="generator grows along the spectrum")
+        floor = min(floor, av[j])
+    return sq.MembershipVerdict(inside=True, bound=total)
+
+
+@settings(max_examples=200, deadline=None)
+@given(exponents=st.lists(st.one_of(st.none(), st.floats(min_value=-20.0, max_value=3.0)),
+                          min_size=1, max_size=40),
+       decay=st.floats(min_value=0.0, max_value=4.0))
+def test_membership_running_floor_matches_loop(exponents, decay):
+    """Generators decaying by ``decay`` per index with drawn jumps and zeros
+    (None); the verdict, witness, reason and bound equal the loop's."""
+    dim = len(exponents)
+    model = sq.make_model("j^-2", dim)
+    s = sq.source_fn("lambda^0.5")
+    j = np.arange(1, dim + 1, dtype=float)
+    v = np.array([0.0 if e is None else 10.0 ** e for e in exponents]) * j ** -decay
+    x = v * s.at(model.eigenvalues)
+    assert sq.membership_probe(model, x, s) == _membership_loop(model, x, s)
