@@ -56,7 +56,6 @@ from .rates import (
     certify_order_fn,
     certify_source_fn,
     equivalent_at_origin,
-    eval_log,
     order_fn,
     precedes,
     source_fn,

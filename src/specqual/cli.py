@@ -284,16 +284,16 @@ def _lambda_values(args, filt):
     return np.sort(vals)
 
 
-def _order(args, alpha_grid):
+def _certified(args, kind: str, grid=None):
+    """The certified --order or --source function; InputError (exit 2) if not."""
+    text = getattr(args, kind)
     try:
-        fn = certify_order_fn(args.order, alpha_grid)
+        fn = (certify_order_fn if kind == "order" else certify_source_fn)(text, grid)
     except ExprError as exc:
-        raise InputError(f"bad --order expression: {exc}") from exc
+        raise InputError(f"bad --{kind} expression: {exc}") from exc
     if not fn.certified:
-        raise InputError(
-            f"--order '{args.order}' is not an admissible order function "
-            "(must be positive, nondecreasing, vanishing at 0)"
-        )
+        rules = " (must be positive, nondecreasing, vanishing at 0)" if kind == "order" else ""
+        raise InputError(f"--{kind} '{text}' is not an admissible {kind} function{rules}")
     return fn
 
 
@@ -319,7 +319,7 @@ def _dump_json(doc) -> str:
 def cmd_classify(args) -> int:
     filt = _get_filter(args)
     agrid = _alpha_grid(args, filt)
-    rho = _order(args, agrid)
+    rho = _certified(args, "order", agrid)
     report = classify(filt, rho, _lambda_grid(args, filt, agrid), agrid)
     _emit(args, _dump_json(report.to_json_dict()))
     if args.require and LEVEL_RANK[report.level] < LEVEL_RANK[args.require]:
@@ -330,7 +330,7 @@ def cmd_classify(args) -> int:
 def cmd_srho(args) -> int:
     filt = _get_filter(args)
     agrid = _alpha_grid(args, filt)
-    rho = _order(args, agrid)
+    rho = _certified(args, "order", agrid)
     lams = _lambda_grid(args, filt, agrid)
     table = srho_table(filt, rho, lams, agrid)
     # one row per requested lambda, so a repeated lambda prints twice
@@ -372,7 +372,7 @@ def cmd_classical(args) -> int:
 def cmd_mp_check(args) -> int:
     filt = _get_filter(args)
     agrid = _alpha_grid(args, filt)
-    rho = _order(args, agrid)
+    rho = _certified(args, "order", agrid)
     if args.a <= 0:
         raise InputError("--a must be positive")
     verdict = check_mp_qualification(filt, rho, a=args.a)
@@ -413,14 +413,9 @@ def cmd_construct(args) -> int:
 def cmd_converge(args) -> int:
     filt = _get_filter(args)
     model = _load_model(args)
-    try:
-        source = certify_source_fn(args.source)
-    except ExprError as exc:
-        raise InputError(f"bad --source expression: {exc}") from exc
-    if not source.certified:
-        raise InputError(f"--source '{args.source}' is not an admissible source function")
+    source = _certified(args, "source")
     agrid = _alpha_grid(args, filt)
-    rho = _order(args, agrid)
+    rho = _certified(args, "order", agrid)
 
     if not args.generator.startswith("j^"):
         raise InputError("--generator must look like 'j^-0.6'")

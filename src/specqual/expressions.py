@@ -3,9 +3,10 @@
 A tiny language for functions of a single variable (``alpha`` or
 ``lambda``) built from +, -, *, /, ^ and the unary functions exp, ln,
 sqrt, abs, sin.  Expressions are parsed into immutable trees, printed
-back to parseable text, and evaluated either strictly (scalar, raising
-on domain violations) or in a saturating vectorized mode used by the
-grid estimators.
+back to parseable text, and evaluated strictly (scalar, raising on
+domain violations), in a saturating vectorized mode used by the grid
+estimators, or in the vectorized log channel (``log_eval``) that never
+underflows.
 
 Grammar::
 
@@ -323,6 +324,71 @@ def eval_expr(expr: FuncExpr, binding: dict[str, float]) -> float:
                 except ValueError as exc:
                     raise DomainError(f"({a})^({b}) is not real") from exc
     raise TypeError(f"not a FuncExpr node: {expr!r}")
+
+
+def log_eval(expr: FuncExpr, binding: dict[str, np.ndarray | float]):
+    """``(ln|v|, sign)`` of the value v of ``eval_array``, without its
+    underflow: ln of 2*exp(-1/alpha) stays finite after v is 0.0.
+
+    Leaves, sin, exp's argument and the exponent of ^ are evaluated
+    linearly; logs of products and quotients add; ``a^b`` is ``b*ln a``
+    for a finite positive base and ``np.power`` otherwise; sums go through
+    a signed logaddexp; ln takes its child's log.  The sign is +-1, NaN or
+    a signed zero, so division by an exact zero keeps the IEEE sign.
+    """
+    with np.errstate(all="ignore"):
+        return _log_eval(expr, binding)
+
+
+def _signed_log(v):
+    v = np.asarray(v, dtype=float)
+    return np.log(np.abs(v)), np.copysign(np.sign(v), v)  # np.sign drops -0.0's sign
+
+
+def _log_eval(expr: FuncExpr, binding):
+    match expr:
+        case Const() | Var():
+            return _signed_log(_eval_array(expr, binding))
+        case Unary("exp", child):
+            return _eval_array(child, binding), np.float64(1.0)
+        case Unary("sin", child):
+            return _signed_log(np.sin(_eval_array(child, binding)))
+        case Unary(op, child):
+            lc, sc = _log_eval(child, binding)
+            if op == "neg":
+                return lc, -sc
+            if op == "abs":
+                return lc, np.abs(sc)
+            if op == "sqrt":
+                return np.where(sc < 0, np.nan, 0.5 * lc), sc
+            if op == "ln":
+                return _signed_log(np.where(sc < 0, np.nan, lc))
+        case Binary("^", left, right):
+            la, sa = _log_eval(left, binding)
+            b = _eval_array(right, binding)
+            closed = (sa > 0) & np.isfinite(la)
+            if np.all(closed):
+                return b * la, np.float64(1.0)
+            lv, sv = _signed_log(np.power(sa * np.exp(la), b))
+            return np.where(closed, b * la, lv), np.where(closed, 1.0, sv)
+        case Binary(op, left, right):
+            la, sa = _log_eval(left, binding)
+            lb, sb = _log_eval(right, binding)
+            if op == "*":
+                return la + lb, sa * sb
+            if op == "/":
+                return la - lb, sa * np.copysign(1.0, sb)  # b's sign bit: 1/-0.0 is -inf
+            return _log_sum(la, sa, lb, -sb if op == "-" else sb)
+    raise TypeError(f"not a FuncExpr node: {expr!r}")
+
+
+def _log_sum(la, sa, lb, sb):
+    """Signed logaddexp: ``(ln|a + b|, sign)`` for a = sa*e^la, b = sb*e^lb."""
+    # r = (smaller term) / (larger term); equal logs (two zeros or two
+    # infinities included) are a ratio of +-1
+    r = sa * sb * np.exp(-np.abs(np.where(la == lb, 0.0, la - lb)))
+    s_hi = np.where(la >= lb, sa, sb)
+    return np.maximum(la, lb) + np.log1p(r), s_hi * np.sign(1.0 + r) + 0.0  # a - a is +0
 
 
 def eval_array(expr: FuncExpr, binding: dict[str, np.ndarray | float]):

@@ -97,10 +97,13 @@ class FilterFamily:
 
 def _check_alpha(filt: FilterFamily, alpha) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
-    if np.any(a <= 0) or np.any(a > filt.alpha_max):
-        bad = a[(a <= 0) | (a > filt.alpha_max)].flat[0]
+    # ex10_osc's range is open at alpha_max = 1, where -1/ln(alpha) is infinite
+    is_open = filt.id == "ex10_osc"
+    out = (a <= 0) | (a > filt.alpha_max) | (is_open & (a == filt.alpha_max))
+    if np.any(out):
         raise ParameterRangeError(
-            f"alpha={bad} outside (0, {filt.alpha_max}] for filter '{filt.id}'"
+            f"alpha={a[out].flat[0]} outside (0, {filt.alpha_max}{')' if is_open else ']'} "
+            f"for filter '{filt.id}'"
         )
     return a
 

@@ -206,14 +206,6 @@ def _require_certified(fn, what):
         raise UncertifiedError(what)
 
 
-def _order_log(rho, alphas) -> np.ndarray:
-    return np.asarray(rho.log_at(alphas), dtype=float)
-
-
-def _source_log(s, lams) -> np.ndarray:
-    return np.asarray(s.log_at(lams), dtype=float)
-
-
 def _tail_mesh(alpha_grid, n_rows):
     """The grid x = -ln(alpha) in ascending order and a NaN (rows x points)
     mesh on it, with the alphas of the columns ``tail_limit`` reads and the
@@ -266,7 +258,7 @@ def srho_table(
         raise QualificationError(f"lambda must be positive, got {bad[0]}")
     xs, log_ratio, alphas, tail = _tail_mesh(alpha_grid, lams.size)
     with np.errstate(all="ignore"):
-        tail[:] = _order_log(rho, alphas) - filt._r_log(alphas, lams[:, None])
+        tail[:] = rho.log_at(alphas) - filt._r_log(alphas, lams[:, None])
     ests = tail_limit(xs, log_ratio, "liminf",
                       meta=[{"lambda": float(lam)} for lam in lams])
     return {float(lam): est for lam, est in zip(lams, ests)}
@@ -287,9 +279,9 @@ def _pair_limsup(filt, s, rho, lam, alphas):
     xs, lq, alphas, tail = _tail_mesh(alphas, flat.size)
     with np.errstate(all="ignore"):
         tail[:] = (
-            np.asarray(_source_log(s, flat), dtype=float)[:, None]
+            s.log_at(flat)[:, None]
             + np.asarray(filt._r_log(alphas, flat[:, None]), dtype=float)
-            - _order_log(rho, alphas)
+            - rho.log_at(alphas)
         )
     ests = tail_limit(xs, lq, "limsup", meta=[{"lambda": v} for v in flat.tolist()])
     return ests if lams.ndim else ests[0]
@@ -429,15 +421,15 @@ def check_order_source_pair(
     n_alpha = min(n_alpha, alphas.size)
     sub = np.geomspace(alphas[0], alphas[-1], n_alpha)
 
-    log_rho = _order_log(rho, sub)
-    log_h = np.asarray(h.log_at(sub), dtype=float)
+    log_rho = rho.log_at(sub)
+    log_h = h.log_at(sub)
     log_hi = math.log(lam_max)
     log_lo = np.minimum(np.maximum(log_h, math.log(LAMBDA_TINY)), log_hi - 1e-6)
 
     def log_q(alpha_arr, lam_arr, lrho_arr):
         with np.errstate(all="ignore"):
             return (
-                np.asarray(s.log_at(lam_arr), dtype=float)
+                s.log_at(lam_arr)
                 + np.asarray(filt._r_log(alpha_arr, lam_arr), dtype=float)
                 - lrho_arr
             )
@@ -622,9 +614,9 @@ def check_mp_qualification(
 
     with np.errstate(all="ignore"):
         R = np.asarray(filt._r_log(alphas[:, None], lams[None, :]), dtype=float)
-        lrho_lam = _order_log(rho, lams)
+        lrho_lam = rho.log_at(lams)
         lS = np.max(R + lrho_lam[None, :], axis=1)
-        lrho = _order_log(rho, alphas)
+        lrho = rho.log_at(alphas)
         ratio_log = lS - lrho
 
     finite = ratio_log[np.isfinite(ratio_log)]

@@ -57,6 +57,24 @@ class TestClassify:
         assert_input_error(*run(capsys, "classify", "--filter", "tikhonov",
                                 "--order", "1/(1-1)"))
 
+    def test_scaled_exponential_order_is_optimal(self, capsys):
+        """2*exp(-1/alpha) underflows like exp(-1/alpha) and reaches the same level."""
+        levels = []
+        for order in ("exp(-1/alpha)", "2*exp(-1/alpha)"):
+            code, out, _ = run(capsys, "classify", "--filter", "ex3_exp", "--order", order)
+            assert code == 0
+            levels.append(json.loads(out)["level"])
+        assert levels == ["optimal", "optimal"]
+
+    def test_ex10_at_alpha_one_exits_two(self, capsys):
+        """-1/ln(alpha) is infinite at alpha = 1: a range error, not a nan report."""
+        code, out, err = run(capsys, "classify", "--filter", "ex10_osc", "--order", "alpha",
+                             "--alpha-max", "1")
+        assert_input_error(code, out, err)
+        assert json.loads(err) == {
+            "error": "ParameterRangeError",
+            "message": "alpha=1.0 outside (0, 1.0) for filter 'ex10_osc'"}
+
 
 class TestSrho:
     def test_tikhonov_table_matches_identity(self, capsys):
@@ -164,6 +182,14 @@ class TestConverge:
                            "--source", "lambda^0.5", "--fit-window", "2e-3:0.1")
         assert code == 0
         assert json.loads(out)["fit"]["slope"] == pytest.approx(0.5, abs=0.05)
+
+    def test_non_vanishing_source_exits_two(self, capsys):
+        """s(0) = 1 != 0: the source is rejected before any study runs."""
+        code, out, err = run(capsys, "converge", "--filter", "tikhonov", "--order", "alpha",
+                             "--source", "1+1000*lambda")
+        assert_input_error(code, out, err)
+        assert json.loads(err)["message"] == \
+            "--source '1+1000*lambda' is not an admissible source function"
 
     def test_missing_model_path_exits_two(self, capsys):
         code, _, err = run(capsys, "converge", "--filter", "tikhonov",

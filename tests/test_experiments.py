@@ -107,8 +107,10 @@ class TestBatchedStudy:
     @pytest.mark.parametrize("fid", sq.list_filters())
     def test_records_match_scalar_loop(self, fid):
         filt = sq.get_filter(fid, **({"k": 1.0} if fid == "ex8_osc" else {}))
+        # ex10_osc's range is open at alpha_max = 1, where -1/ln(alpha) is infinite
+        top = 0.99 if fid == "ex10_osc" else filt.alpha_max
         grids = [np.geomspace(1e-5, filt.alpha_max / 2.0, 150),
-                 np.geomspace(1e-7, filt.alpha_max, 97)]
+                 np.geomspace(1e-7, top, 97)]
         n_records = 0
         for rule, dim in (("j^-2", 200), ("j^-4", 64), ("exp", 32)):
             model = sq.make_model(rule, dim)

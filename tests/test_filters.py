@@ -271,3 +271,15 @@ def test_landweber_default_lambda_grid_below_95_unchanged(mu):
     want = np.geomspace(1e-2, lam_max, n)
     got = sq.default_lambda_grid(sq.get_filter("landweber", mu=mu))
     np.testing.assert_array_equal(got, want)
+
+
+def test_ex10_range_is_open_at_alpha_max():
+    """The coefficient -1/ln(alpha) of ex10_osc is infinite at alpha = 1."""
+    filt = sq.get_filter("ex10_osc")
+    assert filt.alpha_max == 1.0
+    with pytest.raises(sq.ParameterRangeError, match=r"outside \(0, 1\.0\) "):
+        sq.eval_g(filt, 1.0, 0.5)
+    assert math.isfinite(sq.eval_g(filt, 0.99, 0.5))
+    assert sq.default_alpha_grid(filt)[-1] == 0.5
+    with pytest.raises(sq.ParameterRangeError, match=r"outside \(0, 1\.0\] "):
+        sq.eval_g(sq.get_filter("ex9_osc"), 1.5, 0.5)

@@ -54,6 +54,76 @@ class TestSourceCertification:
         assert sq.certify_source_fn("lambda^0.25").certified
 
 
+class TestLogChannel:
+    """Every order and source goes through expressions.log_eval, whatever
+    the root of its expression."""
+
+    @pytest.mark.parametrize("text,want", [
+        ("2*exp(-1/alpha)", "2*exp(-1/a)"),
+        ("alpha*exp(-1/alpha)", "a*exp(-1/a)"),
+        ("sqrt(exp(-1/alpha))", "sqrt(exp(-1/a))"),
+        ("exp(-1/alpha)^2", "exp(-1/a)**2"),
+        ("1/exp(1/alpha)", "1/exp(1/a)"),
+    ])
+    def test_underflowing_orders_certify(self, text, want):
+        mpmath = pytest.importorskip("mpmath")
+        fn = sq.certify_order_fn(text)
+        assert fn.certified
+        got = fn.log_at(1e-5)
+        with mpmath.workdps(50):
+            exact = mpmath.log(eval(want, {"a": mpmath.mpf(1e-5), "exp": mpmath.exp,
+                                           "sqrt": mpmath.sqrt}))
+            assert abs(got - exact) / abs(exact) <= 1e-15
+
+    def test_underflowing_source_certifies(self):
+        fn = sq.certify_source_fn("exp(-1/lambda)")
+        assert fn.certified
+        assert fn.log_at(1e-5) == pytest.approx(-1e5, rel=1e-15)
+
+    def test_scaled_exponential_equivalent_to_exponential(self, rho_exp):
+        verdict = sq.equivalent_at_origin(sq.order_fn("2*exp(-1/alpha)"), rho_exp)
+        assert verdict.holds
+        # ln 2 is recovered from ln 2 - 1/alpha + 1/alpha, with 1/alpha up to
+        # 1e12 on the comparison grid: ~1e-4 absolute is all a double keeps
+        assert verdict.constants == pytest.approx((2.0, 0.5), rel=1e-3)
+
+    def test_log_at_of_an_array_is_an_array(self, rho_alpha):
+        for fn in (rho_alpha, sq.source_fn("lambda")):
+            out = fn.log_at(np.array([0.1, 0.2]))
+            assert isinstance(out, np.ndarray) and out.dtype == float
+            assert type(fn.log_at(0.1)) is float
+
+
+class TestSourceShape:
+    """Sources share the order rules for positivity and decay; continuity is
+    a tenfold-step test between neighbours near the peak."""
+
+    @pytest.mark.parametrize("text", ["1+1000*lambda", "0.001+lambda", "1+lambda"])
+    def test_non_vanishing_source_rejected(self, text):
+        assert not sq.certify_source_fn(text).certified
+
+    @pytest.mark.parametrize("text", [
+        "exp(-1/lambda)", "exp(-1/sqrt(lambda))", "lambda*exp(-1/lambda)",
+        "lambda", "lambda^0.5", "lambda^0.25", "lambda/(1+lambda)", "lambda^15",
+    ])
+    def test_continuous_source_certifies(self, text):
+        assert sq.certify_source_fn(text).certified
+
+    @pytest.mark.parametrize("text", [
+        "1", "1/(lambda-1)^2", "lambda/(lambda-1)^2", "1+lambda^2",
+        # a pole between grid points, its neighbours far below the peak
+        "lambda/(lambda-1.0001)^2",
+    ])
+    def test_discontinuous_or_non_vanishing_source_rejected(self, text):
+        assert not sq.certify_source_fn(text).certified
+
+    def test_grid_resolution_limit(self):
+        """The default grid steps by 10^(1/16): lambda^16 grows tenfold per
+        step and reads as a jump."""
+        assert not sq.certify_source_fn("lambda^16").certified
+        assert sq.certify_source_fn("lambda^16", np.geomspace(1e-6, 10.0, 225)).certified
+
+
 class TestEvalLog:
     def test_exp_root_uses_closed_form(self, rho_exp):
         assert rho_exp.log_at(0.001) == pytest.approx(-1000.0)
