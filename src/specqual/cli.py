@@ -272,7 +272,10 @@ def _lambda_values(args, filt):
             raise InputError("--lambda geo spec needs 0 < MIN < MAX < inf and "
                              f"PERDECADE in 1..{MAX_PER_DECADE}")
         _check_lambda(filt, [lo, hi])
-        n = max(int(per * math.log10(hi / lo)) + 1, 2)
+        # past ~308 decades hi / lo overflows, while the logs of the ends do not
+        ratio = hi / lo
+        decades = math.log10(ratio) if ratio < math.inf else math.log10(hi) - math.log10(lo)
+        n = max(int(per * decades) + 1, 2)
         return np.geomspace(lo, hi, n)
     try:
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])

@@ -536,7 +536,10 @@ def estimate_classical_order(
     For each mu, boundedness of lambda^mu |r| / alpha^mu is tested per
     lambda over a deep alpha grid reaching 1e-300: statistics like
     alpha^(-1/64)/|ln alpha| only reveal their divergence hundreds of
-    decades down, far below any working grid.
+    decades down, far below any working grid.  The whole mu grid is
+    probed as one batch: one residual mesh over (lambda x alpha), one
+    (mu x lambda) block of rows, and one tail estimate; mu passes when
+    every row of its block is bounded.
     """
     mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
     if lambda_grid is None:
@@ -544,21 +547,21 @@ def estimate_classical_order(
     if alpha_grid is None:
         alpha_grid = _deep_alpha_grid(filt)
     lams = np.asarray(lambda_grid, dtype=float)
-    xs, lq, alphas, tail = _tail_mesh(alpha_grid, lams.size)
-    log_alpha = np.log(alphas)
+    xs, lq, alphas, tail = _tail_mesh(alpha_grid, mu_grid.size * lams.size)
 
     with np.errstate(all="ignore"):
         rlog = np.asarray(filt._r_log(alphas, lams[:, None]), dtype=float)
-    log_lam = np.log(lams)[:, None]
 
-    # one mesh serves every mu: its tail is refilled in place, summed in
-    # the order (mu*ln(lm) + ln|r|) - mu*ln(alpha)
-    passed = []
-    for mu in mu_grid:
-        np.add(mu * log_lam, rlog, out=tail)
-        np.subtract(tail, mu * log_alpha, out=tail)
-        ests = tail_limit(xs, lq, "limsup", n_blocks=5)
-        passed.append(all(est.bounded for est in ests))
+    # the rows are mu-major; splitting the row axis of the tail view keeps
+    # it a view, filled in the order (mu*ln(lm) + ln|r|) - mu*ln(alpha)
+    n = lams.size
+    block = tail.reshape(mu_grid.size, n, alphas.size)
+    mu = mu_grid[:, None, None]
+    np.add(mu * np.log(lams)[:, None], rlog, out=block)
+    np.subtract(block, mu * np.log(alphas), out=block)
+    ests = tail_limit(xs, lq, "limsup", n_blocks=5)
+    passed = [all(est.bounded for est in ests[i * n:(i + 1) * n])
+              for i in range(mu_grid.size)]
 
     low = None
     high = None
@@ -662,7 +665,8 @@ def _windowed_certificate(R, lrho, lams) -> dict:
     vanishing = False
     if holds:
         lo = h_vals[np.nonzero(found)[0][0]]
-        vanishing = bool(lo <= lams[max(1, len(lams) // 5)])
+        # clamped to the last lambda, so a one-point grid has a reference
+        vanishing = bool(lo <= lams[min(max(1, len(lams) // 5), len(lams) - 1)])
     return {
         "holds": holds and vanishing,
         "h_at_alpha_min": _jsonable(float(h_vals[0]) if found[0] else math.nan),

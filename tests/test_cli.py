@@ -1,11 +1,15 @@
 """Command-line interface: exit codes, formats, determinism, config files."""
 
+import io
 import json
 import re
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from specqual.cli import MAX_PER_DECADE, build_parser, main
 
@@ -308,6 +312,27 @@ def test_landweber_bound_below_lambda_floor_exits_two(capsys):
     assert "floor" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("command", ["mp-check", "classify"])
+def test_landweber_one_point_mp_grid(capsys, command):
+    """mu = 9000 leaves the mp-check one lambda, 1e-4; its certificate used
+    to read a second lambda and end in an IndexError."""
+    code, out, err = run(capsys, command, "--filter", "landweber", "--param", "mu=9000",
+                         "--order", "alpha")
+    assert code in (0, 1) and err == ""
+    doc = json.loads(out)
+    mp = doc if command == "mp-check" else doc["mp"]
+    assert mp["passes"] or mp["weak_certificate"]["h_at_alpha_min"] == 1e-4
+
+
+def test_geo_lambda_past_double_ratio(capsys):
+    """1e300 / 1e-300 overflows; the span is counted from the logs of the
+    ends, and the grid's bottom then falls under the lambda floor."""
+    code, out, err = run(capsys, "srho", "--filter", "tikhonov", "--order", "alpha",
+                         "--lambda", "geo:1e-300:1e300:1")
+    assert_input_error(code, out, err)
+    assert "floor" in json.loads(err)["message"]
+
+
 class TestConfigAndDeterminism:
     def test_config_supplies_required_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -416,3 +441,93 @@ def test_readme_flag_table_matches_parser():
     documented = {cmd: set(re.findall(r"`(--[a-z-]+)`", flags)) for cmd, flags in rows}
     registered = {cmd: set(p.value_flags) for cmd, p in build_parser().commands.items()}
     assert documented == registered
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract, on drawn calls
+# ---------------------------------------------------------------------------
+
+COMMANDS = build_parser().commands
+
+# one cheap valid call per subcommand; a drawn flag overrides its entry
+BASE_FLAGS = {
+    "classify": {"--filter": "tikhonov", "--order": "alpha"},
+    "srho": {"--filter": "tikhonov", "--order": "alpha", "--lambda": "0.1,1"},
+    "classical": {"--filter": "tikhonov"},
+    "mp-check": {"--filter": "tikhonov", "--order": "alpha"},
+    "construct": {"--filter": "showalter"},
+    "converge": {"--filter": "tikhonov", "--source": "lambda", "--dim": "16"},
+}
+# a --param value switches the call to the family that reads the parameter
+PARAM_FILTERS = {"k": "ex8_osc", "mu": "landweber"}
+ADVERSARIAL_VALUES = [
+    "nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "", "1,1",
+    "alpha^(", "2*3", "exp(1)", "1/(1-1)", "ln(0)",
+    "geo:0.01:10:4", "geo:1e-5:1e5:2", "geo:1:1.001:4096", "geo:1e-300:1e300:1",
+    "k=1", "k=2", "k=nan", "k=0", "k=1e-300", "k=1e300",
+    "mu=0.5", "mu=100", "mu=9000", "mu=1e-300", "mu=-inf",
+]
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = [f for f in COMMANDS[command].value_flags if f not in ("--out", "--config")]
+    return command, draw(st.sampled_from(flags)), draw(st.sampled_from(ADVERSARIAL_VALUES))
+
+
+def call_argv(command, flag, value):
+    flags = dict(BASE_FLAGS[command])
+    if flag == "--param" and value.partition("=")[0] in PARAM_FILTERS:
+        flags["--filter"] = PARAM_FILTERS[value.partition("=")[0]]
+    flags[flag] = value
+    return [command, *(tok for pair in flags.items() for tok in pair)]
+
+
+def run_captured(argv):
+    """``main(argv)`` with its own stdout and stderr buffers (a hypothesis
+    test cannot share the function-scoped capsys between examples)."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def _verdict_values(doc):
+    """Every value stored under a level, passes or estimate key."""
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            if key in ("level", "passes", "estimate"):
+                yield value
+            yield from _verdict_values(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _verdict_values(value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(call=cli_calls())
+@example(call=("mp-check", "--param", "mu=9000"))
+@example(call=("classify", "--param", "mu=9000"))
+@example(call=("srho", "--lambda", "geo:1e-300:1e300:1"))
+def test_cli_contract(call):
+    """Every call exits 0-3 with no traceback. Exit 2 is an empty stdout and
+    a JSON error on stderr; any other exit prints RFC 8259 JSON with no nan
+    verdict, except construct's hypothesis violation (exit 1), which reports
+    on stderr.  A second run prints the same bytes."""
+    argv = call_argv(*call)
+    code, out, err = run_captured(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2 or (code == 1 and out == "" and argv[0] == "construct"):
+        assert out == ""
+        error = json.loads(err)
+        assert set(error) == {"error", "message"}
+        assert code == 2 or error["error"] == "hypothesis-violation"
+    else:
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert "nan" not in [str(v) for v in _verdict_values(doc)]
+    assert run_captured(argv) == (code, out, err)

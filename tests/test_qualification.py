@@ -221,6 +221,39 @@ class TestBatchedEstimators:
             assert verdict.bound_k == max(est.tail_max for est in reference.values())
 
 
+# every catalog filter: ex8 at k = 1 and 2, landweber at mu = 0.5, the rest
+# at their defaults
+CLASSICAL_FILTERS = [
+    (fid, params)
+    for fid in sq.list_filters()
+    for params in {"ex8_osc": [{"k": 1.0}, {"k": 2.0}],
+                   "landweber": [{"mu": 0.5}]}.get(fid, [{}])
+]
+MU_GRIDS = [None, np.array([3.0, 0.25, 1.5]), np.array([0.5])]
+
+
+def _reference_classical(filt, mu_grid, lams, alphas):
+    """The classical order from one fresh full (lambda x alpha) mesh and
+    one tail_limit call per mu, bracketed by its definition: low is the
+    last mu that passes before the first one that fails, high that one."""
+    xs = -np.log(alphas)
+    order = np.argsort(xs)
+    xs, alphas = xs[order], alphas[order]
+    with np.errstate(all="ignore"):
+        rlog = filt._r_log(alphas, lams[:, None])
+    passed = []
+    for mu in mu_grid:
+        lq = mu * np.log(lams)[:, None] + rlog - mu * np.log(alphas)
+        passed.append(all(est.bounded for est in tail_limit(xs, lq, "limsup", n_blocks=5)))
+    fails = [float(mu) for mu, ok in zip(mu_grid, passed) if not ok]
+    high = fails[0] if fails else None
+    first_fail = passed.index(False) if fails else len(passed)
+    low = float(mu_grid[first_fail - 1]) if first_fail else None
+    return sq.ClassicalOrder(low=low, high=high, zero=not passed[0],
+                             infinite=all(passed),
+                             mu_grid=[float(m) for m in mu_grid], passed=passed)
+
+
 class TestClassicalOrderMesh:
     @pytest.mark.parametrize("fid", ["tikhonov", "ex4_log", "ex9_osc"])
     def test_matches_full_mesh_per_mu(self, fid):
@@ -239,6 +272,33 @@ class TestClassicalOrderMesh:
             passed.append(all(est.bounded for est in
                               tail_limit(xs, lq, "limsup", n_blocks=5)))
         assert co.passed == passed
+
+    @pytest.mark.parametrize("mu_grid", MU_GRIDS, ids=["default", "unsorted", "one-mu"])
+    @pytest.mark.parametrize("fid,params", CLASSICAL_FILTERS,
+                             ids=[f"{fid}{params}" for fid, params in CLASSICAL_FILTERS])
+    def test_batch_matches_per_mu_loop(self, fid, params, mu_grid):
+        """The one (mu x lambda) batch is the per-mu loop, field for field."""
+        filt = sq.get_filter(fid, **params)
+        co = sq.estimate_classical_order(filt, mu_grid)
+        reference = _reference_classical(
+            filt, qualification.default_mu_grid() if mu_grid is None else mu_grid,
+            sq.default_lambda_grid(filt, per_decade=2), qualification._deep_alpha_grid(filt))
+        assert repr(co) == repr(reference)
+
+    @pytest.mark.parametrize("fid,params", CLASSICAL_FILTERS,
+                             ids=[f"{fid}{params}" for fid, params in CLASSICAL_FILTERS])
+    def test_batch_matches_per_mu_loop_on_user_grids(self, fid, params):
+        """A shallow, unsorted alpha grid (the estimator orders it itself).
+        Its tail does not reach alpha << 1e-6, so for ex8 the lambda = 1e-6
+        row still passes mu = 2 while the others fail: a mu passes only
+        when every row of its block does."""
+        filt = sq.get_filter(fid, **params)
+        lams = np.array([1e-6, 0.03, 0.3, 0.9])
+        alphas = np.random.default_rng(5).permutation(
+            np.geomspace(1e-8, filt.alpha_max / 2, 400))
+        co = sq.estimate_classical_order(filt, None, lams, alphas)
+        reference = _reference_classical(filt, qualification.default_mu_grid(), lams, alphas)
+        assert repr(co) == repr(reference)
 
 
 class TestGoldenRefinement:
@@ -516,6 +576,22 @@ class TestIncreasingWeightCheck:
         rho = sq.order_fn("(1-0.5*sqrt(alpha))^(1/alpha)")
         verdict = sq.check_mp_qualification(landweber, rho)
         assert verdict.weak_certificate["holds"]
+
+    def test_one_point_lambda_grid_gets_a_certificate(self, showalter, rho_exp_sqrt):
+        """The certificate's reference lambda is clamped to the grid, so a
+        one-point grid gives a verdict, not an IndexError."""
+        verdict = sq.check_mp_qualification(showalter, rho_exp_sqrt,
+                                            lambda_grid=np.array([0.05]))
+        assert not verdict.passes
+        assert verdict.weak_certificate["holds"]
+        assert verdict.weak_certificate["h_at_alpha_min"] == 0.05
+
+    def test_landweber_one_point_default_grid(self):
+        """mu = 9000 puts the top of the default lambda grid, 0.95/mu, within
+        one grid step of its floor 1e-4: a one-point grid."""
+        verdict = sq.check_mp_qualification(sq.get_filter("landweber", mu=9000.0),
+                                            sq.order_fn("alpha"))
+        assert verdict.passes or verdict.weak_certificate["h_at_alpha_min"] == 1e-4
 
     @pytest.mark.parametrize("rho_text", ["alpha", "alpha^2", "exp(-1/alpha)"])
     def test_truncation_passes_any_order(self, tsvd, rho_text):
