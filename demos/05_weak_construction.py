@@ -4,12 +4,14 @@
 When the residual is positive and decreasing in lambda (and the filter
 decreasing in alpha), a rate certifying weak qualification can be built
 directly: theta(lm) marks where r_alpha(lm) first crosses lm, its
-rescaled inverse becomes the window h, and rho* is the envelope of the
-windowed residual supremum.  The certificate re-verifies
+rescaled inverse becomes the window h (held at the top lambda above the
+top of the rescaled theta), and rho* is the envelope of the windowed
+residual supremum.  The certificate re-verifies
 
     sup_{lm >= h(alpha)} |r_alpha(lm)|  <=  rho*(alpha)
 
-by an independent sweep at every grid alpha.
+for the same h that res.h reports, by an independent sweep at about 128
+grid alphas, evaluated as one (alpha x lambda) residual mesh.
 """
 
 import numpy as np

@@ -390,7 +390,7 @@ def cmd_construct(args) -> int:
     try:
         res = construct_weak_qualification(filt, alpha_grid=agrid)
     except HypothesisViolation as exc:
-        _structured_error(str(exc), code="hypothesis-violation")
+        _emit(args, _dump_json({"error": "hypothesis-violation", "message": str(exc)}))
         return EXIT_VERDICT
     alphas = res.rho_star.alphas
     h_vals = np.exp(res.h.log_at(alphas))

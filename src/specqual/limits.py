@@ -108,16 +108,16 @@ def _block_extrema(t_xs, t_lv, edges, pick_min: bool):
     return ms, xe
 
 
-def _tail_edge(xs, tail_fraction):
+def _tail_edge(xs):
     """The x at which the tail of the ascending grid ``xs`` begins."""
-    return xs[0] + tail_fraction * (xs[-1] - xs[0])
+    return xs[0] + TAIL_FRACTION * (xs[-1] - xs[0])
 
 
-def tail_start(xs, tail_fraction: float = TAIL_FRACTION) -> int:
+def tail_start(xs) -> int:
     """Index of the first column of the ascending grid ``xs`` that
     ``tail_limit`` reads; the columns before it are never read, so a
     caller may leave them unevaluated."""
-    return int(np.searchsorted(xs, _tail_edge(xs, tail_fraction), "left"))
+    return int(np.searchsorted(xs, _tail_edge(xs), "left"))
 
 
 def _richardson(x1, m1, x2, m2):
@@ -131,19 +131,15 @@ def tail_limit(
     kind: str,
     *,
     cap: float = CAP,
-    floor: float = FLOOR,
-    drift_tol: float = DRIFT_TOL,
-    stab_tol: float = STAB_TOL,
     n_blocks: int = N_BLOCKS,
-    tail_fraction: float = TAIL_FRACTION,
     meta: dict | list | None = None,
 ) -> LimitEstimate | list[LimitEstimate]:
     """Estimate lim inf/sup of exp(log_values) as x = -ln(alpha) -> +inf.
 
     ``xs`` must be ascending (toward alpha -> 0); ``log_values`` holds
     ln(q) and may contain +-inf (q saturated or exactly zero).  Only the
-    columns from ``tail_start(xs, tail_fraction)`` on are read: the head
-    columns before it are never read and may hold anything, NaN included.
+    columns from ``tail_start(xs)`` on are read: the head columns before
+    it are never read and may hold anything, NaN included.
 
     ``log_values`` may also be 2-d, one row per sequence on the shared
     ``xs`` (rows x points); then the result is a list with one estimate
@@ -163,10 +159,10 @@ def tail_limit(
     if len(metas) != rows.shape[0]:
         raise ValueError("meta needs one dict per row of log_values")
 
-    start = tail_start(xs, tail_fraction)
+    start = tail_start(xs)
     t_xs, t_lv = xs[start:], rows[:, start:]
 
-    edges = np.linspace(_tail_edge(xs, tail_fraction), xs[-1], n_blocks + 1)
+    edges = np.linspace(_tail_edge(xs), xs[-1], n_blocks + 1)
     ms_log, xe = _block_extrema(t_xs, t_lv, edges, kind == "liminf")
     raw_min = np.min(t_lv, axis=1)
     raw_max = np.max(t_lv, axis=1)
@@ -185,12 +181,11 @@ def tail_limit(
                     "blocks": [None if math.isnan(m) else m for m in ms],
                     "extrapolated": False}
         out.append(_row_limit(kind, ms, xe[i].tolist(), sat_exp(float(raw_min[i])),
-                              sat_exp(float(raw_max[i])), row_meta,
-                              cap, floor, drift_tol, stab_tol))
+                              sat_exp(float(raw_max[i])), row_meta, cap))
     return out if lv.ndim == 2 else out[0]
 
 
-def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap, floor, drift_tol, stab_tol):
+def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap):
     """The trend verdict of one sequence from its block extrema ``ms``
     (attained at ``xe``) and its raw tail extrema."""
     m2, m3, m4 = ms[-3], ms[-2], ms[-1]
@@ -224,26 +219,26 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap, floor, drift_tol, stab
     # a 1/x drift keeps the increment ratio near (x2/x4) ~ 0.75
     geometric = abs(delta4) < 0.5 * abs(delta3)
 
-    if monotone_down and -d43 > drift_tol:
+    if monotone_down and -d43 > DRIFT_TOL:
         meta.update(trend="down", extrapolated=True)
         if geometric:
             lhat = m4 - delta4 * delta4 / (delta4 - delta3)
             value = max(lhat, 0.0)
-            stab = abs(value - m4) <= stab_tol * max(abs(value), floor)
+            stab = abs(value - m4) <= STAB_TOL * max(abs(value), FLOOR)
         else:
             # invert the 1/x approach
             value = max(_richardson(x3, m3, x4, m4), 0.0)
             lprev = max(_richardson(x2, m2, x3, m3), 0.0)
-            stab = abs(value - lprev) <= stab_tol * max(abs(value), floor)
+            stab = abs(value - lprev) <= STAB_TOL * max(abs(value), FLOOR)
         return LimitEstimate(kind, value, min(raw_min, value), raw_max, stab, meta)
 
-    if monotone_up and d43 > drift_tol:
+    if monotone_up and d43 > DRIFT_TOL:
         if geometric:
             # saturating from below toward a finite limit
             lhat = m4 - delta4 * delta4 / (delta4 - delta3)
             meta.update(trend="saturating", extrapolated=True)
             if math.isfinite(lhat) and lhat < cap:
-                stab = abs(lhat - m4) <= stab_tol * max(abs(lhat), floor)
+                stab = abs(lhat - m4) <= STAB_TOL * max(abs(lhat), FLOOR)
                 return LimitEstimate(kind, lhat, raw_min,
                                      max(raw_max, lhat), stab, meta)
             return LimitEstimate(kind, m4, raw_min, raw_max, False, meta)
@@ -253,7 +248,7 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap, floor, drift_tol, stab
         if (
             math.isfinite(lhat)
             and math.isfinite(lprev)
-            and abs(lhat - lprev) <= stab_tol * max(abs(lhat), floor)
+            and abs(lhat - lprev) <= STAB_TOL * max(abs(lhat), FLOOR)
             and lhat < cap
         ):
             # coherent slow convergence from below
@@ -264,6 +259,6 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap, floor, drift_tol, stab
 
     # flat (or noisy) blocks: report the late-window extremum
     value = min(m3, m4) if kind == "liminf" else max(m3, m4)
-    stab = abs(m4 - m3) <= stab_tol * max(abs(m3), abs(m4), floor)
+    stab = abs(m4 - m3) <= STAB_TOL * max(abs(m3), abs(m4), FLOOR)
     meta["trend"] = "flat"
     return LimitEstimate(kind, value, raw_min, raw_max, stab, meta)

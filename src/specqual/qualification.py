@@ -207,16 +207,17 @@ def _require_certified(fn, what):
 
 
 def _tail_mesh(alpha_grid, n_rows):
-    """The grid x = -ln(alpha) in ascending order and a NaN (rows x points)
-    mesh on it, with the alphas of the columns ``tail_limit`` reads and the
-    view of those columns.  Only that view needs filling: ``tail_limit``
-    never reads the head columns before it."""
+    """The grid x = -ln(alpha) in ascending order and an uninitialized
+    (rows x points) mesh on it, with the alphas of the columns
+    ``tail_limit`` reads and the view of those columns.  Only that view
+    needs filling: ``tail_limit`` never reads the head columns before it,
+    so they are left unwritten."""
     alphas = np.asarray(alpha_grid, dtype=float)
     xs = -np.log(alphas)
     order = np.argsort(xs)
     xs = xs[order]
     k = tail_start(xs)
-    mesh = np.full((n_rows, xs.size), np.nan)
+    mesh = np.empty((n_rows, xs.size))
     return xs, mesh, alphas[order[k:]], mesh[:, k:]
 
 
@@ -268,23 +269,17 @@ def srho_table(
 # pair predicates
 # ---------------------------------------------------------------------------
 
-def _pair_limsup(filt, s, rho, lam, alphas):
-    """limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha).
-
-    One estimate for a scalar ``lam``; a list of estimates, one per
-    lambda, for an array.
-    """
-    lams = np.asarray(lam, dtype=float)
-    flat = np.atleast_1d(lams)
-    xs, lq, alphas, tail = _tail_mesh(alphas, flat.size)
+def _pair_limsup(filt, s, rho, lams, alphas):
+    """limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha), one estimate
+    per entry of the 1-d array ``lams``."""
+    xs, lq, alphas, tail = _tail_mesh(alphas, lams.size)
     with np.errstate(all="ignore"):
         tail[:] = (
-            s.log_at(flat)[:, None]
-            + np.asarray(filt._r_log(alphas, flat[:, None]), dtype=float)
+            s.log_at(lams)[:, None]
+            + np.asarray(filt._r_log(alphas, lams[:, None]), dtype=float)
             - rho.log_at(alphas)
         )
-    ests = tail_limit(xs, lq, "limsup", meta=[{"lambda": v} for v in flat.tolist()])
-    return ests if lams.ndim else ests[0]
+    return tail_limit(xs, lq, "limsup", meta=[{"lambda": v} for v in lams.tolist()])
 
 
 def check_weak_pair(
@@ -385,6 +380,8 @@ def _refine_minima(log_q, lo, hi):
 ZOOM_TRIGGER_LOG = math.log(0.3)
 ZOOM_SPAN = 5.0  # ln-lambda units scanned above the first dead point
 ZOOM_POINTS = 512
+COARSE_POINTS = 64  # lambdas of the coarse scan of each window
+WINDOW_ALPHAS = 96  # geometric alpha subgrid whose window infima are estimated
 
 
 def check_order_source_pair(
@@ -394,8 +391,6 @@ def check_order_source_pair(
     h,
     lambda_grid: np.ndarray | None = None,
     alpha_grid: np.ndarray | None = None,
-    n_alpha: int = 96,
-    coarse_lambda: int = 64,
 ) -> PairVerdict:
     """Does s(lm)|r|/rho stay >= gamma > 0 for lambda in [h(alpha), lm_max]?
 
@@ -418,7 +413,7 @@ def check_order_source_pair(
     lam_max = float(np.max(lambda_grid))
 
     alphas = np.asarray(alpha_grid, dtype=float)
-    n_alpha = min(n_alpha, alphas.size)
+    n_alpha = min(WINDOW_ALPHAS, alphas.size)
     sub = np.geomspace(alphas[0], alphas[-1], n_alpha)
 
     log_rho = rho.log_at(sub)
@@ -437,7 +432,7 @@ def check_order_source_pair(
     rows = np.arange(n_alpha)
 
     # pass 1: coarse scan of the full window
-    t = np.linspace(0.0, 1.0, coarse_lambda)
+    t = np.linspace(0.0, 1.0, COARSE_POINTS)
     Lc = np.exp(log_lo[:, None] + t[None, :] * (log_hi - log_lo)[:, None])
     Qc = log_q(sub[:, None], Lc, log_rho[:, None])
     coarse_min = np.min(Qc, axis=1)
@@ -464,7 +459,7 @@ def check_order_source_pair(
         lanes_lo.append(np.log(Lz[rows, np.maximum(idx - 1, 0)]))
         lanes_hi.append(np.log(Lz[rows, np.minimum(idx + 1, ZOOM_POINTS - 1)]))
     lanes_lo.append(np.log(Lc[rows, np.maximum(coarse_idx - 1, 0)]))
-    lanes_hi.append(np.log(Lc[rows, np.minimum(coarse_idx + 1, coarse_lambda - 1)]))
+    lanes_hi.append(np.log(Lc[rows, np.minimum(coarse_idx + 1, COARSE_POINTS - 1)]))
     lo_mat = np.stack(lanes_lo, axis=1)
     hi_mat = np.stack(lanes_hi, axis=1)
     lam_ref, q_ref = _refine_minima(
@@ -586,7 +581,6 @@ def check_mp_qualification(
     a: float = 1.0,
     lambda_grid: np.ndarray | None = None,
     alpha_grid: np.ndarray | None = None,
-    with_weak_certificate: bool = True,
 ) -> MPVerdict:
     """Check sup_lm |r_alpha(lm)| rho(lm) <= gamma rho(alpha) on (0, a].
 
@@ -631,12 +625,9 @@ def check_mp_qualification(
     est = tail_limit(xs[order], ratio_log[order], "limsup")
     passes = bool(not np.any(exceed) and est.bounded)
 
-    certificate = None
-    if with_weak_certificate and not passes:
-        certificate = _windowed_certificate(R, lrho, lams)
     if passes:
-        return MPVerdict(passes=True, gamma=est.tail_max,
-                         weak_certificate=certificate)
+        return MPVerdict(passes=True, gamma=est.tail_max)
+    certificate = _windowed_certificate(R, lrho, lams)
     if np.any(exceed):
         idx = np.nonzero(exceed)[0]
         witness = float(alphas[idx[0]])
@@ -654,10 +645,7 @@ def _windowed_certificate(R, lrho, lams) -> dict:
     ``R`` is the (alpha x lambda) mesh of ln|r| and ``lrho`` holds
     ln rho(alpha), one entry per row of ``R``.
     """
-    with np.errstate(all="ignore"):
-        # suffix maxima over lambda: sup of |r| on [lam_j, lam_max]
-        suffix = np.flip(np.maximum.accumulate(np.flip(R, axis=1), axis=1), axis=1)
-    ok = suffix <= lrho[:, None] + 1e-9
+    ok = _suffix_max(R) <= lrho[:, None] + 1e-9
     h_vals = np.where(np.any(ok, axis=1), lams[np.argmax(ok, axis=1)], np.nan)
     found = np.isfinite(h_vals)
     tail = found[: max(len(lrho) // 2, 1)]
@@ -674,9 +662,18 @@ def _windowed_certificate(R, lrho, lams) -> dict:
     }
 
 
+def _suffix_max(R):
+    """Suffix maxima along each row: entry j holds max(R[i, j:])."""
+    with np.errstate(all="ignore"):
+        return np.flip(np.maximum.accumulate(np.flip(R, axis=1), axis=1), axis=1)
+
+
 # ---------------------------------------------------------------------------
 # constructive weak qualification
 # ---------------------------------------------------------------------------
+
+BISECT_TOL = 1e-10  # absolute alpha tolerance of the theta bisection
+
 
 @dataclass(frozen=True)
 class ConstructResult:
@@ -692,7 +689,6 @@ def construct_weak_qualification(
     filt: FilterFamily,
     lambda_grid: np.ndarray | None = None,
     alpha_grid: np.ndarray | None = None,
-    bisect_tol: float = 1e-10,
 ) -> ConstructResult:
     """Build the (h, rho*) pair that certifies weak qualification.
 
@@ -701,9 +697,11 @@ def construct_weak_qualification(
     alpha.  Then theta(lm) = sup{ gamma : r_gamma(lm) <= lm } is found by
     bisection (monotone in gamma because r increases with alpha),
     f = (1 - e^-lm) theta(lm) is made strictly increasing, h is its
-    interpolated inverse, z(alpha) = r_alpha(h(alpha)), and rho* is the
-    running-maximum envelope of z.  The certificate re-verifies
-    sup_{lm >= h(alpha)} |r| <= rho*(alpha) by an independent sweep.
+    inverse, interpolated log-log on the knots f and held at the top
+    lambda from the top of f up to alpha_max, z(alpha) = r_alpha(h(alpha)),
+    and rho* is the running-maximum envelope of z.  The certificate
+    re-verifies sup_{lm >= h(alpha)} |r| <= rho*(alpha), for the same h,
+    by an independent sweep.
     """
     if lambda_grid is None:
         lambda_grid = np.geomspace(1e-4, 100.0, 321)
@@ -721,7 +719,7 @@ def construct_weak_qualification(
         top_ok = sat_exp_array(filt._r_log(hi, lams)) <= lams
     theta = np.where(top_ok, hi, np.nan)
     active = ~top_ok
-    steps = int(math.ceil(math.log2(float(filt.alpha_max) / bisect_tol)))
+    steps = int(math.ceil(math.log2(float(filt.alpha_max) / BISECT_TOL)))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         with np.errstate(all="ignore"):
@@ -741,59 +739,43 @@ def construct_weak_qualification(
         if f[i] <= f[i - 1]:
             f[i] = f[i - 1] + eps[i - 1]
 
-    log_f = np.log(f)
-    log_lams = np.log(lams)
-
-    def h_log_at(alpha):
-        x = np.log(np.asarray(alpha, dtype=float))
-        out = np.interp(x, log_f, log_lams)
-        lo_mask = x < log_f[0]
-        hi_mask = x > log_f[-1]
-        if np.any(lo_mask):
-            slope = (log_lams[1] - log_lams[0]) / (log_f[1] - log_f[0])
-            out = np.where(lo_mask, log_lams[0] + slope * (x - log_f[0]), out)
-        if np.any(hi_mask):
-            out = np.where(hi_mask, log_lams[-1], out)
-        return out
-
-    h_tab = TabulatedOrder(
-        alphas=np.exp(np.clip(log_f, -700, 700)),
-        log_values=log_lams,
-        label="h (inverse of f)",
-    )
-
-    h_on_grid = np.exp(h_log_at(alphas))
+    h = TabulatedOrder(alphas=np.append(f, filt.alpha_max),
+                       log_values=np.log(np.append(lams, lams[-1])),
+                       label="h (inverse of f)")
     with np.errstate(all="ignore"):
-        z_log = np.asarray(filt._r_log(alphas, h_on_grid), dtype=float)
+        z_log = np.asarray(filt._r_log(alphas, np.exp(h.log_at(alphas))), dtype=float)
     rho_star_log = np.maximum.accumulate(z_log)
     rho_star = TabulatedOrder(alphas=alphas, log_values=rho_star_log,
                               label="rho* (envelope of r at the window edge)")
+    step = max(1, len(alphas) // 128)
+    certificate = _construct_certificate(filt, h, alphas[::step], rho_star_log[::step],
+                                         np.geomspace(lams[0], lams[-1], 1024))
+    return ConstructResult(h=h, rho_star=rho_star, certificate=certificate,
+                           theta=theta, f=f, lambdas=lams)
 
-    # independent certificate sweep of the windowed supremum
-    witnesses = []
-    worst_gap = -math.inf
-    sweep = np.geomspace(lams[0], lams[-1], 1024)
-    check_alphas = alphas[:: max(1, len(alphas) // 128)]
-    check_rho = np.interp(np.log(check_alphas), np.log(alphas), rho_star_log)
-    for a_val, bound in zip(check_alphas, check_rho):
-        h_val = float(np.exp(h_log_at(a_val)))
-        window = sweep[sweep >= h_val]
-        if window.size == 0:
-            continue
-        with np.errstate(all="ignore"):
-            sup = float(np.max(filt._r_log(np.float64(a_val), window)))
-        gap = sup - bound
-        worst_gap = max(worst_gap, gap)
-        if gap > 1e-6:
-            witnesses.append((float(a_val), float(window[np.argmax(
-                filt._r_log(np.float64(a_val), window))])))
-    certificate = PairVerdict(
+
+def _construct_certificate(filt, h, alphas, log_bound, sweep) -> PairVerdict:
+    """Does sup_{lm >= h(alpha)} |r_alpha(lm)| stay below exp(log_bound)?
+
+    One (alpha x sweep) residual mesh; each row is read at the first sweep
+    point at or above h(alpha) through its suffix maxima.  An alpha whose
+    window holds no sweep point is skipped.  Witnesses are (alpha, the
+    lambda of the largest residual in its window) for each alpha whose
+    supremum exceeds the bound by more than 1e-6 in log.
+    """
+    with np.errstate(all="ignore"):
+        R = np.asarray(filt._r_log(alphas[:, None], sweep), dtype=float)
+    start = np.searchsorted(sweep, np.exp(h.log_at(alphas)), "left")
+    rows = np.nonzero(start < sweep.size)[0]
+    gap = _suffix_max(R)[rows, start[rows]] - log_bound[rows]
+    failing = rows[gap > 1e-6]
+    witnesses = [(float(alphas[i]), float(sweep[start[i] + np.argmax(R[i, start[i]:])]))
+                 for i in failing.tolist()]
+    return PairVerdict(
         holds=not witnesses,
         witnesses=witnesses,
-        detail={"worst_log_gap": worst_gap},
+        detail={"worst_log_gap": float(np.fmax.reduce(gap, initial=-math.inf))},
     )
-    return ConstructResult(h=h_tab, rho_star=rho_star, certificate=certificate,
-                           theta=theta, f=f, lambdas=lams)
 
 
 def _verify_part_b_hypotheses(filt, alphas, lams):

@@ -168,9 +168,28 @@ class TestConstruct:
         assert json.loads(out)["certificate"]["holds"]
 
     def test_oscillatory_rejected_exit_one(self, capsys):
-        code, _, err = run(capsys, "construct", "--filter", "ex8")
-        assert code == 1
-        assert json.loads(err)["error"] == "hypothesis-violation"
+        """Like every other exit 1, the JSON report goes to stdout, in
+        either format."""
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, "construct", "--filter", "ex8", "--format", fmt)
+            assert code == 1
+            assert err == ""
+            doc = json.loads(out)
+            assert set(doc) == {"error", "message"}
+            assert doc["error"] == "hypothesis-violation"
+
+    @pytest.mark.parametrize("argv", [("ex4", "0.3"), ("tikhonov", "1")],
+                             ids=["ex4", "tikhonov"])
+    def test_grid_up_to_alpha_max_holds_top_lambda(self, capsys, argv):
+        """Past the top of f, h holds the top lambda exp(ln 100): the value
+        the certificate checks, and RFC 8259 JSON with nothing on stderr."""
+        code, out, err = run(capsys, "construct", "--filter", argv[0],
+                             "--alpha-max", argv[1])
+        assert code == 0
+        assert err == ""
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["table"][-1]["h"] == 100.00000000000004
+        assert max(row["h"] for row in doc["table"]) == 100.00000000000004
 
 
 class TestConverge:
@@ -514,19 +533,17 @@ def _verdict_values(doc):
 @example(call=("mp-check", "--param", "mu=9000"))
 @example(call=("classify", "--param", "mu=9000"))
 @example(call=("srho", "--lambda", "geo:1e-300:1e300:1"))
+@example(call=("construct", "--param", "k=1"))
 def test_cli_contract(call):
     """Every call exits 0-3 with no traceback. Exit 2 is an empty stdout and
     a JSON error on stderr; any other exit prints RFC 8259 JSON with no nan
-    verdict, except construct's hypothesis violation (exit 1), which reports
-    on stderr.  A second run prints the same bytes."""
+    verdict.  A second run prints the same bytes."""
     argv = call_argv(*call)
     code, out, err = run_captured(argv)
     assert code in (0, 1, 2, 3)
-    if code == 2 or (code == 1 and out == "" and argv[0] == "construct"):
+    if code == 2:
         assert out == ""
-        error = json.loads(err)
-        assert set(error) == {"error", "message"}
-        assert code == 2 or error["error"] == "hypothesis-violation"
+        assert set(json.loads(err)) == {"error", "message"}
     else:
         doc = json.loads(out, parse_constant=_reject_constant)
         assert "nan" not in [str(v) for v in _verdict_values(doc)]

@@ -94,3 +94,12 @@ def test_convergence_study_is_one_mesh(counts, fid):
     grid = np.geomspace(1e-5, 0.5, 150)
     sq.run_convergence(model, filt, elem, sq.order_fn("alpha"), grid)
     assert counts == {"r_log": 1, "tail_limit": 0, "points": grid.size * model.dim}
+
+
+def test_construct_certificate_is_one_mesh(counts):
+    """Hypothesis probe, bisection, rho* and one certificate mesh; 181
+    calls when the certificate swept one alpha per call."""
+    filt = counted_filter(counts, "showalter")
+    res = sq.construct_weak_qualification(filt)
+    assert res.certificate.holds
+    assert counts["r_log"] <= 38

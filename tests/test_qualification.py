@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import specqual as sq
 from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_start
 from specqual import qualification
-from specqual.qualification import _pair_limsup, _refine_minima, srho_table
+from specqual.qualification import (_construct_certificate, _pair_limsup, _refine_minima,
+                                    srho_table)
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
@@ -389,8 +390,8 @@ class TestStrongPairs:
 
     def test_limsup_lands_at_one_for_tikhonov(self, tikhonov, s_lambda, rho_alpha):
         for lam in (0.01, 1.0, 10.0):
-            est = _pair_limsup(tikhonov, s_lambda, rho_alpha, lam,
-                               sq.default_alpha_grid(tikhonov))
+            est, = _pair_limsup(tikhonov, s_lambda, rho_alpha, np.array([lam]),
+                                sq.default_alpha_grid(tikhonov))
             assert est.value == pytest.approx(1.0, rel=0.01)
 
 
@@ -598,6 +599,37 @@ class TestIncreasingWeightCheck:
         assert sq.check_mp_qualification(tsvd, sq.order_fn(rho_text)).passes
 
 
+def _construct_grid(filt, grid):
+    """The builder's default alpha grid, or the same density up to alpha_max."""
+    if grid == "default":
+        return None
+    return sq.default_alpha_grid(filt, alpha_max=filt.alpha_max, per_decade=64)
+
+
+CONSTRUCT_GRIDS = ["default", "alpha_max"]
+
+
+def _loop_certificate(filt, h, alphas, log_bound, sweep):
+    """The windowed-supremum certificate with one residual call per alpha:
+    (holds, witnesses, worst log gap)."""
+    witnesses, worst = [], -math.inf
+    for a, bound in zip(alphas, log_bound):
+        window = sweep[sweep >= float(np.exp(h.log_at(a)))]
+        if window.size == 0:
+            continue
+        with np.errstate(all="ignore"):
+            r = filt._r_log(np.float64(a), window)
+        gap = float(np.max(r)) - bound
+        worst = max(worst, gap)
+        if gap > 1e-6:
+            witnesses.append((float(a), float(window[np.argmax(r)])))
+    return not witnesses, witnesses, worst
+
+
+def _certificate_fields(cert):
+    return cert.holds, cert.witnesses, cert.detail["worst_log_gap"]
+
+
 class TestConstructiveWeakQualification:
     @pytest.mark.parametrize("fid", ["showalter", "tikhonov"])
     def test_certificate_holds_on_grids(self, fid):
@@ -609,18 +641,61 @@ class TestConstructiveWeakQualification:
         h_large = float(np.exp(res.h.log_at(0.05)))
         assert h_small < h_large
 
+    @pytest.mark.parametrize("grid", CONSTRUCT_GRIDS)
+    @pytest.mark.parametrize("fid", ["showalter", "tikhonov", "ex3_exp", "ex4_log"])
+    def test_reported_h_holds_the_top_lambda(self, fid, grid):
+        """h is the log-log inverse of f on its knots and holds the top
+        lambda from the top of f up to alpha_max, so no reported h exceeds
+        it; the knots stay distinct, so interpolation divides by no zero."""
+        filt = sq.get_filter(fid)
+        res = sq.construct_weak_qualification(filt, alpha_grid=_construct_grid(filt, grid))
+        alphas = res.rho_star.alphas
+        top = float(np.exp(np.log(res.lambdas[-1])))
+        assert np.all(np.exp(res.h.log_at(alphas)) <= top)
+        assert float(np.exp(res.h.log_at(filt.alpha_max))) == top
+        inside = alphas[alphas >= res.f[0]]
+        assert np.array_equal(res.h.log_at(inside),
+                              np.interp(np.log(inside), np.log(res.f), np.log(res.lambdas)))
+
     def test_windowed_supremum_oracle(self, showalter):
-        """Independent sweep: sup_{lm >= h(a)} |r| really is r(a, h(a))."""
-        res = sq.construct_weak_qualification(showalter)
-        alphas = res.rho_star.alphas[:: len(res.rho_star.alphas) // 16]
-        sweep = np.geomspace(1e-4, 100.0, 4096)
-        for a in alphas:
-            h_val = float(np.exp(res.h.log_at(float(a))))
-            window = sweep[sweep >= h_val]
-            sup = np.max(sq.filters.residual_log_abs(showalter, np.float64(a), window))
-            bound = float(np.interp(np.log(a), np.log(res.rho_star.alphas),
-                                    res.rho_star.log_values))
-            assert sup <= bound + 1e-6
+        """Independent sweep: sup_{lm >= h(a)} |r| really is r(a, h(a)),
+        on the default grid and on one up to alpha_max."""
+        for grid in CONSTRUCT_GRIDS:
+            res = sq.construct_weak_qualification(
+                showalter, alpha_grid=_construct_grid(showalter, grid))
+            alphas = res.rho_star.alphas[:: len(res.rho_star.alphas) // 16]
+            sweep = np.geomspace(1e-4, 100.0, 4096)
+            for a in alphas:
+                h_val = float(np.exp(res.h.log_at(float(a))))
+                window = sweep[sweep >= h_val]
+                if window.size == 0:  # h = exp(ln 100) lies one ulp past the sweep
+                    continue
+                sup = np.max(sq.filters.residual_log_abs(showalter, np.float64(a), window))
+                bound = float(np.interp(np.log(a), np.log(res.rho_star.alphas),
+                                        res.rho_star.log_values))
+                assert sup <= bound + 1e-6
+
+    @pytest.mark.parametrize("grid", CONSTRUCT_GRIDS)
+    @pytest.mark.parametrize("fid", ["showalter", "tikhonov"])
+    def test_mesh_certificate_matches_per_alpha_loop(self, fid, grid):
+        """The one-mesh certificate equals a per-alpha sweep, field for
+        field, on the reported h and rho*; with every third bound lowered,
+        only those rows give witnesses."""
+        filt = sq.get_filter(fid)
+        res = sq.construct_weak_qualification(filt, alpha_grid=_construct_grid(filt, grid))
+        alphas = res.rho_star.alphas
+        check = alphas[:: max(1, len(alphas) // 128)]
+        bound = np.interp(np.log(check), np.log(alphas), res.rho_star.log_values)
+        sweep = np.geomspace(res.lambdas[0], res.lambdas[-1], 1024)
+        assert res.certificate.holds
+        assert _certificate_fields(res.certificate) == \
+            _loop_certificate(filt, res.h, check, bound, sweep)
+
+        lowered = bound - np.where(np.arange(check.size) % 3 == 0, 1.0, 0.0)
+        cert = _construct_certificate(filt, res.h, check, lowered, sweep)
+        assert _certificate_fields(cert) == _loop_certificate(filt, res.h, check, lowered, sweep)
+        assert not cert.holds
+        assert {a for a, _ in cert.witnesses} <= set(check[::3].tolist())
 
     def test_oscillatory_hypotheses_rejected(self, ex8):
         with pytest.raises(sq.HypothesisViolation) as err:
