@@ -67,8 +67,10 @@ class FilterFamily:
 
     ``g`` and ``residual_*`` callables accept numpy arrays (broadcast
     over alpha and lambda).  ``_r_value`` defaults to exp of ``_r_log``
-    (saturating) and ``_r_sign`` to +1.  Instances are immutable and safe
-    to share.
+    (saturating) and ``_r_sign`` to +1.  ``_dips(alpha, lambda)`` is the
+    dip set of an oscillatory family: it returns the point nearest lambda
+    where |r| takes an exact local minimum, and ln|r| there; it is None
+    for a family without one.  Instances are immutable and safe to share.
     """
 
     id: str
@@ -81,6 +83,7 @@ class FilterFamily:
     _r_log: Callable = None
     _r_value: Callable = None
     _r_sign: Callable = None
+    _dips: Callable = None
 
     def __post_init__(self):
         if not self.alpha_max > 0:
@@ -292,6 +295,9 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
     g = (1 - e^(-lm/a))/lm - c(a) * lm^(-3/2) * |sin(lm^(3/2)/a)|
 
     ``coeff_log`` returns ln c(alpha) for the family's perturbation size.
+    The dips sit at the phase roots lambda_k = (k pi alpha)^(2/3), k >= 1,
+    where the sin term vanishes and ln r = -lambda_k/alpha exactly;
+    ``_dips`` snaps lambda to the nearest one.
     """
 
     def g(a, lm):
@@ -317,10 +323,16 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
             t2 = coeff_log(a) - 0.5 * np.log(lm) + np.log(np.abs(np.sin(lm ** 1.5 / a)))
             return np.where(lm > 0, np.logaddexp(-lm / a, t2), 0.0)
 
+    def dips(a, lm):
+        a, lm = np.asarray(a, float), np.asarray(lm, float)
+        x = np.maximum(np.rint(lm ** 1.5 / (math.pi * a)), 1.0) * math.pi * a
+        lk = x / np.cbrt(x)  # x^(2/3) to ~2 ulp, with no underflow of x*x
+        return lk, -lk / a
+
     return FilterFamily(
         id=fid, alpha_max=alpha_max, h2_constant=h2, oscillatory=True,
         params=params or {},
-        _g=g, _r_log=r_log,
+        _g=g, _r_log=r_log, _dips=dips,
     )
 
 
@@ -443,7 +455,12 @@ def make_custom_filter(
     h2_constant: float,
     oscillatory: bool = False,
 ) -> FilterFamily:
-    """Wrap an arbitrary g(alpha, lambda); the residual channel is generic."""
+    """Wrap an arbitrary g(alpha, lambda); the residual channel is generic.
+
+    A custom family has no dip set, so for an ``oscillatory`` one
+    ``check_order_source_pair`` raises ``QualificationError`` (dips
+    unknown) rather than report a window infimum that missed them.
+    """
 
     def r_value(a, lm):
         return 1.0 - lm * g(a, lm)

@@ -53,6 +53,7 @@ DEEP_PER_DECADE = 16
 MP_LAMBDA_MIN = 1e-4  # small end of the increasing-weight check's lambda grid
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
 LAMBDA_TINY = 1e-300
 
 
@@ -348,25 +349,30 @@ def _refine_minima(log_q, lo, hi):
     are equal-shaped bracket endpoints in ln-lambda, one lane per entry,
     and every call of ``log_q`` evaluates all lanes at once.  Each
     iteration evaluates one new interior point per lane and reuses the
-    other (Kiefer 1953).  A lane stops when its bracket can no longer be
-    split in double precision (a < c < d < b fails).  Returns the
-    refined lambdas and values, one per lane.
+    other (Kiefer 1953).  A lane stops when its bracket is at most
+    sqrt(eps) * max(1, |a|) wide, the resolution to which a double locates
+    a smooth minimum, or can no longer be split (a < c < d < b fails).
+    Returns the refined lambdas and values, one per lane.
     """
+    def splittable():
+        return ((a < c) & (c < d) & (d < b)
+                & (b - a > SQRT_EPS * np.maximum(1.0, np.abs(a))))
+
     a = np.array(lo, dtype=float)
     b = np.array(hi, dtype=float)
     c = b - GOLDEN * (b - a)
     d = a + GOLDEN * (b - a)
     fc, fd = log_q(np.exp(c)), log_q(np.exp(d))
-    active = (a < c) & (c < d) & (d < b)
-    # each pass moves a up or b down in every active lane, so the brackets
-    # run out of doubles to split and the loop ends
+    active = splittable()
+    # each pass shrinks the bracket of every active lane by the golden
+    # ratio, so the brackets reach the stopping width and the loop ends
     while True:
         left = fc < fd  # the minimum lies in [a, d], else in [c, b]
         a = np.where(active & ~left, c, a)
         b = np.where(active & left, d, b)
         new = np.where(left, b - GOLDEN * (b - a), a + GOLDEN * (b - a))
         c, d = np.where(left, new, d), np.where(left, c, new)
-        active &= (a < c) & (c < d) & (d < b)
+        active &= splittable()
         if not active.any():
             break
         f_new = log_q(np.exp(new))
@@ -375,11 +381,6 @@ def _refine_minima(log_q, lo, hi):
     return lam, log_q(lam)
 
 
-# a coarse q below this marks the smooth envelope as "dead": past this
-# point the infimum is governed by oscillation dips, if any
-ZOOM_TRIGGER_LOG = math.log(0.3)
-ZOOM_SPAN = 5.0  # ln-lambda units scanned above the first dead point
-ZOOM_POINTS = 512
 COARSE_POINTS = 64  # lambdas of the coarse scan of each window
 WINDOW_ALPHAS = 96  # geometric alpha subgrid whose window infima are estimated
 
@@ -394,18 +395,29 @@ def check_order_source_pair(
 ) -> PairVerdict:
     """Does s(lm)|r|/rho stay >= gamma > 0 for lambda in [h(alpha), lm_max]?
 
-    For each alpha the infimum over the lambda window is estimated in
-    three passes: a coarse geometric scan; a dense zoom over the first
-    region where the smooth envelope has died out (oscillatory residuals
-    dip to machine-level zeros at phase roots there, and the earliest
-    roots are the ones a double can resolve far below the positivity
-    floor); and golden-section refinement of the best local minima.
+    For each alpha of a geometric subgrid, the infimum of q over the
+    lambda window is the least of three reads:
+
+      * a coarse geometric scan of the window;
+      * golden-section refinement of the coarse minimum over the bracket
+        of its two scan neighbours, to sqrt(eps) in ln lambda;
+      * for an oscillatory family, q at its dips: each scan lambda snapped
+        to the nearest phase root (``FilterFamily._dips``) that lies in
+        the window, where |r| takes its exact local minimum.  No lambda
+        scan resolves these dips, so an oscillatory family without a dip
+        set raises ``QualificationError`` instead of a verdict.
+
     The per-alpha infima then go through the tail estimator: the pair
     holds when their liminf stays above the positivity floor.
     """
     _require_certified(rho, "order function")
     _require_certified(s, "source function")
     _require_certified(h, "window function h")
+    if filt.oscillatory and filt._dips is None:
+        raise QualificationError(
+            f"oscillatory filter '{filt.id}' has its dips unknown (no dip set), "
+            "so its order-source window infimum cannot be bounded"
+        )
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(filt)
     if alpha_grid is None:
@@ -416,73 +428,38 @@ def check_order_source_pair(
     n_alpha = min(WINDOW_ALPHAS, alphas.size)
     sub = np.geomspace(alphas[0], alphas[-1], n_alpha)
 
-    log_rho = rho.log_at(sub)
-    log_h = h.log_at(sub)
+    # one row per alpha: the coarse scan, its refined minimum, the dips
+    A = sub[:, None]
+    log_rho = rho.log_at(sub)[:, None]
     log_hi = math.log(lam_max)
-    log_lo = np.minimum(np.maximum(log_h, math.log(LAMBDA_TINY)), log_hi - 1e-6)
+    log_lo = np.minimum(np.maximum(h.log_at(sub), math.log(LAMBDA_TINY)), log_hi - 1e-6)
 
-    def log_q(alpha_arr, lam_arr, lrho_arr):
+    def log_q(lam, log_r):
         with np.errstate(all="ignore"):
-            return (
-                s.log_at(lam_arr)
-                + np.asarray(filt._r_log(alpha_arr, lam_arr), dtype=float)
-                - lrho_arr
-            )
+            return s.log_at(lam) + np.asarray(log_r, dtype=float) - log_rho
 
-    rows = np.arange(n_alpha)
+    def residual_q(lam):
+        return log_q(lam, filt._r_log(A, lam))
 
-    # pass 1: coarse scan of the full window
     t = np.linspace(0.0, 1.0, COARSE_POINTS)
-    Lc = np.exp(log_lo[:, None] + t[None, :] * (log_hi - log_lo)[:, None])
-    Qc = log_q(sub[:, None], Lc, log_rho[:, None])
-    coarse_min = np.min(Qc, axis=1)
-    coarse_idx = np.argmin(Qc, axis=1)
-
-    # pass 2: dense zoom starting at the first envelope-dead coarse point
-    dead = Qc < ZOOM_TRIGGER_LOG
-    has_dead = np.any(dead, axis=1)
-    first_dead = np.where(has_dead, np.argmax(dead, axis=1), coarse_idx)
-    center = np.log(Lc[rows, first_dead])
-    z_lo = np.maximum(center - 1.0, log_lo)
-    z_hi = np.minimum(center + ZOOM_SPAN, log_hi)
-    tz = np.linspace(0.0, 1.0, ZOOM_POINTS)
-    Lz = np.exp(z_lo[:, None] + tz[None, :] * (z_hi - z_lo)[:, None])
-    Qz = log_q(sub[:, None], Lz, log_rho[:, None])
-
-    # pass 3: golden refinement around the best zoom minima and the
-    # coarse global minimum
-    k_best = 3
-    zoom_best = np.argpartition(Qz, k_best, axis=1)[:, :k_best]
-    lanes_lo, lanes_hi = [], []
-    for c in range(k_best):
-        idx = zoom_best[:, c]
-        lanes_lo.append(np.log(Lz[rows, np.maximum(idx - 1, 0)]))
-        lanes_hi.append(np.log(Lz[rows, np.minimum(idx + 1, ZOOM_POINTS - 1)]))
-    lanes_lo.append(np.log(Lc[rows, np.maximum(coarse_idx - 1, 0)]))
-    lanes_hi.append(np.log(Lc[rows, np.minimum(coarse_idx + 1, COARSE_POINTS - 1)]))
-    lo_mat = np.stack(lanes_lo, axis=1)
-    hi_mat = np.stack(lanes_hi, axis=1)
+    Lc = np.exp(log_lo[:, None] + t * (log_hi - log_lo)[:, None])
+    Qc = residual_q(Lc)
+    idx = np.argmin(Qc, axis=1)[:, None]
     lam_ref, q_ref = _refine_minima(
-        lambda lam_arr: log_q(sub[:, None], lam_arr, log_rho[:, None]),
-        lo_mat, hi_mat,
+        residual_q,
+        np.log(np.take_along_axis(Lc, np.maximum(idx - 1, 0), axis=1)),
+        np.log(np.take_along_axis(Lc, np.minimum(idx + 1, COARSE_POINTS - 1), axis=1)),
     )
-
-    # a minimum whose few-ulp neighbors sit far above it is a kink pinned
-    # at the floating-point resolution limit: the continuum infimum there
-    # is an unresolved zero, not the quantized value we happened to read
-    bump = 64.0 * np.finfo(float).eps
-    q_near = np.minimum(
-        log_q(sub[:, None], lam_ref * (1.0 - bump), log_rho[:, None]),
-        log_q(sub[:, None], lam_ref * (1.0 + bump), log_rho[:, None]),
-    )
-    kink = np.isfinite(q_ref) & (q_near > q_ref + math.log(2.0))
-    q_ref = np.where(kink, -np.inf, q_ref)
-
-    refined_min = np.min(q_ref, axis=1)
-    refined_lam = lam_ref[rows, np.argmin(q_ref, axis=1)]
-    gam_log = np.minimum(np.minimum(coarse_min, np.min(Qz, axis=1)), refined_min)
-    gam_lam = np.where(refined_min <= gam_log, refined_lam,
-                       Lz[rows, np.argmin(Qz, axis=1)])
+    L, Q = [lam_ref, Lc], [q_ref, Qc]
+    if filt._dips is not None:
+        Ld, log_rd = filt._dips(A, Lc)
+        inside = (Ld >= Lc[:, :1]) & (Ld <= lam_max)
+        L.append(Ld)
+        Q.append(np.where(inside, log_q(Ld, log_rd), np.inf))
+    L, Q = np.concatenate(L, axis=1), np.concatenate(Q, axis=1)
+    best = np.argmin(Q, axis=1)[:, None]
+    gam_log = np.take_along_axis(Q, best, axis=1)[:, 0]
+    gam_lam = np.take_along_axis(L, best, axis=1)[:, 0]
 
     xs = -np.log(sub)
     order = np.argsort(xs)

@@ -490,16 +490,19 @@ ADVERSARIAL_VALUES = [
 
 @st.composite
 def cli_calls(draw):
+    """A subcommand and 1-3 distinct value flags, each with a drawn value."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     flags = [f for f in COMMANDS[command].value_flags if f not in ("--out", "--config")]
-    return command, draw(st.sampled_from(flags)), draw(st.sampled_from(ADVERSARIAL_VALUES))
+    drawn = draw(st.lists(st.sampled_from(flags), min_size=1, max_size=3, unique=True))
+    return command, tuple((f, draw(st.sampled_from(ADVERSARIAL_VALUES))) for f in drawn)
 
 
-def call_argv(command, flag, value):
+def call_argv(command, drawn):
     flags = dict(BASE_FLAGS[command])
-    if flag == "--param" and value.partition("=")[0] in PARAM_FILTERS:
-        flags["--filter"] = PARAM_FILTERS[value.partition("=")[0]]
-    flags[flag] = value
+    for flag, value in drawn:
+        if flag == "--param" and value.partition("=")[0] in PARAM_FILTERS:
+            flags["--filter"] = PARAM_FILTERS[value.partition("=")[0]]
+    flags.update(drawn)
     return [command, *(tok for pair in flags.items() for tok in pair)]
 
 
@@ -530,10 +533,10 @@ def _verdict_values(doc):
 
 @settings(max_examples=60, deadline=None)
 @given(call=cli_calls())
-@example(call=("mp-check", "--param", "mu=9000"))
-@example(call=("classify", "--param", "mu=9000"))
-@example(call=("srho", "--lambda", "geo:1e-300:1e300:1"))
-@example(call=("construct", "--param", "k=1"))
+@example(call=("mp-check", (("--param", "mu=9000"),)))
+@example(call=("classify", (("--param", "mu=9000"),)))
+@example(call=("srho", (("--lambda", "geo:1e-300:1e300:1"),)))
+@example(call=("construct", (("--param", "k=1"),)))
 def test_cli_contract(call):
     """Every call exits 0-3 with no traceback. Exit 2 is an empty stdout and
     a JSON error on stderr; any other exit prints RFC 8259 JSON with no nan

@@ -47,11 +47,52 @@ def test_full_ex9_classify(counts):
     filt = counted_filter(counts, "ex9_osc")
     report = sq.classify(filt, sq.order_fn("exp(-1/sqrt(alpha))"))
     assert report.level == "strong"
-    assert counts["r_log"] <= 100
+    # 92 when the order-source check ran a zoom pass, four golden lanes
+    # per alpha to double resolution and a kink test
+    assert counts["r_log"] <= 52
     # 16 when the classical-order probe made one tail_limit call per mu
     assert counts["tail_limit"] <= 4
-    # 224,982 points when every mesh covered its whole alpha grid
-    assert counts["points"] <= 157_000
+    # 224,982 points when every mesh covered its whole alpha grid, then
+    # 156,846 with the zoom pass and four golden lanes
+    assert counts["points"] <= 80_000
+
+
+def test_order_source_pair_ex9(counts, monkeypatch):
+    """The check on the ex9 catalog row: a coarse scan, one golden lane
+    per alpha stopped at sqrt(eps) and the dips from the phase roots,
+    which make no ``_r_log`` call; 89 calls before."""
+    check = qualification.check_order_source_pair
+    made = []
+
+    def counted_check(*args, **kwargs):
+        before = counts["r_log"]
+        verdict = check(*args, **kwargs)
+        made.append(counts["r_log"] - before)
+        return verdict
+
+    monkeypatch.setattr(qualification, "check_order_source_pair", counted_check)
+    filt = counted_filter(counts, "ex9_osc")
+    report = sq.classify(filt, sq.order_fn("exp(-1/sqrt(alpha))"),
+                         include_classical=False, include_mp=False)
+    assert not report.evidence["optimal"].holds
+    assert len(made) == 1 and made[0] <= 48
+
+
+EX4_GRID = np.geomspace(1e-7, 0.15, 448)
+
+
+@pytest.mark.parametrize("fid,order,grid,gamma", [
+    ("tikhonov", "alpha", None, 0.5000001030390547),
+    ("ex3_exp", "exp(-1/alpha)", None, 0.49784656708935654),
+    ("ex4_log", "-1/ln(alpha)", EX4_GRID, 0.49570486931451757),
+])
+def test_optimal_catalog_gamma(fid, order, grid, gamma):
+    """The window infima of the optimal catalog rows, pinned as the zoom
+    pass and the double-resolution refinement gave them."""
+    report = sq.classify(sq.get_filter(fid), sq.order_fn(order, grid),
+                         include_classical=False, include_mp=False)
+    assert report.level == "optimal"
+    assert report.evidence["optimal"].gamma == pytest.approx(gamma, rel=1e-12)
 
 
 def tail_columns(alpha_grid):

@@ -283,3 +283,33 @@ def test_ex10_range_is_open_at_alpha_max():
     assert sq.default_alpha_grid(filt)[-1] == 0.5
     with pytest.raises(sq.ParameterRangeError, match=r"outside \(0, 1\.0\] "):
         sq.eval_g(sq.get_filter("ex9_osc"), 1.5, 0.5)
+
+
+@pytest.mark.parametrize("fid,params", [
+    ("ex8_osc", {"k": 1.0}), ("ex8_osc", {"k": 2.0}), ("ex9_osc", {}), ("ex10_osc", {}),
+])
+def test_dip_set_matches_high_precision_roots(fid, params):
+    """``_dips`` against the 50-digit phase root (k pi alpha)^(2/3) nearest
+    lambda (k >= 1): the root to 4 ulp, and ln r there, where the sine
+    vanishes, to 1e-12 relative.  The dip never sits above ``_r_log`` at
+    the double root, whose phase misses k pi by a rounding."""
+    mpmath = pytest.importorskip("mpmath")
+    filt = sq.get_filter(fid, **params)
+    oracle = RESIDUAL_ORACLES[fid]
+    if fid == "ex8_osc":
+        oracle = _osc_oracle(lambda mp, a: a ** mp.mpf(params["k"]))
+    alphas = np.geomspace(1e-7, 0.5, 9)[:, None]
+    lams = np.array([1e-3, 0.1, 1.0, 9.9])[None, :]
+    lk, log_r = filt._dips(alphas, lams)
+    assert lk.shape == log_r.shape == (9, 4)
+    assert np.all(log_r <= filt._r_log(alphas, lk) + 1e-12)
+    mpf = mpmath.mp.mpf
+    with mpmath.workdps(50):
+        for (i, j), got in np.ndenumerate(lk):
+            a = mpf(alphas[i, 0])
+            k = max(1, int(mpmath.nint(mpf(lams[0, j]) ** 1.5 / (mpmath.pi * a))))
+            root = (k * mpmath.pi * a) ** (mpf(2) / 3)
+            assert abs(mpf(got) - root) <= 4 * np.spacing(float(root)), (fid, i, j)
+            # the phase at the root is k*pi, whose sine is exactly 0
+            want = mpmath.log(oracle(mpmath.mp, a, root, mpf(0)))
+            assert abs(mpf(log_r[i, j]) - want) <= 1e-12 * abs(want), (fid, i, j)

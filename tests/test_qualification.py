@@ -305,8 +305,9 @@ class TestClassicalOrderMesh:
 class TestGoldenRefinement:
     @pytest.mark.parametrize("shape", ["quadratic", "kink"])
     def test_lands_on_known_minimum(self, shape):
-        """The minimizer in ln lambda is found to within 4 ulp (taken at
-        max(|t|, 1), the resolution of ln lambda for lambda near 1)."""
+        """The minimizer in ln lambda is found to within sqrt(eps) *
+        max(|t|, 1), where the lanes stop, and the returned value is
+        log_q at the returned lambda."""
         rng = np.random.default_rng(11)
         t = rng.uniform(-20.0, 20.0, (6, 3))
         lo = t - rng.uniform(1e-3, 2.0, t.shape)
@@ -318,8 +319,8 @@ class TestGoldenRefinement:
 
         lam, q = _refine_minima(log_q, lo, hi)
         assert lam.shape == t.shape
-        ulp = np.spacing(np.maximum(np.abs(t), 1.0))
-        assert np.all(np.abs(np.log(lam) - t) <= 4 * ulp)
+        tol = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(t), 1.0)
+        assert np.all(np.abs(np.log(lam) - t) <= tol)
         np.testing.assert_array_equal(q, log_q(lam))
 
 
@@ -411,6 +412,19 @@ class TestOrderSourcePairs:
         verdict = sq.check_order_source_pair(ex8, rho_alpha, s_sqrt, rho_alpha)
         assert not verdict.holds
         assert verdict.witnesses
+
+    def test_custom_oscillatory_filter_has_no_verdict(self, ex8, tikhonov, rho_alpha,
+                                                      s_sqrt, s_lambda):
+        """A custom family has no dip set, and a lambda scan misses the
+        dips of ex8's g, so the check raises instead of reporting a pair
+        that holds; a non-oscillatory custom family still gets a verdict."""
+        osc = sq.make_custom_filter("custom_osc", ex8._g, ex8.alpha_max,
+                                    ex8.h2_constant, oscillatory=True)
+        with pytest.raises(sq.QualificationError, match="dips unknown"):
+            sq.check_order_source_pair(osc, rho_alpha, s_sqrt, rho_alpha)
+        smooth = sq.make_custom_filter("custom_tikhonov", tikhonov._g,
+                                       tikhonov.alpha_max, tikhonov.h2_constant)
+        assert sq.check_order_source_pair(smooth, rho_alpha, s_lambda, rho_alpha).holds
 
 
 CLASSIFY_MATRIX = [
