@@ -28,7 +28,6 @@ import numpy as np
 
 VARIABLES = ("alpha", "lambda")
 FUNCTIONS = ("exp", "ln", "sqrt", "abs", "sin")
-BINARY_OPS = ("+", "-", "*", "/", "^")
 
 
 class ExprError(ValueError):

@@ -1,15 +1,16 @@
 """Spectral filter families and the regularization-method axiom checker.
 
 A filter family g_alpha(lambda) approximates 1/lambda as alpha -> 0.
-Each catalog entry carries closed forms for both the filter g and its
-residual r_alpha(lambda) = 1 - lambda*g_alpha(lambda), the quantity that
-controls the componentwise regularization error.
+Each catalog entry carries closed forms for the filter g and for the log
+of its residual r_alpha(lambda) = 1 - lambda*g_alpha(lambda), the
+quantity that controls the componentwise regularization error.
 
-Residuals are dual-channel: alongside the value, every entry supplies
-ln|r| in closed form.  Ratios like exp(-1/alpha) / r_alpha(lambda) that
-drive the source-function estimators live far below double-precision
-range for e^(-lambda/alpha)-type methods, so the whole estimation stack
-works on the log channel and treats the value channel as a convenience.
+ln|r| is the one residual definition.  Ratios like
+exp(-1/alpha) / r_alpha(lambda) that drive the source-function
+estimators live far below double-precision range for
+e^(-lambda/alpha)-type methods, so the whole estimation stack works on
+ln|r|; the value of r is derived from it, by ``residual_value`` alone,
+as sign * e^(ln|r|).
 
 Catalog ids (stable interface, used by the CLI and config files):
 tikhonov, tsvd, ex3_exp, ex4_log, ex7_piecewise, ex8_osc(k),
@@ -63,14 +64,17 @@ class ResidualValue:
 
 @dataclass(frozen=True)
 class FilterFamily:
-    """A parametric spectral filter with closed-form residual channels.
+    """A parametric spectral filter with a closed-form ln|r|.
 
-    ``g`` and ``residual_*`` callables accept numpy arrays (broadcast
-    over alpha and lambda).  ``_r_value`` defaults to exp of ``_r_log``
-    (saturating) and ``_r_sign`` to +1.  ``_dips(alpha, lambda)`` is the
-    dip set of an oscillatory family: it returns the point nearest lambda
-    where |r| takes an exact local minimum, and ln|r| there; it is None
-    for a family without one.  Instances are immutable and safe to share.
+    ``_g``, ``_r_log`` and ``_r_sign`` accept numpy arrays (broadcast over
+    alpha and lambda).  ``_r_sign`` defaults to 0 where ln|r| is -inf or
+    NaN and +1 elsewhere; only a family whose residual can be negative
+    supplies its own.  The value of r comes from ``residual_value``.
+    ``_dips(alpha, lambda)`` is the dip set of an oscillatory family: it
+    returns the largest point <= lambda (the first one when lambda lies
+    below it) where |r| takes an exact local minimum, and ln|r| there; it
+    is None for a family without one.  Instances are immutable and safe
+    to share.
     """
 
     id: str
@@ -81,7 +85,6 @@ class FilterFamily:
     lambda_sup: float | None = None  # exclusive upper bound on valid lambda
     _g: Callable = None
     _r_log: Callable = None
-    _r_value: Callable = None
     _r_sign: Callable = None
     _dips: Callable = None
 
@@ -91,11 +94,10 @@ class FilterFamily:
         if not self.h2_constant > 0:
             raise FilterError(f"h2_constant must be positive, got {self.h2_constant}")
         r_log = self._r_log
-        if self._r_value is None:
-            object.__setattr__(self, "_r_value", lambda a, lm: sat_exp_array(r_log(a, lm)))
         if self._r_sign is None:
+            # NaN compares false, so it gets 0 like -inf
             object.__setattr__(self, "_r_sign",
-                               lambda a, lm: np.ones(np.broadcast(a, lm).shape))
+                               lambda a, lm: np.where(r_log(a, lm) > NEG_INF, 1, 0))
 
 
 def _check_alpha(filt: FilterFamily, alpha) -> np.ndarray:
@@ -134,7 +136,7 @@ def eval_residual(filt: FilterFamily, alpha: float, lam: float) -> ResidualValue
     a = _check_alpha(filt, alpha)
     lm = _check_lambda(filt, lam)
     return ResidualValue(
-        value=float(filt._r_value(a, lm)),
+        value=float(residual_value(filt, a, lm)),
         log_abs=float(filt._r_log(a, lm)),
         sign=int(filt._r_sign(a, lm)),
     )
@@ -146,7 +148,10 @@ def residual_log_abs(filt: FilterFamily, alpha, lam) -> np.ndarray:
 
 
 def residual_value(filt: FilterFamily, alpha, lam) -> np.ndarray:
-    return filt._r_value(np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float))
+    """Vectorized r_alpha(lambda) = sign * e^(ln|r|), saturating past the
+    overflow edge (no range checks); the one place a value of r is formed."""
+    a, lm = np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float)
+    return filt._r_sign(a, lm) * sat_exp_array(filt._r_log(a, lm))
 
 
 # ---------------------------------------------------------------------------
@@ -168,15 +173,12 @@ def _tikhonov():
     def g(a, lm):
         return 1.0 / (lm + a)
 
-    def r_value(a, lm):
-        return a / (a + lm)
-
     def r_log(a, lm):
         return np.log(a) - np.log(a + lm)
 
     return FilterFamily(
         id="tikhonov", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value,
+        _g=g, _r_log=r_log,
     )
 
 
@@ -185,18 +187,12 @@ def _tsvd():
         with np.errstate(divide="ignore"):
             return np.where(lm >= a, 1.0 / np.asarray(lm, dtype=float), 0.0)
 
-    def r_value(a, lm):
-        return np.where(lm >= a, 0.0, 1.0)
-
     def r_log(a, lm):
         return np.where(lm >= a, NEG_INF, 0.0)
 
-    def r_sign(a, lm):
-        return np.where(lm >= a, 0, 1)
-
     return FilterFamily(
         id="tsvd", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log,
     )
 
 
@@ -228,15 +224,12 @@ def _ex4_log():
         inv = 1.0 / np.log(a)
         return (1.0 + inv) / (lm - inv)
 
-    def r_value(a, lm):
-        return (1.0 + lm) / (1.0 - lm * np.log(a))
-
     def r_log(a, lm):
         return np.log1p(lm) - np.log(1.0 - lm * np.log(a))
 
     return FilterFamily(
         id="ex4_log", alpha_max=0.3, h2_constant=1.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value,
+        _g=g, _r_log=r_log,
     )
 
 
@@ -259,32 +252,24 @@ def _ex7_piecewise():
         out[~inner] = (1.0 - h) / (lo + h)
         return out.reshape(np.broadcast(a, lm).shape)
 
-    def r_value(a, lm):
+    def log_sign(a, lm):
+        # inner: r = 1 - lm*c(a); outer: r = a(1+lm)/den, whose numerator
+        # is positive, so r has the sign of den
         a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.empty(a.shape)
+        out, v = np.empty(a.shape), np.empty(a.shape)
         inner = lm < 2.0 * a
-        out[inner] = 1.0 - lm[inner] * c_of(a[inner])
         ao, lo = a[~inner], lm[~inner]
-        out[~inner] = ao * (1.0 + lo) / (lo * np.log(ao / (ao + lo)) + ao * (1.0 + lo))
-        return out.reshape(np.broadcast(a, lm).shape)
-
-    def r_log(a, lm):
-        a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.empty(a.shape)
-        inner = lm < 2.0 * a
         with np.errstate(divide="ignore"):
-            out[inner] = np.log(np.abs(1.0 - lm[inner] * c_of(a[inner])))
-            ao, lo = a[~inner], lm[~inner]
-            den = lo * np.log(ao / (ao + lo)) + ao * (1.0 + lo)
-            out[~inner] = np.log(ao) + np.log1p(lo) - np.log(np.abs(den))
-        return out.reshape(np.broadcast(a, lm).shape)
-
-    def r_sign(a, lm):
-        return np.sign(r_value(a, lm))
+            v[inner] = 1.0 - lm[inner] * c_of(a[inner])
+            v[~inner] = lo * np.log(ao / (ao + lo)) + ao * (1.0 + lo)
+            np.log(np.abs(v), out=out)
+            out[~inner] = np.log(ao) + np.log1p(lo) - out[~inner]
+        return out, np.sign(v)
 
     return FilterFamily(
         id="ex7_piecewise", alpha_max=0.4, h2_constant=6.0, oscillatory=False,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=lambda a, lm: log_sign(a, lm)[0],
+        _r_sign=lambda a, lm: log_sign(a, lm)[1],
     )
 
 
@@ -297,7 +282,8 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
     ``coeff_log`` returns ln c(alpha) for the family's perturbation size.
     The dips sit at the phase roots lambda_k = (k pi alpha)^(2/3), k >= 1,
     where the sin term vanishes and ln r = -lambda_k/alpha exactly;
-    ``_dips`` snaps lambda to the nearest one.
+    ``_dips`` snaps lambda down to the largest one <= lambda (k = 1 below
+    the first root).
     """
 
     def g(a, lm):
@@ -325,7 +311,7 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
 
     def dips(a, lm):
         a, lm = np.asarray(a, float), np.asarray(lm, float)
-        x = np.maximum(np.rint(lm ** 1.5 / (math.pi * a)), 1.0) * math.pi * a
+        x = np.maximum(np.floor(lm ** 1.5 / (math.pi * a)), 1.0) * math.pi * a
         lk = x / np.cbrt(x)  # x^(2/3) to ~2 ulp, with no underflow of x*x
         return lk, -lk / a
 
@@ -358,8 +344,6 @@ def _ex10_osc():
 
 
 def _landweber(mu: float = 0.5):
-    lam_sup = 1.0 / mu
-
     def g(a, lm):
         a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
         out = np.empty(a.shape)
@@ -373,15 +357,10 @@ def _landweber(mu: float = 0.5):
         with np.errstate(divide="ignore", invalid="ignore"):
             return np.log1p(-mu * np.asarray(lm, float)) / np.asarray(a, float)
 
-    def r_sign(a, lm):
-        return np.where(np.asarray(lm, float) >= lam_sup, 0, 1) * np.ones(
-            np.broadcast(a, lm).shape, dtype=int
-        )
-
     return FilterFamily(
         id="landweber", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
-        params={"mu": float(mu)}, lambda_sup=lam_sup,
-        _g=g, _r_log=r_log, _r_sign=r_sign,
+        params={"mu": float(mu)}, lambda_sup=1.0 / mu,
+        _g=g, _r_log=r_log,
     )
 
 
@@ -462,20 +441,17 @@ def make_custom_filter(
     unknown) rather than report a window infimum that missed them.
     """
 
-    def r_value(a, lm):
-        return 1.0 - lm * g(a, lm)
-
     def r_log(a, lm):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(r_value(a, lm)))
+            return np.log(np.abs(1.0 - lm * g(a, lm)))
 
     def r_sign(a, lm):
-        return np.sign(r_value(a, lm))
+        return np.sign(1.0 - lm * g(a, lm))
 
     return FilterFamily(
         id=fid, alpha_max=alpha_max, h2_constant=h2_constant,
         oscillatory=oscillatory,
-        _g=g, _r_log=r_log, _r_value=r_value, _r_sign=r_sign,
+        _g=g, _r_log=r_log, _r_sign=r_sign,
     )
 
 
@@ -559,7 +535,7 @@ def verify_srm_axioms(filt: FilterFamily,
 
     with np.errstate(all="ignore"):
         gv = filt._g(A, L)
-        rv = filt._r_value(A, L)
+        rv = residual_value(filt, A, L)
 
     # H1: piecewise continuity proxy -- g defined (no NaN); infs at
     # lambda=0 come from overflow of finite values and are noted only

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import FilterFamily, ParameterRangeError, _check_alpha
+from .filters import FilterFamily, ParameterRangeError, _check_alpha, residual_value
 from .limits import sat_exp
 
 MAX_DIM = 512
@@ -180,7 +180,7 @@ def regularize(model: SpectralModel, filt: FilterFamily, alpha: float,
     x = np.asarray(solution_coefs, dtype=float)
     if x.shape != (model.dim,):
         raise OperatorError(f"coefficient length {x.shape} does not match dim {model.dim}")
-    r = np.asarray(filt._r_value(np.float64(alpha), model.eigenvalues), dtype=float)
+    r = residual_value(filt, np.float64(alpha), model.eigenvalues)
     return x - r * x
 
 

@@ -402,8 +402,9 @@ def check_order_source_pair(
       * golden-section refinement of the coarse minimum over the bracket
         of its two scan neighbours, to sqrt(eps) in ln lambda;
       * for an oscillatory family, q at its dips: each scan lambda snapped
-        to the nearest phase root (``FilterFamily._dips``) that lies in
-        the window, where |r| takes its exact local minimum.  No lambda
+        down to the largest phase root below it (``FilterFamily._dips``)
+        that lies in the window, where |r| takes its exact local minimum;
+        lambda_max itself gives the lowest dip of the window.  No lambda
         scan resolves these dips, so an oscillatory family without a dip
         set raises ``QualificationError`` instead of a verdict.
 
@@ -791,7 +792,6 @@ def classify(
     rho,
     lambda_grid: np.ndarray | None = None,
     alpha_grid: np.ndarray | None = None,
-    h=None,
     include_classical: bool = True,
     include_mp: bool = True,
 ) -> QualificationReport:
@@ -800,8 +800,8 @@ def classify(
     strong requires every sampled s_rho estimate to be stabilized and
     strictly between the positivity floor and the divergence cap;
     optimal additionally requires the tabulated s_rho to form an
-    order-source pair with rho (window h defaults to rho itself, clamped
-    into the lambda range); weak falls back to a canonical list of
+    order-source pair with rho (the window h is rho itself, clamped into
+    the lambda range); weak falls back to a canonical list of
     bounded certified sources when strong fails.
     """
     _require_certified(rho, "order function")
@@ -833,9 +833,7 @@ def classify(
             detail={"criterion": "0 < s_rho < inf at every sampled lambda"},
         )
         evidence["weak"] = evidence["strong"]
-        h_fn = h if h is not None else rho
-        osp = check_order_source_pair(filt, rho, s_tab, h_fn,
-                                      lambda_grid, alpha_grid)
+        osp = check_order_source_pair(filt, rho, s_tab, rho, lambda_grid, alpha_grid)
         evidence["optimal"] = osp
         if osp.holds:
             level = "optimal"

@@ -83,15 +83,63 @@ class TestResiduals:
 
     @pytest.mark.parametrize("fid", ALL_IDS)
     def test_log_channel_reconstructs_value(self, fid):
+        """``residual_value``, sign * e^(ln|r|), against a closed form of r.
+
+        The double-precision value forms of ``VALUE_FORMS`` are the oracle
+        to 1e-13 relative, with exact zeros and signs.  The other families'
+        value forms are no better than e^(ln|r|) in double (e^(1/alpha)
+        overflows, (1 - mu*lambda)^(1/alpha) amplifies the rounding of its
+        base by 1/alpha), so they are held to the 50-digit oracle at the
+        conditioning of exp: a rounding of ln|r| moves e^(ln|r|) by |ln r|
+        times as much.
+        """
         filt = sq.get_filter(fid)
-        alphas, lams = sample_grids(filt)
-        A, L = alphas[:, None], lams[None, :]
-        vals = residual_value(filt, A, L)
-        logs = residual_log_abs(filt, A, L)
-        signs = filt._r_sign(A, L)
-        ok = np.isfinite(vals) & (vals != 0)
-        recon = signs[ok] * np.exp(logs[ok])
-        np.testing.assert_allclose(recon, vals[ok], rtol=1e-12)
+        alphas = np.geomspace(1e-7, filt.alpha_max, 60, endpoint=False)[:, None]
+        lam_hi = 10.0 if filt.lambda_sup is None else 0.9 * filt.lambda_sup
+        lams = np.geomspace(1e-4, lam_hi, 60)[None, :]
+        got = residual_value(filt, alphas, lams)
+        if fid in VALUE_FORMS:
+            want = VALUE_FORMS[fid](alphas, lams)
+            np.testing.assert_array_equal(np.sign(got), np.sign(want))
+            np.testing.assert_array_equal(got == 0, want == 0)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
+            return
+        mpmath = pytest.importorskip("mpmath")
+        tiny = np.finfo(float).tiny  # below it a double has no relative precision
+        with np.errstate(all="ignore"):
+            phase = lams ** 1.5 / alphas
+        with mpmath.workdps(50):
+            for (i, j), value in np.ndenumerate(got[::7, ::7]):
+                a, lm = mpmath.mpf(alphas[7 * i, 0]), mpmath.mpf(lams[0, 7 * j])
+                r = RESIDUAL_ORACLES[fid](mpmath.mp, a, lm, mpmath.mpf(phase[7 * i, 7 * j]))
+                bound = RESIDUAL_LOG_TOL * abs(r) * max(1, abs(mpmath.log(abs(r)))) + tiny
+                assert abs(mpmath.mpf(value) - r) <= bound, (fid, float(a), float(lm))
+
+    @pytest.mark.parametrize("fid,alpha,lams,want", [
+        ("tsvd", 0.1, [0.05, 0.1, 0.2, 10.0], [1, 0, 0, 0]),
+        ("landweber", 0.5, [1.0, 1.999, 2.0], [1, 1, 0]),
+        # c(0.1) = 11.02, so r = 1 - lambda*c(0.1) < 0 for 0.091 < lambda < 0.2
+        ("ex7_piecewise", 0.1, [0.05, 0.15, 0.199], [1, -1, -1]),
+    ])
+    def test_residual_sign(self, fid, alpha, lams, want):
+        filt = sq.get_filter(fid)
+        for lam, sign in zip(lams, want):
+            rv = sq.eval_residual(filt, alpha, lam)
+            assert rv.sign == sign and np.sign(rv.value) == sign, (fid, lam)
+            assert (rv.log_abs == -np.inf) == (sign == 0)
+
+    def test_custom_residual_sign(self):
+        """A custom family's sign is sign(1 - lambda*g), wherever it changes."""
+        def g(a, lm):
+            return 1.0 / a * np.ones(np.broadcast(a, lm).shape)
+
+        filt = sq.make_custom_filter("custom", g, alpha_max=1.0, h2_constant=5.0)
+        A = np.geomspace(1e-3, 0.5, 9)[:, None]
+        L = np.concatenate((np.geomspace(1e-4, 10.0, 9), [0.5, 0.25]))[None, :]
+        want = np.sign(1.0 - L * g(A, L))
+        assert {-1, 0, 1} <= set(want.ravel().tolist())
+        np.testing.assert_array_equal(filt._r_sign(A, L), want)
+        np.testing.assert_array_equal(np.sign(residual_value(filt, A, L)), want)
 
     def test_tsvd_exact_zero_one(self, tsvd):
         alphas = np.geomspace(1e-6, 0.5, 25)
@@ -189,6 +237,21 @@ def _ex7_oracle(mp, a, lm, phase):
         return 1 - lm / (2 * a - (a + 2 * a * a) / mp.log(3))
     return a * (1 + lm) / (lm * mp.log(a / (a + lm)) + a * (1 + lm))
 
+
+def _ex7_value(a, lm):
+    c = 1.0 / (2.0 * a - (a + 2.0 * a * a) / math.log(3.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        outer = a * (1.0 + lm) / (lm * np.log(a / (a + lm)) + a * (1.0 + lm))
+    return np.where(lm < 2.0 * a, 1.0 - lm * c, outer)
+
+
+# closed value forms of r_alpha(lambda) that are accurate in double precision
+VALUE_FORMS = {
+    "tikhonov": lambda a, lm: a / (a + lm),
+    "tsvd": lambda a, lm: np.where(lm >= a, 0.0, 1.0),
+    "ex4_log": lambda a, lm: (1.0 + lm) / (1.0 - lm * np.log(a)),
+    "ex7_piecewise": _ex7_value,
+}
 
 # r_alpha(lambda) of every catalog family at its default parameters, in
 # mpmath arithmetic: (mp, alpha, lambda, phase) -> r
@@ -289,10 +352,11 @@ def test_ex10_range_is_open_at_alpha_max():
     ("ex8_osc", {"k": 1.0}), ("ex8_osc", {"k": 2.0}), ("ex9_osc", {}), ("ex10_osc", {}),
 ])
 def test_dip_set_matches_high_precision_roots(fid, params):
-    """``_dips`` against the 50-digit phase root (k pi alpha)^(2/3) nearest
-    lambda (k >= 1): the root to 4 ulp, and ln r there, where the sine
-    vanishes, to 1e-12 relative.  The dip never sits above ``_r_log`` at
-    the double root, whose phase misses k pi by a rounding."""
+    """``_dips`` against the 50-digit phase root (k pi alpha)^(2/3), the
+    largest one <= lambda (k = 1 below the first root): the root to 4 ulp,
+    and ln r there, where the sine vanishes, to 1e-12 relative.  The dip
+    never sits above ``_r_log`` at the double root, whose phase misses
+    k pi by a rounding."""
     mpmath = pytest.importorskip("mpmath")
     filt = sq.get_filter(fid, **params)
     oracle = RESIDUAL_ORACLES[fid]
@@ -307,7 +371,7 @@ def test_dip_set_matches_high_precision_roots(fid, params):
     with mpmath.workdps(50):
         for (i, j), got in np.ndenumerate(lk):
             a = mpf(alphas[i, 0])
-            k = max(1, int(mpmath.nint(mpf(lams[0, j]) ** 1.5 / (mpmath.pi * a))))
+            k = max(1, int(mpmath.floor(mpf(lams[0, j]) ** 1.5 / (mpmath.pi * a))))
             root = (k * mpmath.pi * a) ** (mpf(2) / 3)
             assert abs(mpf(got) - root) <= 4 * np.spacing(float(root)), (fid, i, j)
             # the phase at the root is k*pi, whose sine is exactly 0

@@ -426,6 +426,40 @@ class TestOrderSourcePairs:
                                        tikhonov.alpha_max, tikhonov.h2_constant)
         assert sq.check_order_source_pair(smooth, rho_alpha, s_lambda, rho_alpha).holds
 
+    def test_dips_reach_the_top_of_the_window(self, monkeypatch, ex9, rho_exp_sqrt):
+        """On the ex9 catalog check every per-alpha infimum is at most q at
+        the largest phase root (k pi alpha)^(2/3) <= lambda_max, the lowest
+        dip of the window.  Reading the root nearest lambda_max and dropping
+        it when it lies above lambda_max missed that dip on 47 of 96 rows
+        (ln r = -990 read at alpha = 1.63e-7, where the root gives -6.1e7)."""
+        check, tail = qualification.check_order_source_pair, qualification.tail_limit
+        calls, infima = [], []
+
+        def recorded_check(*args, **kwargs):
+            calls.append(args)
+            return check(*args, **kwargs)
+
+        def recorded_tail(xs, values, kind, **kwargs):
+            if "h" in kwargs.get("meta", {}):
+                infima.append((np.array(xs), np.array(values)))
+            return tail(xs, values, kind, **kwargs)
+
+        monkeypatch.setattr(qualification, "check_order_source_pair", recorded_check)
+        monkeypatch.setattr(qualification, "tail_limit", recorded_tail)
+        sq.classify(ex9, rho_exp_sqrt, include_classical=False, include_mp=False)
+        assert len(calls) == len(infima) == 1
+        _, rho, s, _, lambda_grid, _ = calls[0]
+        (xs, gam_log), = infima
+        alphas, lam_max = np.exp(-xs), float(np.max(lambda_grid))
+        k = np.floor(lam_max ** 1.5 / (math.pi * alphas))
+        root = (k * math.pi * alphas) ** (2.0 / 3.0)
+        k = np.where(root > lam_max, k - 1, k)
+        root = (k * math.pi * alphas) ** (2.0 / 3.0)
+        assert np.all(root <= lam_max)
+        q_root = s.log_at(root) - root / alphas - rho.log_at(alphas)
+        missed = gam_log > q_root + 1e-12 * np.abs(q_root)
+        assert not np.any(missed), f"{missed.sum()} of {missed.size} rows miss the dip"
+
 
 CLASSIFY_MATRIX = [
     ("tikhonov", {}, "alpha", None, "optimal"),
