@@ -36,7 +36,7 @@ from .filters import (
     get_filter,
     list_filters,
 )
-from .limits import LOG_SATURATION
+from .limits import sat_exp_array
 from .operators import (
     OperatorError,
     load_matrix_csv,
@@ -50,9 +50,10 @@ from .qualification import (
     check_mp_qualification,
     classify,
     construct_weak_qualification,
+    csv_text,
     estimate_classical_order,
+    jsonable,
     srho_table,
-    _jsonable,
 )
 from .experiments import ExperimentError, fit_order, run_convergence
 from .rates import certify_order_fn, certify_source_fn
@@ -312,7 +313,12 @@ def _emit(args, text: str):
 
 
 def _dump_json(doc) -> str:
-    return json.dumps(doc, indent=2, sort_keys=False) + "\n"
+    return json.dumps(jsonable(doc), indent=2) + "\n"
+
+
+def _emit_doc(args, doc, rows):
+    """The JSON document, or with --format csv its table rows."""
+    _emit(args, csv_text(rows) if args.format == "csv" else _dump_json(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -337,38 +343,17 @@ def cmd_srho(args) -> int:
     lams = _lambda_grid(args, filt, agrid)
     table = srho_table(filt, rho, lams, agrid)
     # one row per requested lambda, so a repeated lambda prints twice
-    rows = [(lam, table[lam]) for lam in lams.tolist()]
+    rows = [{"lambda": lam, "estimate": table[lam].value,
+             "stabilized": table[lam].stabilized} for lam in lams.tolist()]
+    _emit_doc(args, {"filter": filt.id, "order": rho.label, "table": rows}, rows)
     unstable = not all(est.stabilized for est in table.values())
-    if args.format == "csv":
-        lines = ["lambda,estimate,stabilized"]
-        for lam, est in rows:
-            val = "+inf" if math.isinf(est.value) else repr(est.value)
-            lines.append(f"{lam!r},{val},{str(est.stabilized).lower()}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump_json({
-            "filter": filt.id,
-            "order": rho.label,
-            "table": [
-                {"lambda": lam, "estimate": _jsonable(est.value),
-                 "stabilized": est.stabilized}
-                for lam, est in rows
-            ],
-        }))
     return EXIT_UNSTABLE if unstable else EXIT_OK
 
 
 def cmd_classical(args) -> int:
     filt = _get_filter(args)
-    co = estimate_classical_order(filt)
-    doc = {"filter": filt.id, **co.to_json_dict()}
-    if args.format == "csv":
-        low = "" if doc["low"] is None else doc["low"]
-        high = "" if doc["high"] is None else doc["high"]
-        _emit(args, "low,high,zero,infinite\n"
-              f"{low},{high},{str(co.zero).lower()},{str(co.infinite).lower()}\n")
-    else:
-        _emit(args, _dump_json(doc))
+    row = estimate_classical_order(filt).to_json_dict()
+    _emit_doc(args, {"filter": filt.id, **row}, [row])
     return EXIT_OK
 
 
@@ -393,23 +378,10 @@ def cmd_construct(args) -> int:
         _emit(args, _dump_json({"error": "hypothesis-violation", "message": str(exc)}))
         return EXIT_VERDICT
     alphas = res.rho_star.alphas
-    h_vals = np.exp(res.h.log_at(alphas))
-    rho_logs = np.minimum(res.rho_star.log_values, LOG_SATURATION)
-    rho_vals = [_jsonable(v) for v in np.exp(rho_logs)]
-    if args.format == "csv":
-        lines = ["alpha,h,rho_star"]
-        for a_val, h_val, r_val in zip(alphas, h_vals, rho_vals):
-            lines.append(f"{float(a_val)!r},{float(h_val)!r},{r_val!r}")
-        _emit(args, "\n".join(lines) + "\n")
-    else:
-        _emit(args, _dump_json({
-            "filter": filt.id,
-            "certificate": res.certificate.to_json_dict(),
-            "table": [
-                {"alpha": float(a_val), "h": float(h_val), "rho_star": r_val}
-                for a_val, h_val, r_val in zip(alphas, h_vals, rho_vals)
-            ],
-        }))
+    rows = [{"alpha": a, "h": h, "rho_star": r} for a, h, r in zip(
+        alphas, np.exp(res.h.log_at(alphas)), sat_exp_array(res.rho_star.log_values))]
+    _emit_doc(args, {"filter": filt.id, "certificate": res.certificate.to_json_dict(),
+                     "table": rows}, rows)
     return EXIT_OK if res.certificate.holds else EXIT_VERDICT
 
 
@@ -439,11 +411,10 @@ def cmd_converge(args) -> int:
         fit_doc = fit.to_json_dict()
     except ExperimentError as exc:
         fit_doc = {"error": str(exc)}
+    doc = {"study": study.to_json_dict(), "fit": fit_doc}
+    _emit_doc(args, doc, doc["study"]["records"])
     if args.format == "csv":
-        _emit(args, study.to_csv())
         sys.stderr.write(_dump_json({"fit": fit_doc}))
-    else:
-        _emit(args, _dump_json({"study": study.to_json_dict(), "fit": fit_doc}))
     return EXIT_OK
 
 

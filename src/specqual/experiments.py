@@ -8,7 +8,6 @@ demonstrates maximality of the induced source set R(s_rho(T*T)).
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +28,8 @@ from .qualification import (
     check_order_source_pair,
     check_strong_pair,
     classify,
+    csv_text,
+    jsonable,
     srho_table,
 )
 from .rates import TabulatedSource
@@ -65,14 +66,10 @@ class ConvergenceStudy:
         return np.array([r.alpha for r in self.records])
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("alpha,err,rho,ratio\n")
-        for r in self.records:
-            buf.write(f"{r.alpha!r},{r.err!r},{r.rho!r},{r.ratio!r}\n")
-        return buf.getvalue()
+        return csv_text(self.to_json_dict()["records"])
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonable({
             "filter": self.filter_id,
             "model": self.model_provenance,
             "source": self.source_label,
@@ -81,7 +78,7 @@ class ConvergenceStudy:
                 {"alpha": r.alpha, "err": r.err, "rho": r.rho, "ratio": r.ratio}
                 for r in self.records
             ],
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -93,13 +90,13 @@ class SlopeFit:
     n_points: int
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonable({
             "slope": self.slope,
             "intercept": self.intercept,
             "r_squared": self.r_squared,
-            "window": list(self.window),
+            "window": self.window,
             "n_points": self.n_points,
-        }
+        })
 
 
 def run_convergence(
@@ -123,6 +120,8 @@ def run_convergence(
     # descending, and contiguous: NumPy's log takes another code path on a
     # reversed view, which moves some values by an ulp
     alphas = np.ascontiguousarray(np.sort(np.asarray(alpha_grid, dtype=float))[::-1])
+    if alphas.size == 0:  # a study with no records has no table and no fit
+        raise ExperimentError("alpha grid is empty")
 
     log_errs = log_regularization_error(model, filt, alphas, source)
     log_rhos = rho.log_at(alphas)
@@ -201,13 +200,13 @@ class ConverseProbe:
     ratio_bounded: bool
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonable({
             "pair_holds": self.pair_certificate.holds,
             "prediction": self.prediction,
             "verification_inside": self.verification.inside,
             "agree": self.agree,
             "ratio_bounded": self.ratio_bounded,
-        }
+        })
 
 
 def converse_probe(
@@ -273,7 +272,7 @@ class MaximalSourceReport:
     qualification: object = None  # the QualificationReport backing `level`
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonable({
             "filter": self.filter_id,
             "order": self.rho_label,
             "level": self.level,
@@ -290,7 +289,7 @@ class MaximalSourceReport:
                 }
                 for e in self.entries
             ],
-        }
+        })
 
 
 def _default_generators(dim: int) -> list[np.ndarray]:

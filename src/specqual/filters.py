@@ -9,8 +9,8 @@ ln|r| is the one residual definition.  Ratios like
 exp(-1/alpha) / r_alpha(lambda) that drive the source-function
 estimators live far below double-precision range for
 e^(-lambda/alpha)-type methods, so the whole estimation stack works on
-ln|r|; the value of r is derived from it, by ``residual_value`` alone,
-as sign * e^(ln|r|).
+ln|r|; the value of r is derived from it as sign * e^(ln|r|), with the
+sign from ``residual_sign``.
 
 Catalog ids (stable interface, used by the CLI and config files):
 tikhonov, tsvd, ex3_exp, ex4_log, ex7_piecewise, ex8_osc(k),
@@ -67,9 +67,9 @@ class FilterFamily:
     """A parametric spectral filter with a closed-form ln|r|.
 
     ``_g``, ``_r_log`` and ``_r_sign`` accept numpy arrays (broadcast over
-    alpha and lambda).  ``_r_sign`` defaults to 0 where ln|r| is -inf or
-    NaN and +1 elsewhere; only a family whose residual can be negative
-    supplies its own.  The value of r comes from ``residual_value``.
+    alpha and lambda).  A family whose residual can be negative supplies
+    ``_r_sign``; for any other it is None, and ``residual_sign`` reads the
+    sign from ln|r|.  The value of r comes from ``residual_value``.
     ``_dips(alpha, lambda)`` is the dip set of an oscillatory family: it
     returns the largest point <= lambda (the first one when lambda lies
     below it) where |r| takes an exact local minimum, and ln|r| there; it
@@ -93,11 +93,6 @@ class FilterFamily:
             raise FilterError(f"alpha_max must be positive, got {self.alpha_max}")
         if not self.h2_constant > 0:
             raise FilterError(f"h2_constant must be positive, got {self.h2_constant}")
-        r_log = self._r_log
-        if self._r_sign is None:
-            # NaN compares false, so it gets 0 like -inf
-            object.__setattr__(self, "_r_sign",
-                               lambda a, lm: np.where(r_log(a, lm) > NEG_INF, 1, 0))
 
 
 def _check_alpha(filt: FilterFamily, alpha) -> np.ndarray:
@@ -135,11 +130,10 @@ def eval_residual(filt: FilterFamily, alpha: float, lam: float) -> ResidualValue
     """r_alpha(lambda) = 1 - lambda*g_alpha(lambda), with ln|r| channel."""
     a = _check_alpha(filt, alpha)
     lm = _check_lambda(filt, lam)
-    return ResidualValue(
-        value=float(residual_value(filt, a, lm)),
-        log_abs=float(filt._r_log(a, lm)),
-        sign=int(filt._r_sign(a, lm)),
-    )
+    log_abs = filt._r_log(a, lm)
+    sign = residual_sign(filt, a, lm, log_abs)
+    return ResidualValue(value=float(sign * sat_exp_array(log_abs)),
+                         log_abs=float(log_abs), sign=int(sign))
 
 
 def residual_log_abs(filt: FilterFamily, alpha, lam) -> np.ndarray:
@@ -147,11 +141,21 @@ def residual_log_abs(filt: FilterFamily, alpha, lam) -> np.ndarray:
     return filt._r_log(np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float))
 
 
+def residual_sign(filt: FilterFamily, alpha, lam, log_abs) -> np.ndarray:
+    """The sign of r_alpha(lambda), given ln|r| there: the family's own
+    ``_r_sign`` if it has one, else 0 where ln|r| is -inf or NaN (NaN
+    compares false) and +1 elsewhere."""
+    if filt._r_sign is not None:
+        return filt._r_sign(alpha, lam)
+    return np.where(log_abs > NEG_INF, 1, 0)
+
+
 def residual_value(filt: FilterFamily, alpha, lam) -> np.ndarray:
     """Vectorized r_alpha(lambda) = sign * e^(ln|r|), saturating past the
-    overflow edge (no range checks); the one place a value of r is formed."""
+    overflow edge (no range checks)."""
     a, lm = np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float)
-    return filt._r_sign(a, lm) * sat_exp_array(filt._r_log(a, lm))
+    log_abs = filt._r_log(a, lm)
+    return residual_sign(filt, a, lm, log_abs) * sat_exp_array(log_abs)
 
 
 # ---------------------------------------------------------------------------

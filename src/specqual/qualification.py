@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import FilterFamily, default_alpha_grid, default_lambda_grid
+from .filters import (FilterFamily, default_alpha_grid, default_lambda_grid,
+                      residual_sign)
 from .limits import (CAP, FLOOR, LOG_SATURATION, LimitEstimate, sat_exp_array,
                      tail_limit, tail_start)
 from .rates import (
@@ -90,13 +91,13 @@ class PairVerdict:
         return self.holds
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonable({
             "holds": self.holds,
-            "bound_k": _jsonable(self.bound_k),
-            "gamma": _jsonable(self.gamma),
+            "bound_k": self.bound_k,
+            "gamma": self.gamma,
             "h_used": self.h_used,
-            "witnesses": [[_jsonable(a), _jsonable(l)] for a, l in self.witnesses],
-        }
+            "witnesses": self.witnesses,
+        })
 
 
 @dataclass(frozen=True)
@@ -111,12 +112,12 @@ class ClassicalOrder:
     passed: list[bool] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
-        return {
-            "low": _jsonable(self.low),
-            "high": _jsonable(self.high),
+        return jsonable({
+            "low": self.low,
+            "high": self.high,
             "zero": self.zero,
             "infinite": self.infinite,
-        }
+        })
 
 
 @dataclass(frozen=True)
@@ -132,13 +133,13 @@ class MPVerdict:
     def to_json_dict(self) -> dict:
         out = {"passes": self.passes}
         if self.passes:
-            out["gamma"] = _jsonable(self.gamma)
+            out["gamma"] = self.gamma
         else:
-            out["witness_alpha"] = _jsonable(self.witness_alpha)
-            out["growth"] = _jsonable(self.growth)
+            out["witness_alpha"] = self.witness_alpha
+            out["growth"] = self.growth
         if self.weak_certificate is not None:
             out["weak_certificate"] = self.weak_certificate
-        return out
+        return jsonable(out)
 
 
 @dataclass(frozen=True)
@@ -156,50 +157,49 @@ class QualificationReport:
     grid_meta: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
+        return jsonable({
             "schema_version": SCHEMA_VERSION,
             "filter": self.filter_id,
             "order": self.rho_label,
             "level": self.level,
             "source": self.source_label,
             "srho_table": [
-                {
-                    "lambda": _jsonable(lam),
-                    "estimate": _jsonable(est.value),
-                    "stabilized": est.stabilized,
-                }
+                {"lambda": lam, "estimate": est.value, "stabilized": est.stabilized}
                 for lam, est in sorted(self.srho_table.items())
             ],
             "classical_mu0": self.classical_mu0.to_json_dict() if self.classical_mu0 else None,
             "mp": self.mp_verdict.to_json_dict() if self.mp_verdict else None,
             "evidence": {k: v.to_json_dict() for k, v in self.evidence.items()},
-            "grid_meta": _jsonable_dict(self.grid_meta),
-        }
+            "grid_meta": self.grid_meta,
+        })
 
 
-def _jsonable(x):
-    if x is None:
-        return None
-    x = float(x)
-    if math.isinf(x):
-        return "+inf" if x > 0 else "-inf"
-    if math.isnan(x):
-        return "nan"
-    return x
+def jsonable(x):
+    """``x`` as RFC 8259 JSON values, walking dicts, lists and tuples: a
+    float becomes a Python float or the string +inf, -inf or nan (an
+    infinite s_rho or ratio is an answer, and JSON has no number for it);
+    any other value passes through unchanged."""
+    if isinstance(x, dict):
+        return {k: jsonable(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [jsonable(v) for v in x]
+    if isinstance(x, float) and not math.isfinite(x):
+        return "nan" if math.isnan(x) else ("+inf" if x > 0 else "-inf")
+    return float(x) if isinstance(x, float) else x
 
 
-def _jsonable_dict(d):
-    out = {}
-    for k, v in d.items():
-        if isinstance(v, dict):
-            out[k] = _jsonable_dict(v)
-        elif isinstance(v, float):
-            out[k] = _jsonable(v)
-        elif isinstance(v, (list, tuple)):
-            out[k] = [_jsonable(e) if isinstance(e, float) else e for e in v]
-        else:
-            out[k] = v
-    return out
+def csv_text(rows) -> str:
+    """Rows (dicts with the same keys) as CSV text under a header of the
+    keys.  Each cell is the ``jsonable`` value: null is an empty cell, a
+    boolean is true or false, and a float is its repr."""
+    def cell(v):
+        v = jsonable(v)
+        if v is None:
+            return ""
+        return str(v).lower() if isinstance(v, bool) else str(v)  # str is repr for a float
+
+    lines = [",".join(rows[0])] + [",".join(map(cell, row.values())) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _require_certified(fn, what):
@@ -635,7 +635,7 @@ def _windowed_certificate(R, lrho, lams) -> dict:
         vanishing = bool(lo <= lams[min(max(1, len(lams) // 5), len(lams) - 1)])
     return {
         "holds": holds and vanishing,
-        "h_at_alpha_min": _jsonable(float(h_vals[0]) if found[0] else math.nan),
+        "h_at_alpha_min": float(h_vals[0]),
         "coverage": float(np.mean(found)),
     }
 
@@ -682,7 +682,9 @@ def construct_weak_qualification(
     by an independent sweep.
     """
     if lambda_grid is None:
-        lambda_grid = np.geomspace(1e-4, 100.0, 321)
+        # inside the family's lambda range, and at least a decade wide
+        top = 100.0 if filt.lambda_sup is None else min(100.0, 0.95 * filt.lambda_sup)
+        lambda_grid = np.geomspace(min(1e-4, top / 10.0), top, 321)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(filt, per_decade=64)
     lams = np.asarray(lambda_grid, dtype=float)
@@ -761,7 +763,7 @@ def _verify_part_b_hypotheses(filt, alphas, lams):
     probe_l = lams[:: max(1, len(lams) // 48)]
     with np.errstate(all="ignore"):
         R = np.asarray(filt._r_log(probe_a[:, None], probe_l[None, :]), dtype=float)
-        signs = np.asarray(filt._r_sign(probe_a[:, None], probe_l[None, :]))
+        signs = np.asarray(residual_sign(filt, probe_a[:, None], probe_l[None, :], R))
         G = np.asarray(filt._g(probe_a[:, None], probe_l[None, :]), dtype=float)
     bad = signs <= 0
     if np.any(bad):
@@ -852,8 +854,6 @@ def classify(
             certify_source_fn(text) for text in CANONICAL_SOURCES
         ]
         for cand in candidates:
-            if not cand.certified:
-                continue
             verdict = check_weak_pair(filt, cand, rho, lambda_grid, alpha_grid)
             if verdict.holds:
                 level = "weak"

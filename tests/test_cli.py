@@ -131,6 +131,17 @@ class TestClassical:
         doc = json.loads(out)
         assert doc["low"] == 2.0 and doc["high"] == 4.0
 
+    @pytest.mark.parametrize("argv,row", [
+        (("ex8", "--param", "k=2"), "2.0,4.0,false,false"),
+        (("ex4",), ",0.015625,true,false"),
+        (("tsvd",), "64.0,,false,true"),
+    ], ids=["bracket", "zero", "infinite"])
+    def test_csv_row(self, capsys, argv, row):
+        """A missing bracket end is an empty cell; the flags are lower-case."""
+        code, out, _ = run(capsys, "classical", "--filter", *argv, "--format", "csv")
+        assert code == 0
+        assert out == f"low,high,zero,infinite\n{row}\n"
+
 
 class TestMpCheck:
     def test_showalter_fails_exit_one(self, capsys):
@@ -178,6 +189,24 @@ class TestConstruct:
             assert set(doc) == {"error", "message"}
             assert doc["error"] == "hypothesis-violation"
 
+    def test_showalter_csv(self, capsys):
+        code, out, _ = run(capsys, "construct", "--filter", "showalter", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[:2] == ["alpha,h,rho_star",
+                                        "1e-07,0.0008416140593714441,0.0"]
+
+    @pytest.mark.parametrize("mu", ["0.25", "2", "1e5"])
+    def test_landweber_grid_stays_below_lambda_sup(self, capsys, mu):
+        """The default lambda grid tops out at 0.95/mu, so every window
+        edge h lies inside landweber's range (0, 1/mu) and the residual
+        is positive on it."""
+        code, out, err = run(capsys, "construct", "--filter", "landweber",
+                             "--param", f"mu={mu}")
+        assert code == 0 and err == ""
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert doc["certificate"]["holds"]
+        assert max(row["h"] for row in doc["table"]) < 1.0 / float(mu)
+
     @pytest.mark.parametrize("argv", [("ex4", "0.3"), ("tikhonov", "1")],
                              ids=["ex4", "tikhonov"])
     def test_grid_up_to_alpha_max_holds_top_lambda(self, capsys, argv):
@@ -205,6 +234,29 @@ class TestConverge:
                            "--source", "lambda^0.5", "--fit-window", "2e-3:0.1")
         assert code == 0
         assert json.loads(out)["fit"]["slope"] == pytest.approx(0.5, abs=0.05)
+
+    def test_csv_table_and_fit(self, capsys):
+        """With --format csv the table goes to stdout and the fit to stderr."""
+        code, out, err = run(capsys, "converge", "--filter", "tikhonov", "--source", "lambda",
+                             "--dim", "16", "--format", "csv")
+        assert code == 0
+        assert out.splitlines()[0] == "alpha,err,rho,ratio"
+        assert set(json.loads(err)) == {"fit"}
+
+    def test_infinite_ratio_is_plus_inf(self, capsys):
+        """exp(-1/alpha) underflows below alpha ~ 1.4e-3, where err/rho is
+        +inf: the string "+inf" in JSON and the same cell in CSV."""
+        argv = ("converge", "--filter", "tikhonov", "--source", "lambda",
+                "--order", "exp(-1/alpha)", "--dim", "16")
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        doc = json.loads(out, parse_constant=_reject_constant)
+        ratios = [rec["ratio"] for rec in doc["study"]["records"]]
+        assert "+inf" in ratios
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        cells = [line.split(",")[3] for line in out.splitlines()[1:]]
+        assert cells == [r if isinstance(r, str) else repr(r) for r in ratios]
 
     def test_non_vanishing_source_exits_two(self, capsys):
         """s(0) = 1 != 0: the source is rejected before any study runs."""
@@ -537,6 +589,7 @@ def _verdict_values(doc):
 @example(call=("classify", (("--param", "mu=9000"),)))
 @example(call=("srho", (("--lambda", "geo:1e-300:1e300:1"),)))
 @example(call=("construct", (("--param", "k=1"),)))
+@example(call=("converge", (("--order", "exp(-1/alpha)"),)))
 def test_cli_contract(call):
     """Every call exits 0-3 with no traceback. Exit 2 is an empty stdout and
     a JSON error on stderr; any other exit prints RFC 8259 JSON with no nan

@@ -144,3 +144,24 @@ def test_construct_certificate_is_one_mesh(counts):
     res = sq.construct_weak_qualification(filt)
     assert res.certificate.holds
     assert counts["r_log"] <= 38
+
+
+def test_default_sign_reads_the_callers_ln_r(counts):
+    """A family without its own ``_r_sign`` takes the sign from the ln|r|
+    its caller holds: a ``replace`` copy and a family built with the
+    counted kernel make the same calls, and one value of r is one call.
+    A sign closure bound at construction made 4 calls in the axiom check
+    on the built family (3 on the copy), 2 in ``residual_value`` and 4 in
+    ``eval_residual``."""
+    copied = counted_filter(counts, "showalter")
+    built = dataclasses.replace(copied, _r_sign=None)
+    made = []
+    for filt in (copied, built):
+        before = counts["r_log"]
+        sq.verify_srm_axioms(filt)
+        made.append(counts["r_log"] - before)
+    assert made[0] == made[1]
+    for evaluate in (sq.filters.residual_value, sq.eval_residual):
+        before = counts["r_log"]
+        evaluate(built, 0.1, 1.0)
+        assert counts["r_log"] - before == 1

@@ -205,6 +205,11 @@ class TestFitOrder:
         with pytest.raises(sq.ExperimentError):
             sq.fit_order(study, (1e-5, 1e-2))
 
+    def test_empty_alpha_grid_raises(self, model200, tikhonov, s_lambda, rho_alpha, w06):
+        """A study with no records would have no CSV header and no fit."""
+        with pytest.raises(sq.ExperimentError, match="empty"):
+            make_study(model200, tikhonov, s_lambda, rho_alpha, w06, grid=np.array([]))
+
     def test_direct_rate_transfers_pair_constant(self, model200, w06):
         """err/rho <= k * ||w|| where k is the pair constant observed on a
         lambda grid covering the model spectrum.  (The transfer needs the

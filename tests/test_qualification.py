@@ -473,6 +473,7 @@ CLASSIFY_MATRIX = [
     ("ex8_osc", {"k": 1.0}, "alpha", None, "strong"),
     ("ex9_osc", {}, "exp(-1/sqrt(alpha))", None, "strong"),
     ("ex10_osc", {}, "-1/ln(alpha)", np.geomspace(1e-7, 0.5, 448), "strong"),
+    ("tikhonov", {}, "alpha^2", None, "none"),
 ]
 
 
@@ -504,6 +505,8 @@ class TestClassifier:
                 assert report.evidence["weak"].holds
             if report.level == "weak":
                 assert report.evidence["weak"].holds
+            if report.level == "none":
+                assert not any(v.holds for v in report.evidence.values())
 
     def test_json_serialization_schema(self, classify_reports):
         report, _ = classify_reports[("tikhonov", "alpha")]
@@ -512,6 +515,16 @@ class TestClassifier:
         assert doc["level"] == "optimal"
         assert {"lambda", "estimate", "stabilized"} <= set(doc["srho_table"][0])
         assert doc["evidence"]["optimal"]["holds"]
+
+    def test_one_encoding_for_json_and_csv(self):
+        """A non-finite float is the same text in JSON and CSV; a CSV cell
+        is empty for null and lower-case for a boolean."""
+        doc = {"t": (math.inf, [math.nan, np.float64(1.5)]), "n": None, "k": 3}
+        assert qualification.jsonable(doc) == {"t": ["+inf", ["nan", 1.5]], "n": None, "k": 3}
+        rows = [{"x": np.float64(0.5), "y": None, "ok": True},
+                {"x": math.inf, "y": math.nan, "ok": False},
+                {"x": -math.inf, "y": 3, "ok": False}]
+        assert qualification.csv_text(rows) == "x,y,ok\n0.5,,true\n+inf,nan,false\n-inf,3,false\n"
 
     def test_uncertified_order_raises(self, tikhonov):
         with pytest.raises(sq.UncertifiedError):
@@ -679,7 +692,7 @@ def _certificate_fields(cert):
 
 
 class TestConstructiveWeakQualification:
-    @pytest.mark.parametrize("fid", ["showalter", "tikhonov"])
+    @pytest.mark.parametrize("fid", ["showalter", "tikhonov", "landweber"])
     def test_certificate_holds_on_grids(self, fid):
         res = sq.construct_weak_qualification(sq.get_filter(fid))
         assert res.certificate.holds
