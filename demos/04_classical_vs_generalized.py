@@ -38,7 +38,8 @@ print(f"  tikhonov, rho=alpha: passes={tik.passes}, gamma={tik.gamma:.4f}")
 sho = sq.check_mp_qualification(sq.get_filter("showalter"),
                                 sq.order_fn("exp(-1/sqrt(alpha))"))
 print(f"  showalter, rho=exp(-1/sqrt(alpha)): passes={sho.passes}, "
-      f"ratio growth {sho.growth:.3g}x at alpha={sho.witness_alpha:g}")
+      f"ratio max/min over the grid {sho.growth:.3g}, largest at "
+      f"alpha={sho.witness_alpha:g}")
 print(f"    ...but the windowed certificate still holds: {sho.weak_certificate}")
 print("    (the method keeps this rate as weak qualification even though")
 print("     the increasing-weight inequality rejects it)")

@@ -338,15 +338,9 @@ def maximal_source_demo(
     generators = _default_generators(model.dim)
     srho_on_spec = np.asarray(s_rho.at(eigs), dtype=float)
     for cand in candidates:
-        if not getattr(cand, "certified", False):
-            entries.append(InclusionEntry(
-                source_label=getattr(cand, "label", "candidate"),
-                strong_pair=False, domination_k=None,
-                elements_inside=0, elements_total=0, included=False,
-            ))
-            continue
-        strong = check_strong_pair(filt, cand, rho, lambda_grid, alpha_grid)
-        if not strong.holds:
+        certified = getattr(cand, "certified", False)
+        if not certified or not check_strong_pair(filt, cand, rho, lambda_grid,
+                                                  alpha_grid).holds:
             entries.append(InclusionEntry(
                 source_label=getattr(cand, "label", "candidate"),
                 strong_pair=False, domination_k=None,

@@ -132,7 +132,6 @@ def tail_limit(
     *,
     cap: float = CAP,
     n_blocks: int = N_BLOCKS,
-    meta: dict | list | None = None,
 ) -> LimitEstimate | list[LimitEstimate]:
     """Estimate lim inf/sup of exp(log_values) as x = -ln(alpha) -> +inf.
 
@@ -143,9 +142,11 @@ def tail_limit(
 
     ``log_values`` may also be 2-d, one row per sequence on the shared
     ``xs`` (rows x points); then the result is a list with one estimate
-    per row, and ``meta`` may be a list with one dict per row.  The block
-    extrema of all rows are found at once; each row's estimate is the one
-    a 1-d call on that row returns.
+    per row.  The block extrema of all rows are found at once; each row's
+    estimate is the one a 1-d call on that row returns.
+
+    ``grid_meta`` of each estimate holds its trend class, whether an
+    extrapolation fired, and the block extrema.
     """
     if kind not in ("liminf", "limsup"):
         raise ValueError(f"kind must be liminf or limsup, got {kind!r}")
@@ -155,9 +156,6 @@ def tail_limit(
         raise ValueError("need a 1-d xs with at least 8 points and log_values "
                          "of matching width (1-d, or 2-d with one row per sequence)")
     rows = lv.reshape(-1, xs.size)
-    metas = meta if isinstance(meta, list) else [meta] * rows.shape[0]
-    if len(metas) != rows.shape[0]:
-        raise ValueError("meta needs one dict per row of log_values")
 
     start = tail_start(xs)
     t_xs, t_lv = xs[start:], rows[:, start:]
@@ -167,18 +165,10 @@ def tail_limit(
     raw_min = np.min(t_lv, axis=1)
     raw_max = np.max(t_lv, axis=1)
 
-    grid = {
-        "estimator": "block-trend",
-        "x_range": (float(xs[0]), float(xs[-1])),
-        "alpha_range": (float(math.exp(-xs[-1])), float(math.exp(-xs[0]))),
-        "points": int(xs.size),
-        "tail_points": int(t_xs.size),
-    }
     out = []
     for i in range(rows.shape[0]):
         ms = [sat_exp(v) for v in ms_log[i].tolist()]
-        row_meta = {**(metas[i] or {}), **grid,
-                    "blocks": [None if math.isnan(m) else m for m in ms],
+        row_meta = {"blocks": [None if math.isnan(m) else m for m in ms],
                     "extrapolated": False}
         out.append(_row_limit(kind, ms, xe[i].tolist(), sat_exp(float(raw_min[i])),
                               sat_exp(float(raw_max[i])), row_meta, cap))

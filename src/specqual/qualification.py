@@ -36,8 +36,8 @@ import numpy as np
 
 from .filters import (FilterFamily, default_alpha_grid, default_lambda_grid,
                       residual_sign)
-from .limits import (CAP, FLOOR, LOG_SATURATION, LimitEstimate, sat_exp_array,
-                     tail_limit, tail_start)
+from .limits import (CAP, FLOOR, LimitEstimate, sat_exp, sat_exp_array, tail_limit,
+                     tail_start)
 from .rates import (
     TabulatedOrder,
     TabulatedSource,
@@ -261,8 +261,7 @@ def srho_table(
     xs, log_ratio, alphas, tail = _tail_mesh(alpha_grid, lams.size)
     with np.errstate(all="ignore"):
         tail[:] = rho.log_at(alphas) - filt._r_log(alphas, lams[:, None])
-    ests = tail_limit(xs, log_ratio, "liminf",
-                      meta=[{"lambda": float(lam)} for lam in lams])
+    ests = tail_limit(xs, log_ratio, "liminf")
     return {float(lam): est for lam, est in zip(lams, ests)}
 
 
@@ -280,7 +279,7 @@ def _pair_limsup(filt, s, rho, lams, alphas):
             + np.asarray(filt._r_log(alphas, lams[:, None]), dtype=float)
             - rho.log_at(alphas)
         )
-    return tail_limit(xs, lq, "limsup", meta=[{"lambda": v} for v in lams.tolist()])
+    return tail_limit(xs, lq, "limsup")
 
 
 def check_weak_pair(
@@ -326,14 +325,15 @@ def check_strong_pair(
     alpha_grid: np.ndarray | None = None,
 ) -> PairVerdict:
     """Weak pair whose limsup also stays bounded away from zero."""
+    if alpha_grid is None:
+        alpha_grid = default_alpha_grid(filt)
     weak = check_weak_pair(filt, s, rho, lambda_grid, alpha_grid)
     if not weak.holds:
         return PairVerdict(holds=False, witnesses=weak.witnesses,
                            detail={"failed": "weak", **weak.detail})
-    witnesses = []
-    for lam, est in weak.detail["estimates"].items():
-        if not est.positive:
-            witnesses.append((est.grid_meta["alpha_range"][0], lam))
+    alpha_min = float(np.min(alpha_grid))
+    witnesses = [(alpha_min, lam) for lam, est in weak.detail["estimates"].items()
+                 if not est.positive]
     return PairVerdict(
         holds=not witnesses,
         bound_k=weak.bound_k,
@@ -464,19 +464,14 @@ def check_order_source_pair(
 
     xs = -np.log(sub)
     order = np.argsort(xs)
-    est = tail_limit(xs[order], gam_log[order], "liminf",
-                     meta={"h": getattr(h, "label", "h")})
+    est = tail_limit(xs[order], gam_log[order], "liminf")
 
     holds = est.positive
     worst = int(np.argmin(gam_log))
     witnesses = [] if holds else [(float(sub[worst]), float(gam_lam[worst]))]
-    gamma = None
-    if holds:
-        g_min = float(gam_log[worst])
-        gamma = math.inf if g_min > LOG_SATURATION else math.exp(max(g_min, -745.0))
     return PairVerdict(
         holds=holds,
-        gamma=gamma,
+        gamma=sat_exp(float(gam_log[worst])) if holds else None,
         h_used=getattr(h, "label", "h"),
         witnesses=witnesses,
         detail={"inf_estimate": est},
@@ -562,9 +557,14 @@ def check_mp_qualification(
 ) -> MPVerdict:
     """Check sup_lm |r_alpha(lm)| rho(lm) <= gamma rho(alpha) on (0, a].
 
-    Fails when the ratio grows past 100x its grid median toward
-    alpha -> 0 (reported with the witnessing alpha), passes otherwise
-    with gamma = the tail maximum.  On failure a companion certificate
+    The ratio sup_lm |r_alpha(lm)| rho(lm) / rho(alpha) is followed toward
+    alpha -> 0 by the tail estimator, the same rule as every other
+    boundedness verdict: the check passes when its limsup reads as
+    bounded, with gamma = the tail maximum of the ratio.  A failure
+    reports the alpha where the ratio is largest and its growth, the
+    largest over the smallest ratio on the alpha grid; the growth is +inf
+    when that quotient overflows a double or the ratio is not finite (an
+    order with a pole in (0, a]).  On failure a companion certificate
     reports whether the given rho still bounds the residual in the
     constructive windowed sense (sup over lambda >= h(alpha) of |r|
     below rho(alpha) for a vanishing h), which is how methods with
@@ -594,27 +594,18 @@ def check_mp_qualification(
         lrho = rho.log_at(alphas)
         ratio_log = lS - lrho
 
-    finite = ratio_log[np.isfinite(ratio_log)]
-    median = float(np.median(finite)) if finite.size else 0.0
-    exceed = ratio_log > median + math.log(100.0)
-
     xs = -np.log(alphas)
     order = np.argsort(xs)
     est = tail_limit(xs[order], ratio_log[order], "limsup")
-    passes = bool(not np.any(exceed) and est.bounded)
-
-    if passes:
+    if est.bounded:
         return MPVerdict(passes=True, gamma=est.tail_max)
-    certificate = _windowed_certificate(R, lrho, lams)
-    if np.any(exceed):
-        idx = np.nonzero(exceed)[0]
-        witness = float(alphas[idx[0]])
-        growth = float(math.exp(min(np.max(ratio_log[idx]) - median, 700.0)))
-    else:
-        witness = float(alphas[0])
-        growth = float("inf")
-    return MPVerdict(passes=False, witness_alpha=witness, growth=growth,
-                     weak_certificate=certificate)
+    hi, lo = float(np.max(ratio_log)), float(np.min(ratio_log))
+    return MPVerdict(
+        passes=False,
+        witness_alpha=float(alphas[np.argmax(ratio_log)]),
+        growth=sat_exp(hi - lo) if hi < math.inf else math.inf,  # +inf or NaN: a pole
+        weak_certificate=_windowed_certificate(R, lrho, lams),
+    )
 
 
 def _windowed_certificate(R, lrho, lams) -> dict:
@@ -843,7 +834,7 @@ def classify(
         evidence["strong"] = PairVerdict(
             holds=False,
             witnesses=[
-                (est.grid_meta["alpha_range"][0], lam)
+                (float(np.min(alpha_grid)), lam)
                 for lam, est in table.items()
                 if not (est.stabilized and FLOOR < est.value < CAP)
             ][:4],

@@ -39,7 +39,7 @@ from .expressions import (
     to_string,
     variables_of,
 )
-from .limits import sat_exp_array
+from .limits import sat_exp_array, tail_limit
 
 # decay-to-zero proxy thresholds
 FAST_DECAY_REL = 1e-3
@@ -209,16 +209,14 @@ class CompareVerdict:
         return self.holds
 
 
-DIVERGENCE_GROWTH = 100.0
-
-
 def precedes(rho1, rho2, grid: np.ndarray | None = None) -> CompareVerdict:
     """Does rho1 stay within a constant multiple of rho2 toward alpha -> 0?
 
-    The ratio rho1/rho2 is followed over a wide geometric grid; the
-    comparison fails when the ratio at the small end has grown more than
-    100x past its grid-median value, and otherwise holds with the fitted
-    constant max tail ratio.
+    The ratio rho1/rho2 is followed over a wide geometric grid by the
+    tail estimator (``limits.tail_limit``), the same rule as every other
+    boundedness verdict: the comparison holds when the limsup of the
+    ratio reads as bounded, with the constant its tail maximum, and
+    otherwise fails with the alpha where the ratio peaks.
     """
     if not (rho1.certified and rho2.certified):
         raise DomainError("precedes requires certified order functions")
@@ -226,13 +224,12 @@ def precedes(rho1, rho2, grid: np.ndarray | None = None) -> CompareVerdict:
     lr = rho1.log_at(grid) - rho2.log_at(grid)
     if np.any(np.isnan(lr)):
         raise DomainError("comparison grid left the functions' domain")
-    median = float(np.median(lr))
-    if lr[0] > median + math.log(DIVERGENCE_GROWTH):
-        exceed = np.nonzero(lr > median + math.log(DIVERGENCE_GROWTH))[0]
-        return CompareVerdict(holds=False, witness_alpha=float(grid[exceed[-1]]))
-    tail = lr[: len(lr) // 2]  # small-alpha half of the ascending grid
-    c = float(sat_exp_array(np.max(tail)))
-    return CompareVerdict(holds=True, constant=c)
+    xs = -np.log(grid)
+    order = np.argsort(xs)
+    est = tail_limit(xs[order], lr[order], "limsup")
+    if not est.bounded:
+        return CompareVerdict(holds=False, witness_alpha=float(grid[np.argmax(lr)]))
+    return CompareVerdict(holds=True, constant=est.tail_max)
 
 
 def equivalent_at_origin(rho1, rho2, grid: np.ndarray | None = None) -> CompareVerdict:

@@ -152,6 +152,14 @@ class TestMpCheck:
         assert not doc["passes"]
         assert doc["weak_certificate"]["holds"]
 
+    def test_showalter_growth_past_double_range_prints_inf(self, capsys):
+        """The ratio grows like exp(1/sqrt(alpha) - c alpha^(-1/3)): past
+        e^709 over the grid, so the growth is +inf, not the e^700 cap
+        1.0142e304 the median rule printed."""
+        _, out, _ = run(capsys, "mp-check", "--filter", "showalter",
+                        "--order", "exp(-1/sqrt(alpha))")
+        assert '"growth": "+inf"' in out
+
     def test_tikhonov_passes_with_gamma(self, capsys):
         code, out, _ = run(capsys, "mp-check", "--filter", "tikhonov",
                            "--order", "alpha")

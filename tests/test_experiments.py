@@ -1,5 +1,6 @@
 """Convergence studies, slope fits, converse probes, maximal source sets."""
 
+import json
 import math
 
 import numpy as np
@@ -288,6 +289,10 @@ class TestConverseProbe:
         probe = sq.converse_probe(study, ex8, a, s_q, a)
         assert not probe.pair_certificate.holds
         assert probe.prediction is False
+        doc = json.loads(json.dumps(probe.to_json_dict(), allow_nan=False))
+        assert doc == {"pair_holds": False, "prediction": False,
+                       "verification_inside": probe.verification.inside,
+                       "agree": probe.agree, "ratio_bounded": probe.ratio_bounded}
 
 
 class TestMaximalSourceDemo:
@@ -316,6 +321,21 @@ class TestMaximalSourceDemo:
                                         rho_alpha, [maybe])
         assert not report.entries[0].included
         assert not report.entries[0].strong_pair
+
+    def test_report_is_strict_json(self, model200, rho_alpha):
+        """The report, an excluded uncertified candidate included, is RFC
+        8259 JSON: the exclusion has a null constant and 0 of 0 elements."""
+        report = sq.maximal_source_demo(model200, sq.get_filter("tikhonov"), rho_alpha,
+                                        [sq.certify_source_fn("1"), sq.source_fn("lambda")])
+        doc = json.loads(json.dumps(report.to_json_dict(), allow_nan=False))
+        assert (doc["filter"], doc["order"], doc["level"]) == ("tikhonov", "alpha", "optimal")
+        assert doc["qualification"] == report.qualification.to_json_dict()
+        excluded, included = doc["entries"]
+        assert excluded == {"source": "1", "strong_pair": False, "domination_k": None,
+                            "elements_inside": 0, "elements_total": 0, "included": False}
+        assert included["strong_pair"] and included["included"]
+        assert included["elements_inside"] == included["elements_total"] == 3
+        assert math.isfinite(included["domination_k"])
 
     def test_requires_strong_level(self, model200, rho_sqrt_alpha):
         with pytest.raises(sq.ExperimentError):

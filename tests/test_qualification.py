@@ -11,7 +11,7 @@ import specqual as sq
 from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_start
 from specqual import qualification
 from specqual.qualification import (_construct_certificate, _pair_limsup, _refine_minima,
-                                    srho_table)
+                                    _windowed_certificate, srho_table)
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
@@ -119,11 +119,10 @@ class TestBatchedTailLimit:
     )
     def test_rows_match_single_calls(self, steps, rows, kind, n_blocks):
         xs, lv = _sequences(steps, rows)
-        metas = [{"row": i} for i in range(len(rows))]
-        batched = tail_limit(xs, lv, kind, n_blocks=n_blocks, meta=metas)
+        batched = tail_limit(xs, lv, kind, n_blocks=n_blocks)
         assert isinstance(batched, list) and len(batched) == len(rows)
         for i, est in enumerate(batched):
-            single = tail_limit(xs, lv[i], kind, n_blocks=n_blocks, meta=metas[i])
+            single = tail_limit(xs, lv[i], kind, n_blocks=n_blocks)
             assert _fields(est) == _fields(single)
             assert est.grid_meta["blocks"] == _masked_blocks(xs, lv[i], kind, n_blocks)
 
@@ -161,8 +160,7 @@ def _reference_srho(filt, rho, lams, alphas):
     for lam in lams:
         with np.errstate(all="ignore"):
             lv = np.asarray(rho.log_at(alphas)) - filt._r_log(alphas, np.float64(lam))
-        out[float(lam)] = tail_limit(xs[order], lv[order], "liminf",
-                                     meta={"lambda": float(lam)})
+        out[float(lam)] = tail_limit(xs[order], lv[order], "liminf")
     return out
 
 
@@ -176,8 +174,7 @@ def _reference_pair_limsup(filt, s, rho, lams, alphas):
             lq = (float(np.ravel(s.log_at(np.float64(lam)))[0])
                   + np.asarray(filt._r_log(alphas, np.float64(lam)))
                   - np.asarray(rho.log_at(alphas)))
-        out[float(lam)] = tail_limit(xs[order], lq[order], "limsup",
-                                     meta={"lambda": float(lam)})
+        out[float(lam)] = tail_limit(xs[order], lq[order], "limsup")
     return out
 
 
@@ -440,7 +437,7 @@ class TestOrderSourcePairs:
             return check(*args, **kwargs)
 
         def recorded_tail(xs, values, kind, **kwargs):
-            if "h" in kwargs.get("meta", {}):
+            if np.ndim(values) == 1:  # the s_rho table is one 2-d call
                 infima.append((np.array(xs), np.array(values)))
             return tail(xs, values, kind, **kwargs)
 
@@ -640,13 +637,18 @@ class TestIncreasingWeightCheck:
         assert verdict.weak_certificate["holds"]
 
     def test_one_point_lambda_grid_gets_a_certificate(self, showalter, rho_exp_sqrt):
-        """The certificate's reference lambda is clamped to the grid, so a
-        one-point grid gives a verdict, not an IndexError."""
-        verdict = sq.check_mp_qualification(showalter, rho_exp_sqrt,
-                                            lambda_grid=np.array([0.05]))
-        assert not verdict.passes
-        assert verdict.weak_certificate["holds"]
-        assert verdict.weak_certificate["h_at_alpha_min"] == 0.05
+        """On lambda = {0.05} the ratio exp(-0.05/alpha + 1/sqrt(alpha) -
+        1/sqrt(0.05)) falls to 0, so the check passes.  The certificate's
+        reference lambda is clamped to the grid, so a one-column mesh gives
+        a certificate, not an IndexError."""
+        lams = np.array([0.05])
+        assert sq.check_mp_qualification(showalter, rho_exp_sqrt, lambda_grid=lams).passes
+        alphas = np.geomspace(1e-7, 0.5, 448)
+        with np.errstate(all="ignore"):
+            R = showalter._r_log(alphas[:, None], lams)
+        certificate = _windowed_certificate(R, rho_exp_sqrt.log_at(alphas), lams)
+        assert certificate["holds"]
+        assert certificate["h_at_alpha_min"] == 0.05
 
     def test_landweber_one_point_default_grid(self):
         """mu = 9000 puts the top of the default lambda grid, 0.95/mu, within
@@ -658,6 +660,46 @@ class TestIncreasingWeightCheck:
     @pytest.mark.parametrize("rho_text", ["alpha", "alpha^2", "exp(-1/alpha)"])
     def test_truncation_passes_any_order(self, tsvd, rho_text):
         assert sq.check_mp_qualification(tsvd, sq.order_fn(rho_text)).passes
+
+    @pytest.mark.parametrize("rho_text", ["alpha", "alpha^0.25", "alpha^0.5", "alpha^2",
+                                          "exp(-1/sqrt(alpha))"])
+    def test_exponential_filter_passes_falling_ratio(self, ex3, rho_text):
+        """r = (1+lm) e^(-1/alpha) / lm for ex3_exp, so the ratio falls to 0.
+        The median rule read the drop as a 1e304-fold growth at the grid
+        median alpha = 3.28e-4 and failed all five."""
+        assert sq.check_mp_qualification(ex3, sq.order_fn(rho_text)).passes
+
+    def test_tikhonov_growth_is_the_grid_span(self, tikhonov):
+        """For rho = alpha^2 the sup over lm <= 1 sits at lm = 1, so the
+        ratio is 1/(alpha(1+alpha)): 1/2 at the top alpha ~ 1 and largest
+        at alpha_min = 1e-7, so the growth is 2/(alpha_min(1+alpha_min))."""
+        verdict = sq.check_mp_qualification(tikhonov, sq.order_fn("alpha^2"))
+        alpha_min = 1e-7
+        assert not verdict.passes
+        assert verdict.witness_alpha == alpha_min
+        assert verdict.growth == pytest.approx(2.0 / (alpha_min * (1.0 + alpha_min)),
+                                               rel=1e-6)
+
+
+# the catalog filters at their defaults, times the orders of the mp probe
+MP_ORDERS = ["alpha", "alpha^0.5", "alpha^2", "alpha^0.25", "exp(-1/alpha)",
+             "exp(-1/sqrt(alpha))", "-1/ln(alpha)"]
+
+
+def test_mp_qualification_implies_weak_level():
+    """Mathe-Pereverzev qualification is weak qualification's special case:
+    whenever the mp-check passes, classify gives at least weak."""
+    orders = {text: sq.order_fn(text) for text in MP_ORDERS}
+    passing = 0
+    for fid in sq.list_filters():
+        filt = sq.get_filter(fid)
+        for text, rho in orders.items():
+            if not sq.check_mp_qualification(filt, rho).passes:
+                continue
+            passing += 1
+            report = sq.classify(filt, rho, include_classical=False, include_mp=False)
+            assert report.level != "none", (fid, text)
+    assert passing >= 33
 
 
 def _construct_grid(filt, grid):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specqual as sq
-from specqual.rates import default_order_grid
+from specqual.rates import default_compare_grid, default_order_grid
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
@@ -156,6 +156,17 @@ class TestComparators:
         verdict = sq.precedes(rho_sqrt_alpha, rho_alpha)
         assert not verdict.holds
         assert verdict.witness_alpha is not None
+
+    def test_slow_log_divergence_does_not_precede(self):
+        """(-ln alpha)^(-1/2) / (-1/ln alpha) = (-ln alpha)^(1/2) grows without
+        bound, but only from 1.2 to 5.3 over the grid: the tail estimator's
+        trend test reads it as divergent, where a 100x-past-the-median rule
+        held with constant 5.26."""
+        slow, inv_log = sq.order_fn("(-ln(alpha))^(-0.5)"), sq.order_fn("-1/ln(alpha)")
+        verdict = sq.precedes(slow, inv_log)
+        assert not verdict.holds
+        assert verdict.witness_alpha == float(np.min(default_compare_grid()))
+        assert sq.precedes(inv_log, slow).holds
 
     def test_reflexive_with_unit_constant(self, rho_alpha):
         verdict = sq.precedes(rho_alpha, rho_alpha)
