@@ -1,25 +1,35 @@
-"""The 10 catalog classify documents (acceptance criterion 1), byte for byte.
+"""Printed results, byte for byte.
 
-Each document is the full ``classify`` report, with the classical probe and
-the mp-check, in the CLI's ``indent=2`` JSON form; the file holds them as
-one JSON array.  A change that moves any printed value shows up here as a
-diff of ``tests/golden/catalog.json``.  After a deliberate change,
-regenerate the file with
+``tests/golden/catalog.json`` holds the 10 catalog classify documents
+(acceptance criterion 1): each is the full ``classify`` report, with the
+classical probe and the mp-check, in the CLI's ``indent=2`` JSON form, and
+the file holds them as one JSON array.  ``tests/golden/converge_*`` hold
+the output of four ``converge`` calls: the README call in JSON and in CSV
+(whose fit goes to stderr), a dense CSV matrix through the SVD
+(``dense24.csv``, A = Q1 diag(j^-1) Q2^T with n = 24), and a tsvd study
+whose rows drop the r = 0 terms.  A change that moves any printed value
+shows up here as a diff of a golden file.  After a deliberate change,
+regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
 and review its diff.
 """
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import specqual as sq
+from specqual.cli import main
 from specqual.qualification import jsonable
 
-GOLDEN = Path(__file__).resolve().parent / "golden" / "catalog.json"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
+GOLDEN = GOLDEN_DIR / "catalog.json"
 
 EX4_GRID = (1e-7, 0.15, 448)   # geomspace arguments of the order's certification grid
 EX10_GRID = (1e-7, 0.5, 448)
@@ -47,10 +57,45 @@ def catalog_text() -> str:
     return json.dumps(jsonable(docs), indent=2, allow_nan=False) + "\n"
 
 
+README_CONVERGE = ("converge", "--filter", "tikhonov", "--model", "diag:j^-2", "--dim", "200",
+                   "--source", "lambda", "--fit-window", "2.5e-4:1e-3")
+
+# golden file stem -> converge argv; a CSV call also pins its stderr (the fit)
+CONVERGE_CALLS = {
+    "converge_readme.json": README_CONVERGE,
+    "converge_readme.csv": README_CONVERGE + ("--format", "csv"),
+    "converge_dense.json": ("converge", "--filter", "showalter",
+                            "--model", str(GOLDEN_DIR / "dense24.csv"),
+                            "--source", "lambda^0.5"),
+    "converge_tsvd.json": ("converge", "--filter", "tsvd", "--model", "diag:j^-2",
+                           "--dim", "200", "--source", "lambda"),
+}
+
+
+def converge_output(argv) -> tuple[str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        assert main(list(argv)) == 0
+    return out.getvalue(), err.getvalue()
+
+
 def test_catalog_documents_match_golden():
     assert catalog_text() == GOLDEN.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("name", sorted(CONVERGE_CALLS))
+def test_converge_output_matches_golden(name):
+    out, err = converge_output(CONVERGE_CALLS[name])
+    assert out == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+    want_err = GOLDEN_DIR / f"{name}.stderr"
+    assert err == (want_err.read_text(encoding="utf-8") if want_err.exists() else "")
+
+
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN_DIR.mkdir(exist_ok=True)
     GOLDEN.write_text(catalog_text(), encoding="utf-8")
+    for name, argv in CONVERGE_CALLS.items():
+        out, err = converge_output(argv)
+        (GOLDEN_DIR / name).write_text(out, encoding="utf-8")
+        if err:
+            (GOLDEN_DIR / f"{name}.stderr").write_text(err, encoding="utf-8")
