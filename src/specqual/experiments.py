@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .filters import FilterFamily, default_alpha_grid, default_lambda_grid
-from .limits import sat_exp, tail_limit
+from .limits import sat_exp_column, tail_limit
 from .operators import (
     MembershipVerdict,
     SourceElement,
@@ -41,8 +42,7 @@ class ExperimentError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class StudyRecord:
+class StudyRecord(NamedTuple):
     alpha: float
     err: float
     rho: float
@@ -125,17 +125,11 @@ def run_convergence(
 
     log_errs = log_regularization_error(model, filt, alphas, source)
     log_rhos = rho.log_at(alphas)
-    records = []
-    for a, log_err, log_rho in zip(alphas.tolist(), log_errs.tolist(), log_rhos.tolist()):
-        log_ratio = log_err - log_rho
-        records.append(StudyRecord(
-            alpha=a,
-            err=sat_exp(log_err),
-            rho=sat_exp(log_rho),
-            ratio=sat_exp(log_ratio),
-            log_err=log_err,
-            log_ratio=log_ratio,
-        ))
+    with np.errstate(invalid="ignore"):  # inf - inf is a NaN ratio
+        log_ratios = log_errs - log_rhos
+    records = list(map(StudyRecord, alphas.tolist(), sat_exp_column(log_errs),
+                       sat_exp_column(log_rhos), sat_exp_column(log_ratios),
+                       log_errs.tolist(), log_ratios.tolist()))
     return ConvergenceStudy(
         records=records,
         filter_id=filt.id,
@@ -165,7 +159,7 @@ def fit_order(study: ConvergenceStudy, window: tuple[float, float] | None = None
     # ln rho from the log channel directly (rho may underflow as a double)
     x = np.array([r.log_err - r.log_ratio for r in pts])
     y = np.array([r.log_err for r in pts])
-    xm, ym = x.mean(), y.mean()
+    xm, ym = float(x.mean()), float(y.mean())
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
     if sxx == 0.0:

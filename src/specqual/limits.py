@@ -74,6 +74,11 @@ def sat_exp(logv: float) -> float:
     return math.inf if logv > LOG_SATURATION else math.exp(logv)
 
 
+def sat_exp_column(logv: np.ndarray) -> list[float]:
+    """sat_exp of each value of a 1-d array: libm's exp, not np.exp's SIMD one."""
+    return list(map(math.exp, np.where(logv > LOG_SATURATION, math.inf, logv).tolist()))
+
+
 def sat_exp_array(logv) -> np.ndarray:
     """np.exp of log values, saturating to +inf past the overflow edge."""
     logv = np.asarray(logv, dtype=float)

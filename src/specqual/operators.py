@@ -210,16 +210,15 @@ def log_regularization_error(model: SpectralModel, filt: FilterFamily,
         keep = terms > -np.inf
         peaks = np.max(np.where(keep, terms, -np.inf), axis=1)
         sums = np.sum(np.exp(terms - peaks[:, None]), axis=1)
-        out = []
-        for row, (peak, s, full) in enumerate(zip(peaks.tolist(), sums.tolist(),
-                                                  keep.all(axis=1).tolist())):
-            if peak == -math.inf:
-                out.append(-math.inf)
-                continue
-            if not full:
-                s = float(np.sum(np.exp(terms[row][keep[row]] - peak)))
-            out.append(0.5 * (peak + math.log(s)))
-    return out[0] if a.ndim == 0 else np.array(out)
+        # a masked sum would associate differently, so a row that drops a
+        # term sums its compacted row; a row that drops all of them is -inf
+        dead = peaks == -np.inf
+        for row in np.flatnonzero(~keep.all(axis=1) & ~dead).tolist():
+            sums[row] = np.sum(np.exp(terms[row][keep[row]] - peaks[row]))
+        sums[dead] = 1.0
+        # libm's log, as np.log differs from it in the last bit on some sums
+        out = 0.5 * (peaks + np.array(list(map(math.log, sums.tolist()))))
+    return float(out[0]) if a.ndim == 0 else out
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,13 @@ class TestRunConvergence:
             want = -1.0 / r.alpha + 1.0 / math.sqrt(r.alpha)
             assert r.log_ratio == pytest.approx(want, rel=1e-12)
 
+    def test_records_are_named_tuples(self, model200, tikhonov, s_lambda, rho_alpha, w06):
+        study = make_study(model200, tikhonov, s_lambda, rho_alpha, w06, STUDY_GRID)
+        r = study.records[0]
+        assert r == tuple(r) and r._fields == ("alpha", "err", "rho", "ratio",
+                                               "log_err", "log_ratio")
+        assert all(type(v) is float for rec in study.records for v in rec)
+
     def test_csv_export_shape(self, model200, tikhonov, s_lambda, rho_alpha, w06):
         text = make_study(model200, tikhonov, s_lambda, rho_alpha, w06,
                           STUDY_GRID).to_csv()
@@ -200,6 +207,20 @@ class TestFitOrder:
         study = make_study(model200, tikhonov, s_lambda, rho_alpha, w06)
         with pytest.raises(sq.ExperimentError):
             sq.fit_order(study, (1e-4, 1.1e-4))
+
+    def test_fit_values_are_floats(self, model200, tikhonov, s_lambda, rho_alpha, w06):
+        fit = sq.fit_order(make_study(model200, tikhonov, s_lambda, rho_alpha, w06),
+                           (2.5e-4, 1e-3))
+        assert type(fit.slope) is float
+        assert type(fit.intercept) is float
+        assert type(fit.r_squared) is float
+
+    def test_empty_study_raises(self):
+        study = ConvergenceStudy(records=[], filter_id="synthetic", model_provenance="none",
+                                 source_label="s", rho_label="alpha")
+        with pytest.raises(sq.ExperimentError) as err:
+            sq.fit_order(study, (0.1, 1))
+        assert str(err.value) == "need at least 8 usable records in the window, got 0"
 
     def test_zero_errors_in_window_raise(self, model200, tsvd, s_lambda, rho_alpha, w06):
         study = make_study(model200, tsvd, s_lambda, rho_alpha, w06)
