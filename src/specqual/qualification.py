@@ -604,7 +604,7 @@ def check_mp_qualification(
         passes=False,
         witness_alpha=float(alphas[np.argmax(ratio_log)]),
         growth=sat_exp(hi - lo) if hi < math.inf else math.inf,  # +inf or NaN: a pole
-        weak_certificate=_windowed_certificate(R, lrho, lams),
+        weak_certificate=_windowed_certificate(R[order[::-1]], lrho[order[::-1]], lams),
     )
 
 
@@ -612,7 +612,7 @@ def _windowed_certificate(R, lrho, lams) -> dict:
     """Does some vanishing window h(alpha) give sup_{lm>=h} |r| <= rho(alpha)?
 
     ``R`` is the (alpha x lambda) mesh of ln|r| and ``lrho`` holds
-    ln rho(alpha), one entry per row of ``R``.
+    ln rho(alpha), one entry per row of ``R``, the rows in ascending alpha.
     """
     ok = _suffix_max(R) <= lrho[:, None] + 1e-9
     h_vals = np.where(np.any(ok, axis=1), lams[np.argmax(ok, axis=1)], np.nan)

@@ -650,6 +650,19 @@ class TestIncreasingWeightCheck:
         assert certificate["holds"]
         assert certificate["h_at_alpha_min"] == 0.05
 
+    def test_verdict_does_not_depend_on_grid_order(self, showalter, rho_exp_sqrt):
+        """The companion certificate reads the small-alpha half of the grid
+        and h at the smallest alpha in whatever order the grid comes.  Read
+        by index, a descending grid gave holds = false and h = 1.0."""
+        g = np.geomspace(1e-7, 1.0, 448)
+        want = sq.check_mp_qualification(showalter, rho_exp_sqrt, alpha_grid=g)
+        assert want.weak_certificate["holds"]
+        assert want.weak_certificate["h_at_alpha_min"] == pytest.approx(3.1623e-4, rel=1e-4)
+        shuffled = np.random.default_rng(3).permutation(g)
+        for grid in (g[::-1], shuffled):
+            got = sq.check_mp_qualification(showalter, rho_exp_sqrt, alpha_grid=grid)
+            assert got.to_json_dict() == want.to_json_dict()
+
     def test_landweber_one_point_default_grid(self):
         """mu = 9000 puts the top of the default lambda grid, 0.95/mu, within
         one grid step of its floor 1e-4: a one-point grid."""
