@@ -7,8 +7,12 @@ the file holds them as one JSON array.  ``tests/golden/converge_*`` hold
 the output of four ``converge`` calls: the README call in JSON and in CSV
 (whose fit goes to stderr), a dense CSV matrix through the SVD
 (``dense24.csv``, A = Q1 diag(j^-1) Q2^T with n = 24), and a tsvd study
-whose rows drop the r = 0 terms.  A change that moves any printed value
-shows up here as a diff of a golden file.  After a deliberate change,
+whose rows drop the r = 0 terms.  ``tests/golden/order_source.json`` holds
+60 direct ``check_order_source_pair`` verdicts beyond the catalog: every
+filter x {alpha, alpha^0.5, exp(-1/alpha)} x {lambda, lambda^0.5}, with the
+window h = rho, each as its holds, gamma, witnesses and the repr of its
+tail estimate.  A change that moves any printed value shows up here as a
+diff of a golden file.  After a deliberate change,
 regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -30,6 +34,7 @@ from specqual.qualification import jsonable
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "catalog.json"
+ORDER_SOURCE = GOLDEN_DIR / "order_source.json"
 
 EX4_GRID = (1e-7, 0.15, 448)   # geomspace arguments of the order's certification grid
 EX10_GRID = (1e-7, 0.5, 448)
@@ -54,6 +59,24 @@ def catalog_text() -> str:
     for fid, params, order, grid in CATALOG:
         rho = sq.order_fn(order, None if grid is None else np.geomspace(*grid))
         docs.append(sq.classify(sq.get_filter(fid, **params), rho).to_json_dict())
+    return json.dumps(jsonable(docs), indent=2, allow_nan=False) + "\n"
+
+
+OS_ORDERS = ("alpha", "alpha^0.5", "exp(-1/alpha)")
+OS_SOURCES = ("lambda", "lambda^0.5")
+
+
+def order_source_text() -> str:
+    docs = []
+    for fid in sq.list_filters():
+        filt = sq.get_filter(fid)
+        for order in OS_ORDERS:
+            rho = sq.order_fn(order)
+            for source in OS_SOURCES:
+                v = sq.check_order_source_pair(filt, rho, sq.source_fn(source), rho)
+                docs.append({"filter": fid, "order": order, "source": source,
+                             "holds": v.holds, "gamma": v.gamma, "witnesses": v.witnesses,
+                             "inf_estimate": repr(v.detail["inf_estimate"])})
     return json.dumps(jsonable(docs), indent=2, allow_nan=False) + "\n"
 
 
@@ -83,6 +106,10 @@ def test_catalog_documents_match_golden():
     assert catalog_text() == GOLDEN.read_text(encoding="utf-8")
 
 
+def test_order_source_verdicts_match_golden():
+    assert order_source_text() == ORDER_SOURCE.read_text(encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", sorted(CONVERGE_CALLS))
 def test_converge_output_matches_golden(name):
     out, err = converge_output(CONVERGE_CALLS[name])
@@ -94,6 +121,7 @@ def test_converge_output_matches_golden(name):
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     GOLDEN.write_text(catalog_text(), encoding="utf-8")
+    ORDER_SOURCE.write_text(order_source_text(), encoding="utf-8")
     for name, argv in CONVERGE_CALLS.items():
         out, err = converge_output(argv)
         (GOLDEN_DIR / name).write_text(out, encoding="utf-8")
