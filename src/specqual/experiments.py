@@ -178,10 +178,11 @@ def _default_window(study: ConvergenceStudy) -> tuple[float, float]:
     finite tail does not pollute the fit, and below a tenth of the top
     alpha to stay clear of the large-alpha shoulder."""
     alphas = study.alphas()
-    lo = float(alphas.min())
+    # a study without records gets an empty window, which fit_order rejects
+    lo = float(alphas.min(initial=math.inf))
     if study.source is not None:
         lo = max(lo, 10.0 * float(study.source.model.eigenvalues[-1]))
-    hi = float(alphas.max()) / 10.0
+    hi = float(alphas.max(initial=0.0)) / 10.0
     return (lo, hi)
 
 

@@ -29,6 +29,7 @@ exp(-1/alpha) / exp(-lambda/alpha) computable at all.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -385,6 +386,35 @@ COARSE_POINTS = 64  # lambdas of the coarse scan of each window
 WINDOW_ALPHAS = 96  # geometric alpha subgrid whose window infima are estimated
 
 
+def _scan_window(log_q, log_lo, log_hi):
+    """The coarse scan of each lane's window, from ``log_lo`` (one entry
+    per lane) to ``log_hi`` in ln lambda, and the golden read of its
+    minimum; edge lanes settle by the probe rule of
+    ``check_order_source_pair``.
+
+    Returns the scan lambdas, then the lambdas and ln q of the reads as
+    two lists of arrays: the refined minima first when the golden search
+    ran, then the scan.
+    """
+    t = np.linspace(0.0, 1.0, COARSE_POINTS)
+    Lc = np.exp(log_lo[:, None] + t * (log_hi - log_lo)[:, None])
+    # the scan and a probe inside each window edge, in one call of log_q
+    ln_edge = np.log(Lc[:, [0, -1]])
+    probe = ln_edge + np.array([1.0, -1.0]) * SQRT_EPS * np.maximum(1.0, np.abs(ln_edge))
+    Qc, Qp = np.split(log_q(np.concatenate([Lc, np.exp(probe)], axis=1)), [COARSE_POINTS], axis=1)
+    idx = np.argmin(Qc, axis=1)[:, None]
+    lo = np.log(np.take_along_axis(Lc, np.maximum(idx - 1, 0), axis=1))
+    hi = np.log(np.take_along_axis(Lc, np.minimum(idx + 1, COARSE_POINTS - 1), axis=1))
+    top = (idx == COARSE_POINTS - 1).astype(int)  # column of the lane's probe
+    p = np.take_along_axis(probe, top, axis=1)
+    settled = (((idx == 0) | (top == 1)) & (lo < p) & (p < hi)
+               & (np.take_along_axis(Qp, top, axis=1) > np.take_along_axis(Qc, idx, axis=1)))
+    if settled.all():
+        return Lc, [Lc], [Qc]
+    lam_ref, q_ref = _refine_minima(log_q, lo, hi)
+    return Lc, [lam_ref, Lc], [q_ref, Qc]
+
+
 def check_order_source_pair(
     filt: FilterFamily,
     rho,
@@ -400,7 +430,19 @@ def check_order_source_pair(
 
       * a coarse geometric scan of the window;
       * golden-section refinement of the coarse minimum over the bracket
-        of its two scan neighbours, to sqrt(eps) in ln lambda;
+        of its two scan neighbours, to sqrt(eps) in ln lambda.  An edge
+        lane, whose coarse minimum is the window's first or last scan
+        point, is settled instead by one probe a golden stopping width
+        delta = sqrt(eps) * max(1, |ln lambda_edge|) inside that edge,
+        read in the same residual call as the scan.  If q is unimodal on
+        the bracket, as the golden search assumes, and its minimiser lay
+        beyond the probe, q would be non-increasing from the edge to the
+        probe; so q at the probe strictly above q at the edge puts the
+        minimiser within delta of the edge, below the width the golden
+        search stops at, and the coarse edge read stands.  A tie (q flat
+        at the edge) or a probe outside the bracket settles nothing.
+        When every lane settles, no golden search runs; otherwise every
+        lane is refined as before;
       * for an oscillatory family, q at its dips: each scan lambda snapped
         down to the largest phase root below it (``FilterFamily._dips``)
         that lies in the window, where |r| takes its exact local minimum;
@@ -442,16 +484,7 @@ def check_order_source_pair(
     def residual_q(lam):
         return log_q(lam, filt._r_log(A, lam))
 
-    t = np.linspace(0.0, 1.0, COARSE_POINTS)
-    Lc = np.exp(log_lo[:, None] + t * (log_hi - log_lo)[:, None])
-    Qc = residual_q(Lc)
-    idx = np.argmin(Qc, axis=1)[:, None]
-    lam_ref, q_ref = _refine_minima(
-        residual_q,
-        np.log(np.take_along_axis(Lc, np.maximum(idx - 1, 0), axis=1)),
-        np.log(np.take_along_axis(Lc, np.minimum(idx + 1, COARSE_POINTS - 1), axis=1)),
-    )
-    L, Q = [lam_ref, Lc], [q_ref, Qc]
+    Lc, L, Q = _scan_window(residual_q, log_lo, log_hi)
     if filt._dips is not None:
         Ld, log_rd = filt._dips(A, Lc)
         inside = (Ld >= Lc[:, :1]) & (Ld <= lam_max)
@@ -780,6 +813,13 @@ def _verify_part_b_hypotheses(filt, alphas, lams):
 CANONICAL_SOURCES = ("lambda", "lambda^0.5", "lambda/(1+lambda)")
 
 
+@functools.cache
+def _canonical_sources():
+    """The certified CANONICAL_SOURCES, made once per process on first use
+    (not at import, so a CLI call that never needs them pays nothing)."""
+    return tuple(certify_source_fn(text) for text in CANONICAL_SOURCES)
+
+
 def classify(
     filt: FilterFamily,
     rho,
@@ -841,9 +881,7 @@ def classify(
             detail={"criterion": "s_rho must be finite, positive and stabilized"},
         )
         # weak fallback: a bounded certified source that keeps the ratio bounded
-        candidates = list(_capped_srho_candidates(table)) + [
-            certify_source_fn(text) for text in CANONICAL_SOURCES
-        ]
+        candidates = [*_capped_srho_candidates(table), *_canonical_sources()]
         for cand in candidates:
             verdict = check_weak_pair(filt, cand, rho, lambda_grid, alpha_grid)
             if verdict.holds:

@@ -1,13 +1,18 @@
 """Evaluation counts of the estimator core.
 
 Calls to a filter's ``_r_log``, the (alpha, lambda) points they evaluate,
-and calls to ``tail_limit`` are deterministic, so they gate the batched
-estimators without any wall-clock measurement.  ``_r_log`` is counted on a
-``dataclasses.replace`` copy of the filter and ``tail_limit`` by patching
-the name ``qualification`` calls.
+and calls to ``tail_limit`` and ``certify_source_fn`` are deterministic, so
+they gate the batched estimators without any wall-clock measurement.
+``_r_log`` is counted on a ``dataclasses.replace`` copy of the filter, and
+``tail_limit`` and ``certify_source_fn`` by patching the names
+``qualification`` calls.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,10 +62,9 @@ def test_full_ex9_classify(counts):
     assert counts["points"] <= 80_000
 
 
-def test_order_source_pair_ex9(counts, monkeypatch):
-    """The check on the ex9 catalog row: a coarse scan, one golden lane
-    per alpha stopped at sqrt(eps) and the dips from the phase roots,
-    which make no ``_r_log`` call; 89 calls before."""
+@pytest.fixture
+def check_calls(counts, monkeypatch):
+    """The ``_r_log`` calls of each order-source check, one entry per check."""
     check = qualification.check_order_source_pair
     made = []
 
@@ -71,14 +75,85 @@ def test_order_source_pair_ex9(counts, monkeypatch):
         return verdict
 
     monkeypatch.setattr(qualification, "check_order_source_pair", counted_check)
+    return made
+
+
+def test_order_source_pair_ex9(counts, check_calls):
+    """The check on the ex9 catalog row: a coarse scan, one golden lane
+    per alpha stopped at sqrt(eps) and the dips from the phase roots,
+    which make no ``_r_log`` call; 89 calls before."""
     filt = counted_filter(counts, "ex9_osc")
     report = sq.classify(filt, sq.order_fn("exp(-1/sqrt(alpha))"),
                          include_classical=False, include_mp=False)
     assert not report.evidence["optimal"].holds
-    assert len(made) == 1 and made[0] <= 48
+    assert len(check_calls) == 1 and check_calls[0] <= 48
 
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
+EX10_GRID = np.geomspace(1e-7, 0.5, 448)
+
+
+@pytest.mark.parametrize("fid,order,grid", [
+    ("tikhonov", "alpha", None),
+    ("ex4_log", "-1/ln(alpha)", EX4_GRID),
+])
+def test_edge_lanes_settle_without_golden_search(counts, check_calls, fid, order, grid):
+    """Every lane of these optimal rows has its coarse minimum on the
+    window's low edge, and the probe beside it, read in the scan's own
+    call, settles it; 35 calls when the golden search descended there."""
+    report = sq.classify(counted_filter(counts, fid), sq.order_fn(order, grid),
+                         include_classical=False, include_mp=False)
+    assert report.level == "optimal"
+    assert len(check_calls) == 1 and check_calls[0] <= 2
+
+
+@pytest.mark.parametrize("fid,params,order,grid,calls", [
+    ("ex3_exp", {}, "exp(-1/alpha)", None, 47),
+    ("ex8_osc", {"k": 1.0}, "alpha", None, 41),
+    ("ex9_osc", {}, "exp(-1/sqrt(alpha))", None, 47),
+    ("ex10_osc", {}, "-1/ln(alpha)", EX10_GRID, 38),
+])
+def test_interior_lanes_cost_no_extra_call(counts, fid, params, order, grid, calls):
+    """Rows with an interior lane refine every lane as before; the edge
+    probes ride in the scan's call, so the classify costs no more calls."""
+    sq.classify(counted_filter(counts, fid, **params), sq.order_fn(order, grid),
+                include_classical=False, include_mp=False)
+    assert counts["r_log"] <= calls
+
+
+def test_canonical_sources_certified_once(monkeypatch):
+    """Two weak rows certify the weak fallback's three canonical sources
+    once between them; each row certified all three (6 calls) before."""
+    certify = qualification.certify_source_fn
+    made = []
+
+    def counted_certify(text, *args, **kwargs):
+        made.append(text)
+        return certify(text, *args, **kwargs)
+
+    monkeypatch.setattr(qualification, "certify_source_fn", counted_certify)
+    qualification._canonical_sources.cache_clear()
+    for fid, order in [("tsvd", "alpha"), ("tikhonov", "alpha^0.5")]:
+        report = sq.classify(sq.get_filter(fid), sq.order_fn(order),
+                             include_classical=False, include_mp=False)
+        assert report.level == "weak"
+    assert made == list(qualification.CANONICAL_SOURCES)
+
+
+def test_import_certifies_nothing():
+    """``import specqual`` certifies no function, so a cold CLI call that
+    never reaches the weak fallback pays nothing for its sources."""
+    code = ("import sys, numpy\n"
+            "made = []\n"
+            "sys.setprofile(lambda frame, event, arg: event == 'call'"
+            " and frame.f_code.co_name == '_certify' and made.append(1))\n"
+            "import specqual\n"
+            "sys.setprofile(None)\n"
+            "print(len(made))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(sq.__file__).resolve().parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "0\n"
 
 
 @pytest.mark.parametrize("fid,order,grid,gamma", [

@@ -222,6 +222,15 @@ class TestFitOrder:
             sq.fit_order(study, (0.1, 1))
         assert str(err.value) == "need at least 8 usable records in the window, got 0"
 
+    def test_empty_study_without_window_raises(self):
+        """The default window of an empty study is empty, not numpy's
+        "zero-size array to reduction operation" ValueError."""
+        study = ConvergenceStudy(records=[], filter_id="synthetic", model_provenance="none",
+                                 source_label="s", rho_label="alpha")
+        with pytest.raises(sq.ExperimentError) as err:
+            sq.fit_order(study)
+        assert str(err.value) == "need at least 8 usable records in the window, got 0"
+
     def test_zero_errors_in_window_raise(self, model200, tsvd, s_lambda, rho_alpha, w06):
         study = make_study(model200, tsvd, s_lambda, rho_alpha, w06)
         with pytest.raises(sq.ExperimentError):

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 import specqual as sq
 from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_start
 from specqual import qualification
-from specqual.qualification import (_construct_certificate, _pair_limsup, _refine_minima,
-                                    _windowed_certificate, srho_table)
+from specqual.qualification import (SQRT_EPS, _construct_certificate, _pair_limsup,
+                                    _refine_minima, _scan_window, _windowed_certificate,
+                                    srho_table)
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
@@ -319,6 +320,68 @@ class TestGoldenRefinement:
         tol = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(t), 1.0)
         assert np.all(np.abs(np.log(lam) - t) <= tol)
         np.testing.assert_array_equal(q, log_q(lam))
+
+
+class TestEdgeSettle:
+    """``_scan_window`` settles a lane whose coarse minimum sits on a window
+    edge when q one golden stopping width inside that edge is strictly
+    higher; any other lane sends every lane through ``_refine_minima``
+    on the bracket of its coarse minimum, exactly as without the probe."""
+
+    LOG_LO = np.array([-20.0, -3.0, 0.5])[:, None]
+    LOG_HI = math.log(10.0)
+
+    def scan(self, f, log_lo=LOG_LO):
+        calls = []
+
+        def log_q(lam):
+            calls.append(np.shape(lam))
+            return f(np.log(lam))
+
+        Lc, L, Q = _scan_window(log_q, log_lo[:, 0], self.LOG_HI)
+        return log_q, calls, Lc, L, Q
+
+    @pytest.mark.parametrize("sign,edge", [(1.0, 0), (-1.0, -1)])
+    def test_strict_rise_off_the_edge_settles(self, sign, edge):
+        """q rising off the low edge, or falling into the top one: the
+        scan and probes are the only call, and the read is the scan's."""
+        _, calls, Lc, L, Q = self.scan(lambda x: sign * x)
+        assert len(calls) == 1
+        assert len(L) == len(Q) == 1 and L[0] is Lc
+        assert np.all(np.argmin(Q[0], axis=1) == np.arange(Lc.shape[1])[edge])
+
+    def refined_as_before(self, f, log_lo=LOG_LO):
+        log_q, calls, Lc, L, Q = self.scan(f, log_lo)
+        assert np.all(np.argmin(Q[-1], axis=1) == 0)  # every coarse minimum on the low edge
+        assert len(calls) > 1
+        assert len(L) == len(Q) == 2 and L[1] is Lc
+        lam_ref, q_ref = _refine_minima(log_q, np.log(Lc[:, :1]), np.log(Lc[:, 1:2]))
+        np.testing.assert_array_equal(L[0], lam_ref)
+        np.testing.assert_array_equal(Q[0], q_ref)
+        return L, Q
+
+    def test_flat_at_the_edge_is_refined(self):
+        """q flat over the first half scan step: the probe ties the edge."""
+        half_step = 0.5 * (self.LOG_HI - self.LOG_LO) / (qualification.COARSE_POINTS - 1)
+        self.refined_as_before(lambda x: np.maximum(x - (self.LOG_LO + half_step), 0.0))
+
+    def test_minimum_past_the_probe_is_refined(self):
+        """A V whose vertex lies 1e-6 (several stopping widths) off the
+        low edge of the last lane: the probe reads below the edge, so that
+        lane and the two strictly rising lanes are refined, and the last
+        one lands on the vertex, below its edge read."""
+        vertex = self.LOG_LO + 1e-6
+        assert np.all(1e-6 > SQRT_EPS * np.maximum(1.0, np.abs(self.LOG_LO)))
+        last = np.array([False, False, True])[:, None]
+        L, Q = self.refined_as_before(lambda x: np.where(last, np.abs(x - vertex), x))
+        assert np.abs(np.log(L[0][2, 0]) - vertex[2, 0]) <= SQRT_EPS
+        assert Q[0][2, 0] < Q[1][2, 0]
+
+    def test_window_narrower_than_the_probe_is_refined(self):
+        """A window clamped to 1e-6 below lambda_max (h above it) has scan
+        steps below the stopping width, so the probe would leave the
+        bracket, where the golden search returns its midpoint at once."""
+        self.refined_as_before(lambda x: x, np.array([[self.LOG_HI - 1e-6]]))
 
 
 class TestSourceEstimates:
