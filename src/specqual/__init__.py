@@ -26,7 +26,6 @@ from .expressions import (
     FuncExpr,
     UnboundVariableError,
     UnknownIdentifierError,
-    eval_expr,
     parse_expr,
     to_string,
 )

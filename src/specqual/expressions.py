@@ -1,12 +1,13 @@
 """Closed-form expression DSL for rate and source functions.
 
-A tiny language for functions of a single variable (``alpha`` or
-``lambda``) built from +, -, *, /, ^ and the unary functions exp, ln,
-sqrt, abs, sin.  Expressions are parsed into immutable trees, printed
-back to parseable text, and evaluated strictly (scalar, raising on
-domain violations), in a saturating vectorized mode used by the grid
-estimators, or in the vectorized log channel (``log_eval``) that never
-underflows.
+A tiny language for functions of ``alpha`` and ``lambda`` built from
++, -, *, /, ^ and the unary functions exp, ln, sqrt, abs, sin.
+Expressions are parsed into immutable trees, printed back to parseable
+text, and evaluated in a saturating vectorized mode (``eval_array``) or
+in the vectorized log channel (``log_eval``) that never underflows.
+Neither raises on a domain violation: an out-of-domain point is nan.
+Which variable a rate or source function may use is a rule of its
+certification (``rates``), not of the grammar.
 
 Grammar::
 
@@ -20,7 +21,6 @@ Unary minus binds tighter than '^', i.e. ``-2^2`` is ``(-2)^2 = 4``.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 
@@ -48,7 +48,9 @@ class UnknownIdentifierError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation left the real domain (ln/sqrt of a negative, etc.)."""
+    """A rate or source function used outside its domain: one of a variable
+    other than its own, an uncertified function where a certified one is
+    needed, or a comparison grid on which a ratio is undefined."""
 
 
 class UnboundVariableError(ExprError):
@@ -209,13 +211,9 @@ def variables_of(expr: FuncExpr) -> set[str]:
 def parse_expr(text: str) -> FuncExpr:
     """Parse ``text`` into an expression tree.
 
-    Raises ExprSyntaxError / UnknownIdentifierError on malformed input,
-    and ExprError if the expression mixes both variables.
+    Raises ExprSyntaxError / UnknownIdentifierError on malformed input.
     """
-    node = _Parser(text).parse()
-    if len(variables_of(node)) > 1:
-        raise ExprError("expression mixes 'alpha' and 'lambda'; use one variable")
-    return node
+    return _Parser(text).parse()
 
 
 _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
@@ -263,65 +261,6 @@ def to_string(expr: FuncExpr) -> str:
             if isinstance(right, Unary) and right.op == "neg" and op in "-^":
                 rs = f"({to_string(right)})"
             return f"{ls}{op}{rs}"
-    raise TypeError(f"not a FuncExpr node: {expr!r}")
-
-
-def eval_expr(expr: FuncExpr, binding: dict[str, float]) -> float:
-    """Strict scalar evaluation.
-
-    Domain violations (ln/sqrt of a nonpositive/negative, fractional
-    powers of negatives) raise DomainError; overflow saturates to +/-inf.
-    """
-    match expr:
-        case Const(v):
-            return v
-        case Var(name):
-            if name not in binding:
-                raise UnboundVariableError(name)
-            return float(binding[name])
-        case Unary(op, child):
-            x = eval_expr(child, binding)
-            if op == "neg":
-                return -x
-            if op == "exp":
-                try:
-                    return math.exp(x)
-                except OverflowError:
-                    return math.inf
-            if op == "ln":
-                if x <= 0:
-                    raise DomainError(f"ln of nonpositive value {x}")
-                return math.log(x)
-            if op == "sqrt":
-                if x < 0:
-                    raise DomainError(f"sqrt of negative value {x}")
-                return math.sqrt(x)
-            if op == "abs":
-                return abs(x)
-            if op == "sin":
-                return math.sin(x) if math.isfinite(x) else math.nan
-        case Binary(op, left, right):
-            a = eval_expr(left, binding)
-            b = eval_expr(right, binding)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                if b == 0:
-                    if a == 0:
-                        raise DomainError("0/0")
-                    return math.copysign(math.inf, a) * math.copysign(1.0, b)
-                return a / b
-            if op == "^":
-                try:
-                    return math.pow(a, b)
-                except OverflowError:
-                    return math.inf
-                except ValueError as exc:
-                    raise DomainError(f"({a})^({b}) is not real") from exc
     raise TypeError(f"not a FuncExpr node: {expr!r}")
 
 

@@ -9,8 +9,8 @@ ln|r| is the one residual definition.  Ratios like
 exp(-1/alpha) / r_alpha(lambda) that drive the source-function
 estimators live far below double-precision range for
 e^(-lambda/alpha)-type methods, so the whole estimation stack works on
-ln|r|; the value of r is derived from it as sign * e^(ln|r|), with the
-sign from ``residual_sign``.
+ln|r|; the value of r is derived from it as sign * e^(ln|r|), with
+ln|r| and the sign from one kernel call in ``residual_log_sign``.
 
 Catalog ids (stable interface, used by the CLI and config files):
 tikhonov, tsvd, ex3_exp, ex4_log, ex7_piecewise, ex8_osc(k),
@@ -66,10 +66,13 @@ class ResidualValue:
 class FilterFamily:
     """A parametric spectral filter with a closed-form ln|r|.
 
-    ``_g``, ``_r_log`` and ``_r_sign`` accept numpy arrays (broadcast over
-    alpha and lambda).  A family whose residual can be negative supplies
-    ``_r_sign``; for any other it is None, and ``residual_sign`` reads the
-    sign from ln|r|.  The value of r comes from ``residual_value``.
+    ``_g``, ``_r_log`` and ``_r_log_sign`` accept numpy arrays (broadcast
+    over alpha and lambda).  A family whose residual can be negative
+    supplies ``_r_log_sign(alpha, lambda) -> (ln|r|, sign)``, both from one
+    evaluation of its kernel; for any other it is None, and
+    ``residual_log_sign`` reads the sign from ln|r|.  ``_r_log`` stays the
+    estimators' one-output path.  The value of r comes from
+    ``residual_value``.
     ``_dips(alpha, lambda)`` is the dip set of an oscillatory family: it
     returns the largest point <= lambda (the first one when lambda lies
     below it) where |r| takes an exact local minimum, and ln|r| there; it
@@ -85,7 +88,7 @@ class FilterFamily:
     lambda_sup: float | None = None  # exclusive upper bound on valid lambda
     _g: Callable = None
     _r_log: Callable = None
-    _r_sign: Callable = None
+    _r_log_sign: Callable = None
     _dips: Callable = None
 
     def __post_init__(self):
@@ -130,32 +133,28 @@ def eval_residual(filt: FilterFamily, alpha: float, lam: float) -> ResidualValue
     """r_alpha(lambda) = 1 - lambda*g_alpha(lambda), with ln|r| channel."""
     a = _check_alpha(filt, alpha)
     lm = _check_lambda(filt, lam)
-    log_abs = filt._r_log(a, lm)
-    sign = residual_sign(filt, a, lm, log_abs)
+    log_abs, sign = residual_log_sign(filt, a, lm)
     return ResidualValue(value=float(sign * sat_exp_array(log_abs)),
                          log_abs=float(log_abs), sign=int(sign))
 
 
-def residual_log_abs(filt: FilterFamily, alpha, lam) -> np.ndarray:
-    """Vectorized ln|r_alpha(lambda)| (no range checks; internal fast path)."""
-    return filt._r_log(np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float))
-
-
-def residual_sign(filt: FilterFamily, alpha, lam, log_abs) -> np.ndarray:
-    """The sign of r_alpha(lambda), given ln|r| there: the family's own
-    ``_r_sign`` if it has one, else 0 where ln|r| is -inf or NaN (NaN
-    compares false) and +1 elsewhere."""
-    if filt._r_sign is not None:
-        return filt._r_sign(alpha, lam)
-    return np.where(log_abs > NEG_INF, 1, 0)
+def residual_log_sign(filt: FilterFamily, alpha, lam):
+    """``(ln|r|, sign)`` of r_alpha(lambda) from one kernel call (no range
+    checks): the family's own ``_r_log_sign`` if it has one, else
+    ``_r_log`` with the sign 0 where ln|r| is -inf or NaN (NaN compares
+    false) and +1 elsewhere."""
+    a, lm = np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float)
+    if filt._r_log_sign is not None:
+        return filt._r_log_sign(a, lm)
+    log_abs = filt._r_log(a, lm)
+    return log_abs, np.where(log_abs > NEG_INF, 1, 0)
 
 
 def residual_value(filt: FilterFamily, alpha, lam) -> np.ndarray:
     """Vectorized r_alpha(lambda) = sign * e^(ln|r|), saturating past the
     overflow edge (no range checks)."""
-    a, lm = np.asarray(alpha, dtype=float), np.asarray(lam, dtype=float)
-    log_abs = filt._r_log(a, lm)
-    return residual_sign(filt, a, lm, log_abs) * sat_exp_array(log_abs)
+    log_abs, sign = residual_log_sign(filt, alpha, lam)
+    return sign * sat_exp_array(log_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +271,7 @@ def _ex7_piecewise():
 
     return FilterFamily(
         id="ex7_piecewise", alpha_max=0.4, h2_constant=6.0, oscillatory=False,
-        _g=g, _r_log=lambda a, lm: log_sign(a, lm)[0],
-        _r_sign=lambda a, lm: log_sign(a, lm)[1],
+        _g=g, _r_log=lambda a, lm: log_sign(a, lm)[0], _r_log_sign=log_sign,
     )
 
 
@@ -445,17 +443,15 @@ def make_custom_filter(
     unknown) rather than report a window infimum that missed them.
     """
 
-    def r_log(a, lm):
+    def log_sign(a, lm):
         with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log(np.abs(1.0 - lm * g(a, lm)))
-
-    def r_sign(a, lm):
-        return np.sign(1.0 - lm * g(a, lm))
+            r = 1.0 - lm * g(a, lm)
+            return np.log(np.abs(r)), np.sign(r)
 
     return FilterFamily(
         id=fid, alpha_max=alpha_max, h2_constant=h2_constant,
         oscillatory=oscillatory,
-        _g=g, _r_log=r_log, _r_sign=r_sign,
+        _g=g, _r_log=lambda a, lm: log_sign(a, lm)[0], _r_log_sign=log_sign,
     )
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filters import (FilterFamily, default_alpha_grid, default_lambda_grid,
-                      residual_sign)
+                      residual_log_sign)
 from .limits import (CAP, FLOOR, LimitEstimate, sat_exp, sat_exp_array, tail_limit,
                      tail_start)
 from .rates import (
@@ -786,8 +786,7 @@ def _verify_part_b_hypotheses(filt, alphas, lams):
     probe_a = alphas[:: max(1, len(alphas) // 48)]
     probe_l = lams[:: max(1, len(lams) // 48)]
     with np.errstate(all="ignore"):
-        R = np.asarray(filt._r_log(probe_a[:, None], probe_l[None, :]), dtype=float)
-        signs = np.asarray(residual_sign(filt, probe_a[:, None], probe_l[None, :], R))
+        R, signs = residual_log_sign(filt, probe_a[:, None], probe_l[None, :])
         G = np.asarray(filt._g(probe_a[:, None], probe_l[None, :]), dtype=float)
     bad = signs <= 0
     if np.any(bad):
@@ -846,10 +845,10 @@ def classify(
     table = srho_table(filt, rho, lambda_grid, alpha_grid)
     evidence: dict[str, PairVerdict] = {}
 
-    strong = all(
-        est.stabilized and FLOOR < est.value < CAP and math.isfinite(est.value)
-        for est in table.values()
-    )
+    # FLOOR < v < CAP also rules out nan and inf
+    failing = [lam for lam, est in table.items()
+               if not (est.stabilized and FLOOR < est.value < CAP)]
+    strong = not failing
     level = "none"
     source_label = None
 
@@ -873,11 +872,7 @@ def classify(
     else:
         evidence["strong"] = PairVerdict(
             holds=False,
-            witnesses=[
-                (float(np.min(alpha_grid)), lam)
-                for lam, est in table.items()
-                if not (est.stabilized and FLOOR < est.value < CAP)
-            ][:4],
+            witnesses=[(float(np.min(alpha_grid)), lam) for lam in failing[:4]],
             detail={"criterion": "s_rho must be finite, positive and stabilized"},
         )
         # weak fallback: a bounded certified source that keeps the ratio bounded

@@ -331,6 +331,18 @@ def test_out_of_range_grid_exits_two(capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ("classify", "--filter", "tikhonov", "--order", "alpha+lambda"),
+    ("classify", "--filter", "tikhonov", "--order", "lambda"),
+    ("converge", "--filter", "tikhonov", "--source", "alpha+lambda"),
+], ids=["order-mixed", "order-lambda", "source-mixed"])
+def test_wrong_variable_exits_two(capsys, argv):
+    """The expression parses; certification rejects the variable."""
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, out, err)
+    assert "only" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv", [
     ("classify", "--filter", "ex8_osc", "--param", "k=nan", "--order", "alpha"),
     ("classify", "--filter", "ex8_osc", "--param", "k=inf", "--order", "alpha"),
     ("srho", "--filter", "landweber", "--param", "mu=inf", "--order", "alpha"),

@@ -222,14 +222,14 @@ def test_construct_certificate_is_one_mesh(counts):
 
 
 def test_default_sign_reads_the_callers_ln_r(counts):
-    """A family without its own ``_r_sign`` takes the sign from the ln|r|
+    """A family without its own ``_r_log_sign`` takes the sign from the ln|r|
     its caller holds: a ``replace`` copy and a family built with the
     counted kernel make the same calls, and one value of r is one call.
     A sign closure bound at construction made 4 calls in the axiom check
     on the built family (3 on the copy), 2 in ``residual_value`` and 4 in
     ``eval_residual``."""
     copied = counted_filter(counts, "showalter")
-    built = dataclasses.replace(copied, _r_sign=None)
+    built = dataclasses.replace(copied, _r_log_sign=None)
     made = []
     for filt in (copied, built):
         before = counts["r_log"]
@@ -240,3 +240,30 @@ def test_default_sign_reads_the_callers_ln_r(counts):
         before = counts["r_log"]
         evaluate(built, 0.1, 1.0)
         assert counts["r_log"] - before == 1
+
+
+def test_one_kernel_call_per_residual_value():
+    """ex7's signed kernel and a custom family's g run once per value of r.
+    With a separate sign channel each ran twice per value, and g 5 times
+    in the axiom check."""
+    calls = {"kernel": 0, "g": 0}
+
+    def counted(fn, key):
+        def wrapped(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapped
+
+    ex7 = sq.get_filter("ex7_piecewise")
+    ex7 = dataclasses.replace(ex7, _r_log=counted(ex7._r_log, "kernel"),
+                              _r_log_sign=counted(ex7._r_log_sign, "kernel"))
+    custom = sq.make_custom_filter("custom", counted(sq.get_filter("showalter")._g, "g"),
+                                   alpha_max=1.0, h2_constant=1.0)
+    for evaluate in (sq.filters.residual_value, sq.eval_residual):
+        calls.update(kernel=0, g=0)
+        evaluate(ex7, 0.1, 0.15)
+        evaluate(custom, 0.1, 1.0)
+        assert calls == {"kernel": 1, "g": 1}, evaluate.__name__
+    calls["g"] = 0
+    sq.verify_srm_axioms(custom)
+    assert calls["g"] == 4  # g itself for H1, one value mesh, two H3 probes

@@ -36,8 +36,10 @@ class TestOrderCertification:
         assert sq.certify_order_fn("(1-0.5*sqrt(alpha))^(1/alpha)").certified
 
     def test_wrong_variable_raises(self):
-        with pytest.raises(sq.DomainError):
-            sq.certify_order_fn("lambda")
+        """Parsing accepts either variable; certification admits only alpha."""
+        for text in ("lambda", "alpha+lambda"):
+            with pytest.raises(sq.DomainError):
+                sq.certify_order_fn(text)
 
 
 class TestSourceCertification:
@@ -52,6 +54,11 @@ class TestSourceCertification:
 
     def test_quarter_power(self):
         assert sq.certify_source_fn("lambda^0.25").certified
+
+    def test_wrong_variable_raises(self):
+        for text in ("alpha", "alpha+lambda"):
+            with pytest.raises(sq.DomainError):
+                sq.certify_source_fn(text)
 
 
 class TestLogChannel:
