@@ -11,8 +11,11 @@ whose rows drop the r = 0 terms.  ``tests/golden/order_source.json`` holds
 60 direct ``check_order_source_pair`` verdicts beyond the catalog: every
 filter x {alpha, alpha^0.5, exp(-1/alpha)} x {lambda, lambda^0.5}, with the
 window h = rho, each as its holds, gamma, witnesses and the repr of its
-tail estimate.  A change that moves any printed value shows up here as a
-diff of a golden file.  After a deliberate change,
+tail estimate.  ``tests/golden/cli_*.txt`` hold the exit code (first
+line) and stdout of five CLI calls that print no passing mp-check: the
+README ``srho`` and ``classical`` calls, two failing ``mp-check`` calls
+and ``construct`` in CSV.  A change that moves any printed value shows up
+here as a diff of a golden file.  After a deliberate change,
 regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -95,6 +98,26 @@ CONVERGE_CALLS = {
 }
 
 
+# golden file name -> CLI argv; the file is "exit N" and then stdout
+CLI_CALLS = {
+    "cli_srho_ex4.txt": ("srho", "--filter", "ex4", "--order", "-1/ln(alpha)",
+                         "--lambda", "0.01,0.1,1,10", "--format", "csv"),
+    "cli_classical_ex8.txt": ("classical", "--filter", "ex8", "--param", "k=2"),
+    "cli_mp_showalter.txt": ("mp-check", "--filter", "showalter",
+                             "--order", "exp(-1/sqrt(alpha))"),
+    "cli_mp_landweber.txt": ("mp-check", "--filter", "landweber",
+                             "--order", "(1-0.5*sqrt(alpha))^(1/alpha)"),
+    "cli_construct_showalter.txt": ("construct", "--filter", "showalter", "--format", "csv"),
+}
+
+
+def cli_text(argv) -> str:
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(list(argv))
+    return f"exit {code}\n{out.getvalue()}"
+
+
 def converge_output(argv) -> tuple[str, str]:
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -118,6 +141,11 @@ def test_converge_output_matches_golden(name):
     assert err == (want_err.read_text(encoding="utf-8") if want_err.exists() else "")
 
 
+@pytest.mark.parametrize("name", sorted(CLI_CALLS))
+def test_cli_output_matches_golden(name):
+    assert cli_text(CLI_CALLS[name]) == (GOLDEN_DIR / name).read_text(encoding="utf-8")
+
+
 if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     GOLDEN.write_text(catalog_text(), encoding="utf-8")
@@ -127,3 +155,5 @@ if __name__ == "__main__":
         (GOLDEN_DIR / name).write_text(out, encoding="utf-8")
         if err:
             (GOLDEN_DIR / f"{name}.stderr").write_text(err, encoding="utf-8")
+    for name, argv in CLI_CALLS.items():
+        (GOLDEN_DIR / name).write_text(cli_text(argv), encoding="utf-8")
