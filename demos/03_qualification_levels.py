@@ -34,7 +34,7 @@ MATRIX = [
 for fid, params, rho_text in MATRIX:
     filt = sq.get_filter(fid, **params)
     rho = sq.order_fn(rho_text, np.geomspace(1e-7, filt.alpha_max / 2, 448))
-    report = sq.classify(filt, rho, include_classical=False, include_mp=False)
+    report = sq.classify(filt, rho, companions=False)
     src = f" via {report.source_label}" if report.source_label else ""
     print(f"{fid:15s} rho={rho_text:22s} -> {report.level:8s}{src}")
 

@@ -110,18 +110,18 @@ def build_parser() -> _Parser:
     p.add_argument("--version", action="version", version=f"specqual {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def command(name, help_text, grid=True, lam=False, fmt=True, grid_note=""):
+    def command(name, help_text, grid=True, lam=False, fmt=True):
         p.commands[name] = c = sub.add_parser(name, help=help_text)
         c.add_argument("--filter", required=True, help="catalog filter id")
         c.add_argument("--param", action="append", default=[], metavar="K=V",
                        help="filter parameter (repeatable), e.g. k=1 or mu=0.5")
         if grid:
             c.add_argument("--alpha-min", type=float,
-                           help=f"small end of the alpha grid{grid_note}")
+                           help="small end of the alpha grid")
             c.add_argument("--alpha-max", type=float,
-                           help=f"large end of the alpha grid{grid_note}")
+                           help="large end of the alpha grid")
             c.add_argument("--per-decade", type=int,
-                           help=f"alpha grid density (8..{MAX_PER_DECADE}){grid_note}")
+                           help=f"alpha grid density (8..{MAX_PER_DECADE})")
         if lam:
             c.add_argument("--lambda", dest="lambda_spec",
                            help="comma list '0.01,0.1,1' or 'geo:MIN:MAX:PERDECADE'")
@@ -141,17 +141,13 @@ def build_parser() -> _Parser:
 
     command("classical", "bracket the classical qualification order", grid=False)
 
-    c = command("mp-check", "check the increasing-weight inequality", fmt=False,
-                grid_note="; certifies --order only, the check samples its own "
-                          "grid on (0, a]")
+    c = command("mp-check", "check the increasing-weight inequality", grid=False, fmt=False)
     c.add_argument("--order", required=True)
     c.add_argument("--a", type=float, default=1.0, help="right end of the interval (0, a]")
 
     command("construct", "build the (h, rho*) weak-qualification pair")
 
-    c = command("converge", "run a convergence study on a spectral model",
-                grid_note="; certifies --order only, the study uses a fixed "
-                          "150-point alpha grid")
+    c = command("converge", "run a convergence study on a spectral model", grid=False)
     c.add_argument("--order", default="alpha")
     c.add_argument("--source", required=True, help="source expression in lambda")
     c.add_argument("--model", default="diag:j^-2",
@@ -359,10 +355,7 @@ def cmd_classical(args) -> int:
 
 def cmd_mp_check(args) -> int:
     filt = _get_filter(args)
-    agrid = _alpha_grid(args, filt)
-    rho = _certified(args, "order", agrid)
-    if args.a <= 0:
-        raise InputError("--a must be positive")
+    rho = _certified(args, "order", default_alpha_grid(filt))
     verdict = check_mp_qualification(filt, rho, a=args.a)
     _emit(args, _dump_json({"filter": filt.id, "order": rho.label,
                             **verdict.to_json_dict()}))
@@ -389,8 +382,7 @@ def cmd_converge(args) -> int:
     filt = _get_filter(args)
     model = _load_model(args)
     source = _certified(args, "source")
-    agrid = _alpha_grid(args, filt)
-    rho = _certified(args, "order", agrid)
+    rho = _certified(args, "order", default_alpha_grid(filt))
 
     if not args.generator.startswith("j^"):
         raise InputError("--generator must look like 'j^-0.6'")

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import FilterFamily, default_alpha_grid, default_lambda_grid
+from .filters import FilterFamily
 from .limits import sat_exp_column, tail_limit
 from .operators import (
     MembershipVerdict,
@@ -309,12 +309,7 @@ def maximal_source_demo(
     Candidates failing the strong-pair test are excluded from inclusion
     claims.
     """
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(filt)
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt)
-    report = classify(filt, rho, lambda_grid, alpha_grid,
-                      include_classical=False, include_mp=False)
+    report = classify(filt, rho, lambda_grid, alpha_grid, companions=False)
     if report.level not in ("strong", "optimal"):
         raise ExperimentError(
             f"maximal-source demo requires strong qualification; got '{report.level}'"

@@ -37,6 +37,7 @@ H3_SHRINK = 0.5
 H3_LAMBDA_MIN = 0.01
 
 ALPHA_GRID_MIN = 1e-7  # default small end of the working alpha grid
+LAMBDA_GRID_MAX = 10.0  # default top of the lambda grid, below any lambda_sup clamp
 
 
 class FilterError(ValueError):
@@ -213,7 +214,7 @@ def _ex3_exp():
         with np.errstate(divide="ignore"):
             u = 1.0 / a[pos] + np.log(lm[pos])
         out[pos] = np.log1p(lm[pos]) - _softplus(u)
-        return out.reshape(np.broadcast(a, lm).shape)
+        return out
 
     return FilterFamily(
         id="ex3_exp", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
@@ -253,7 +254,7 @@ def _ex7_piecewise():
         ao, lo = a[~inner], lm[~inner]
         h = ao / (ao + np.log(ao / (ao + lo)))
         out[~inner] = (1.0 - h) / (lo + h)
-        return out.reshape(np.broadcast(a, lm).shape)
+        return out
 
     def log_sign(a, lm):
         # inner: r = 1 - lm*c(a); outer: r = a(1+lm)/den, whose numerator
@@ -301,7 +302,7 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
             (1.0 - np.exp(-ln_ / an)) / ln_
             - cn * ln_ ** -1.5 * np.abs(np.sin(ln_ ** 1.5 / an))
         )
-        return out.reshape(np.broadcast(a, lm).shape)
+        return out
 
     def r_log(a, lm):
         # each factor on its own axis, then one broadcast; lambda == 0
@@ -353,7 +354,7 @@ def _landweber(mu: float = 0.5):
         out[zero] = mu / a[zero]
         an, ln_ = a[~zero], lm[~zero]
         out[~zero] = -np.expm1(np.log1p(-mu * ln_) / an) / ln_
-        return out.reshape(np.broadcast(a, lm).shape)
+        return out
 
     def r_log(a, lm):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -373,7 +374,7 @@ def _showalter():
         zero = lm == 0
         out[zero] = 1.0 / a[zero]
         out[~zero] = -np.expm1(-lm[~zero] / a[~zero]) / lm[~zero]
-        return out.reshape(np.broadcast(a, lm).shape)
+        return out
 
     def r_log(a, lm):
         return -np.asarray(lm, float) / np.asarray(a, float) * np.ones(
@@ -490,13 +491,15 @@ def default_alpha_grid(filt: FilterFamily, alpha_min: float = ALPHA_GRID_MIN,
 
 
 def default_lambda_grid(filt: FilterFamily, lam_min: float = 1e-2,
-                        lam_max: float = 10.0, per_decade: int = 4) -> np.ndarray:
-    """Default lambda sample set, clamped below the family's valid bound.
+                        per_decade: int = 4) -> np.ndarray:
+    """Default lambda sample set up to LAMBDA_GRID_MAX, clamped below the
+    family's valid bound.
 
     The grid ascends and stays below ``lambda_sup``: when the clamped top
     falls to or below ``lam_min`` (landweber with mu >= 0.95 / lam_min),
     the grid spans the decade below the clamped top instead.
     """
+    lam_max = LAMBDA_GRID_MAX
     if filt.lambda_sup is not None:
         lam_max = min(lam_max, 0.95 * filt.lambda_sup)
         if lam_max <= lam_min:
@@ -566,10 +569,8 @@ def verify_srm_axioms(filt: FilterFamily,
     if h3_lams.size == 0:
         h3_lams = lambda_grid[lambda_grid > 0]
     with np.errstate(all="ignore"):
-        r_floor = np.abs(sat_exp_array(filt._r_log(np.array([alpha_grid[0]]), h3_lams)))
-        r_deep = np.abs(sat_exp_array(filt._r_log(np.array([H3_PROBE_ALPHA]), h3_lams)))
-    r_floor = np.ravel(r_floor)
-    r_deep = np.ravel(r_deep)
+        r_floor = sat_exp_array(filt._r_log(np.array([alpha_grid[0]]), h3_lams))
+        r_deep = sat_exp_array(filt._r_log(np.array([H3_PROBE_ALPHA]), h3_lams))
     ok = (r_deep <= H3_ABS_TOL) | (r_deep <= H3_SHRINK * r_floor)
     h3 = bool(np.all(ok))
     worst = float(np.max(r_deep)) if r_deep.size else 0.0

@@ -24,6 +24,7 @@ MAX_DIM = 512
 MEMBERSHIP_TAIL_SHARE = 0.10   # last-quartile share of sum v_j^2 marking decay
 MEMBERSHIP_GROWTH = 10.0       # |v_j| may exceed the running floor by this factor
 SOURCE_FLOOR = 1e-300
+SVD_RTOL = 1e-12  # singular values at or below SVD_RTOL * sigma_max are dropped
 
 
 class OperatorError(ValueError):
@@ -40,7 +41,6 @@ class SpectralModel:
 
     eigenvalues: np.ndarray
     provenance: str
-    tnorm_sq: float = None  # reference operator norm squared (defaults to eig_1)
 
     def __post_init__(self):
         eig = np.asarray(self.eigenvalues, dtype=float)
@@ -51,10 +51,6 @@ class SpectralModel:
             raise OperatorError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) > 0):
             raise OperatorError("eigenvalues must be sorted descending")
-        if self.tnorm_sq is None:
-            object.__setattr__(self, "tnorm_sq", float(eig[0]))
-        elif eig[0] > self.tnorm_sq * (1 + 1e-12):
-            raise OperatorError("largest eigenvalue exceeds the declared norm")
 
     @property
     def dim(self) -> int:
@@ -122,24 +118,22 @@ def load_matrix_csv(path: str) -> np.ndarray:
     return np.asarray(rows, dtype=float)
 
 
-def svd_decompose(matrix: np.ndarray, tol: float = 1e-12):
+def svd_decompose(matrix: np.ndarray):
     """Spectral model of T*T from a dense matrix via the LAPACK SVD.
 
     Returns (model, U, sigma, V) with A = U @ diag(sigma) @ V.T, sigma
     descending; eigenvalues are the squared singular values above
-    tol * sigma_max.
+    SVD_RTOL * sigma_max.
     """
     A = np.asarray(matrix, dtype=float)
     if A.ndim != 2:
         raise OperatorError("matrix must be 2-d")
     if max(A.shape) > MAX_DIM:
         raise DimensionError(f"matrix dimensions capped at {MAX_DIM}, got {A.shape}")
-    if not 1e-14 <= tol <= 1e-8:
-        raise OperatorError(f"tol must lie in [1e-14, 1e-8], got {tol}")
     if not np.all(np.isfinite(A)):
         raise OperatorError("matrix entries must be finite")
     U, sigma, Vt = np.linalg.svd(A, full_matrices=False)
-    keep = sigma > sigma[0] * tol
+    keep = sigma > sigma[0] * SVD_RTOL
     if not np.any(keep):
         raise OperatorError("matrix is numerically zero; no spectral model")
     model = SpectralModel(

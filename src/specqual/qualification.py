@@ -208,6 +208,14 @@ def _require_certified(fn, what):
         raise UncertifiedError(what)
 
 
+def _grids(filt, lambda_grid, alpha_grid):
+    """The lambda and alpha grids as float arrays, each the family's
+    default where it is None."""
+    lams = default_lambda_grid(filt) if lambda_grid is None else lambda_grid
+    alphas = default_alpha_grid(filt) if alpha_grid is None else alpha_grid
+    return np.asarray(lams, dtype=float), np.asarray(alphas, dtype=float)
+
+
 def _tail_mesh(alpha_grid, n_rows):
     """The grid x = -ln(alpha) in ascending order and an uninitialized
     (rows x points) mesh on it, with the alphas of the columns
@@ -251,15 +259,11 @@ def srho_table(
     """``estimate_srho`` at every lambda: one residual mesh over
     (lambda x alpha) and one batched tail estimate."""
     _require_certified(rho, "order function")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(filt)
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt)
-    lams = np.asarray(lambda_grid, dtype=float)
+    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
     bad = lams[~(lams > 0)]
     if bad.size:
         raise QualificationError(f"lambda must be positive, got {bad[0]}")
-    xs, log_ratio, alphas, tail = _tail_mesh(alpha_grid, lams.size)
+    xs, log_ratio, alphas, tail = _tail_mesh(alphas, lams.size)
     with np.errstate(all="ignore"):
         tail[:] = rho.log_at(alphas) - filt._r_log(alphas, lams[:, None])
     ests = tail_limit(xs, log_ratio, "liminf")
@@ -293,12 +297,7 @@ def check_weak_pair(
     """Is s(lm)|r|/rho bounded in alpha for every sampled lambda?"""
     _require_certified(s, "source function")
     _require_certified(rho, "order function")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(filt)
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt)
-    alphas = np.asarray(alpha_grid, dtype=float)
-    lams = np.asarray(lambda_grid, dtype=float)
+    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
 
     witnesses = []
     bound = 0.0
@@ -326,13 +325,12 @@ def check_strong_pair(
     alpha_grid: np.ndarray | None = None,
 ) -> PairVerdict:
     """Weak pair whose limsup also stays bounded away from zero."""
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt)
-    weak = check_weak_pair(filt, s, rho, lambda_grid, alpha_grid)
+    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
+    weak = check_weak_pair(filt, s, rho, lams, alphas)
     if not weak.holds:
         return PairVerdict(holds=False, witnesses=weak.witnesses,
                            detail={"failed": "weak", **weak.detail})
-    alpha_min = float(np.min(alpha_grid))
+    alpha_min = float(np.min(alphas))
     witnesses = [(alpha_min, lam) for lam, est in weak.detail["estimates"].items()
                  if not est.positive]
     return PairVerdict(
@@ -461,13 +459,8 @@ def check_order_source_pair(
             f"oscillatory filter '{filt.id}' has its dips unknown (no dip set), "
             "so its order-source window infimum cannot be bounded"
         )
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(filt)
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt)
-    lam_max = float(np.max(lambda_grid))
-
-    alphas = np.asarray(alpha_grid, dtype=float)
+    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
+    lam_max = float(np.max(lams))
     n_alpha = min(WINDOW_ALPHAS, alphas.size)
     sub = np.geomspace(alphas[0], alphas[-1], n_alpha)
 
@@ -824,8 +817,7 @@ def classify(
     rho,
     lambda_grid: np.ndarray | None = None,
     alpha_grid: np.ndarray | None = None,
-    include_classical: bool = True,
-    include_mp: bool = True,
+    companions: bool = True,
 ) -> QualificationReport:
     """Classify rho as none/weak/strong/optimal qualification of the filter.
 
@@ -834,13 +826,12 @@ def classify(
     optimal additionally requires the tabulated s_rho to form an
     order-source pair with rho (the window h is rho itself, clamped into
     the lambda range); weak falls back to a canonical list of
-    bounded certified sources when strong fails.
+    bounded certified sources when strong fails.  With ``companions``
+    the report also carries the classical-order bracket and the
+    increasing-weight check; without them both are None.
     """
     _require_certified(rho, "order function")
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(filt)
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt)
+    lambda_grid, alpha_grid = _grids(filt, lambda_grid, alpha_grid)
 
     table = srho_table(filt, rho, lambda_grid, alpha_grid)
     evidence: dict[str, PairVerdict] = {}
@@ -889,21 +880,18 @@ def classify(
                 holds=False, detail={"criterion": "no candidate source found"}
             )
 
-    classical = estimate_classical_order(filt) if include_classical else None
-    mp = check_mp_qualification(filt, rho) if include_mp else None
-
     return QualificationReport(
         filter_id=filt.id,
         rho_label=getattr(rho, "label", "rho"),
         level=level,
         srho_table=table,
-        classical_mu0=classical,
-        mp_verdict=mp,
+        classical_mu0=estimate_classical_order(filt) if companions else None,
+        mp_verdict=check_mp_qualification(filt, rho) if companions else None,
         evidence=evidence,
         source_label=source_label,
         grid_meta={
-            "lambda_grid": [float(x) for x in np.asarray(lambda_grid)],
-            "alpha_points": int(np.asarray(alpha_grid).size),
+            "lambda_grid": [float(x) for x in lambda_grid],
+            "alpha_points": int(alpha_grid.size),
             "alpha_range": (float(np.min(alpha_grid)), float(np.max(alpha_grid))),
         },
     )

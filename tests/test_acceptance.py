@@ -54,8 +54,7 @@ def test_criterion_1_classification_matrix():
     for fid, params, rho_text, grid, want in matrix:
         filt = sq.get_filter(fid, **params)
         rho = sq.order_fn(rho_text, grid)
-        level = sq.classify(filt, rho, include_classical=False,
-                            include_mp=False).level
+        level = sq.classify(filt, rho, companions=False).level
         results.append((fid, rho_text, level, want, level == want))
     bad = [r for r in results if not r[4]]
     # the weak rows must also NOT reach strong; strong rows must miss optimal

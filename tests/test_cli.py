@@ -172,10 +172,11 @@ class TestMpCheck:
         doc = json.loads(out)
         assert doc["weak_certificate"]["holds"]
 
-    @pytest.mark.parametrize("a", ["inf", "5e-5", "1e-6", "9e-5"])
+    @pytest.mark.parametrize("a", ["inf", "5e-5", "1e-6", "9e-5", "-1", "0"])
     def test_interval_bound_out_of_range_exits_two(self, capsys, a):
-        """A non-finite a, or one below the lambda grid's 1e-4 floor (which
-        would sample lambda outside (0, a]), is an input error."""
+        """A non-positive or non-finite a, or one below the lambda grid's
+        1e-4 floor (which would sample lambda outside (0, a]), is an input
+        error."""
         assert_input_error(*run(capsys, "mp-check", "--filter", "showalter",
                                 "--order", "exp(-1/sqrt(alpha))", "--a", a))
 
@@ -489,6 +490,10 @@ def test_config_values_checked_like_flags(capsys, tmp_path, command, config):
     ("classical", "--filter", "tikhonov", "--alpha-min", "1e-5"),
     ("classical", "--filter", "tikhonov", "--alpha-max", "0.1"),
     ("classical", "--filter", "tikhonov", "--per-decade", "16"),
+    *[(cmd, "--filter", "tikhonov", *extra, flag, value) for cmd, extra in [
+        ("mp-check", ("--order", "alpha")), ("converge", ("--source", "lambda"))]
+      for flag, value in [("--alpha-min", "1e-5"), ("--alpha-max", "0.1"),
+                          ("--per-decade", "16")]],
     ("mp-check", "--filter", "tikhonov", "--order", "alpha", "--lambda", "1"),
     ("construct", "--filter", "tikhonov", "--lambda", "1"),
     ("converge", "--filter", "tikhonov", "--source", "lambda", "--lambda", "1"),
@@ -549,6 +554,25 @@ BASE_FLAGS = {
     "construct": {"--filter": "showalter"},
     "converge": {"--filter": "tikhonov", "--source": "lambda", "--dim": "16"},
 }
+GRID_FLAGS = {"--alpha-min": "1e-6", "--alpha-max": "0.4", "--per-decade": "32"}
+# BASE_FLAGS, with an srho order whose table moves with the alpha grid (the
+# tikhonov table of alpha prints the same digits on any grid top or density)
+GRID_BASE_FLAGS = {**BASE_FLAGS, "srho": {**BASE_FLAGS["srho"], "--order": "alpha^0.5"}}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, parser in sorted(COMMANDS.items())
+    for flag in GRID_FLAGS if flag in parser.value_flags])
+def test_registered_grid_flag_changes_stdout(capsys, command, flag):
+    """No flag does nothing: each alpha-grid flag a subcommand registers
+    moves what it prints."""
+    base = [tok for pair in GRID_BASE_FLAGS[command].items() for tok in pair]
+    _, want, _ = run(capsys, command, *base)
+    code, out, _ = run(capsys, command, *base, flag, GRID_FLAGS[flag])
+    assert code in (0, 1, 3)
+    assert out != want
+
+
 # a --param value switches the call to the family that reads the parameter
 PARAM_FILTERS = {"k": "ex8_osc", "mu": "landweber"}
 ADVERSARIAL_VALUES = [

@@ -83,8 +83,7 @@ def test_order_source_pair_ex9(counts, check_calls):
     per alpha stopped at sqrt(eps) and the dips from the phase roots,
     which make no ``_r_log`` call; 89 calls before."""
     filt = counted_filter(counts, "ex9_osc")
-    report = sq.classify(filt, sq.order_fn("exp(-1/sqrt(alpha))"),
-                         include_classical=False, include_mp=False)
+    report = sq.classify(filt, sq.order_fn("exp(-1/sqrt(alpha))"), companions=False)
     assert not report.evidence["optimal"].holds
     assert len(check_calls) == 1 and check_calls[0] <= 48
 
@@ -101,8 +100,7 @@ def test_edge_lanes_settle_without_golden_search(counts, check_calls, fid, order
     """Every lane of these optimal rows has its coarse minimum on the
     window's low edge, and the probe beside it, read in the scan's own
     call, settles it; 35 calls when the golden search descended there."""
-    report = sq.classify(counted_filter(counts, fid), sq.order_fn(order, grid),
-                         include_classical=False, include_mp=False)
+    report = sq.classify(counted_filter(counts, fid), sq.order_fn(order, grid), companions=False)
     assert report.level == "optimal"
     assert len(check_calls) == 1 and check_calls[0] <= 2
 
@@ -116,8 +114,7 @@ def test_edge_lanes_settle_without_golden_search(counts, check_calls, fid, order
 def test_interior_lanes_cost_no_extra_call(counts, fid, params, order, grid, calls):
     """Rows with an interior lane refine every lane as before; the edge
     probes ride in the scan's call, so the classify costs no more calls."""
-    sq.classify(counted_filter(counts, fid, **params), sq.order_fn(order, grid),
-                include_classical=False, include_mp=False)
+    sq.classify(counted_filter(counts, fid, **params), sq.order_fn(order, grid), companions=False)
     assert counts["r_log"] <= calls
 
 
@@ -134,8 +131,7 @@ def test_canonical_sources_certified_once(monkeypatch):
     monkeypatch.setattr(qualification, "certify_source_fn", counted_certify)
     qualification._canonical_sources.cache_clear()
     for fid, order in [("tsvd", "alpha"), ("tikhonov", "alpha^0.5")]:
-        report = sq.classify(sq.get_filter(fid), sq.order_fn(order),
-                             include_classical=False, include_mp=False)
+        report = sq.classify(sq.get_filter(fid), sq.order_fn(order), companions=False)
         assert report.level == "weak"
     assert made == list(qualification.CANONICAL_SOURCES)
 
@@ -164,8 +160,7 @@ def test_import_certifies_nothing():
 def test_optimal_catalog_gamma(fid, order, grid, gamma):
     """The window infima of the optimal catalog rows, pinned as the zoom
     pass and the double-resolution refinement gave them."""
-    report = sq.classify(sq.get_filter(fid), sq.order_fn(order, grid),
-                         include_classical=False, include_mp=False)
+    report = sq.classify(sq.get_filter(fid), sq.order_fn(order, grid), companions=False)
     assert report.level == "optimal"
     assert report.evidence["optimal"].gamma == pytest.approx(gamma, rel=1e-12)
 

@@ -523,7 +523,7 @@ class TestOrderSourcePairs:
 
         monkeypatch.setattr(qualification, "check_order_source_pair", recorded_check)
         monkeypatch.setattr(qualification, "tail_limit", recorded_tail)
-        sq.classify(ex9, rho_exp_sqrt, include_classical=False, include_mp=False)
+        sq.classify(ex9, rho_exp_sqrt, companions=False)
         assert len(calls) == len(infima) == 1
         _, rho, s, _, lambda_grid, _ = calls[0]
         (xs, gam_log), = infima
@@ -561,7 +561,7 @@ def classify_reports():
         filt = sq.get_filter(fid, **params)
         rho = sq.order_fn(rho_text, grid)
         out[(fid, rho_text)] = (
-            sq.classify(filt, rho, include_classical=False, include_mp=False),
+            sq.classify(filt, rho, companions=False),
             want,
         )
     return out
@@ -679,8 +679,7 @@ class TestClassicalOrder:
     def test_piecewise_brackets_one_but_is_not_strong(self, ex7):
         co = sq.estimate_classical_order(ex7)
         assert co.low == 1.0 and co.high == 2.0
-        report = sq.classify(ex7, sq.order_fn("alpha"),
-                             include_classical=False, include_mp=False)
+        report = sq.classify(ex7, sq.order_fn("alpha"), companions=False)
         assert report.level == "weak"
 
     def test_exponential_filter_infinite(self, ex3):
@@ -790,9 +789,42 @@ def test_mp_qualification_implies_weak_level():
             if not sq.check_mp_qualification(filt, rho).passes:
                 continue
             passing += 1
-            report = sq.classify(filt, rho, include_classical=False, include_mp=False)
+            report = sq.classify(filt, rho, companions=False)
             assert report.level != "none", (fid, text)
     assert passing >= 33
+
+
+# powers, exponentials and logs, for the relations between verdicts
+RELATION_ORDERS = [*MP_ORDERS, "(-ln(alpha))^(-1/2)"]
+
+
+def test_weak_or_better_is_upward_closed_under_precedes():
+    """If rho1 precedes rho2 (rho1 <= C rho2 toward 0) and rho1 is weak or
+    better, so is rho2: s|r|/rho2 <= C s|r|/rho1 stays bounded."""
+    orders = {text: sq.order_fn(text) for text in RELATION_ORDERS}
+    pairs = [(lo, hi) for lo in orders for hi in orders
+             if lo != hi and sq.precedes(orders[lo], orders[hi]).holds]
+    checked = 0
+    for fid in sq.list_filters():
+        filt = sq.get_filter(fid)
+        weak = {text for text, rho in orders.items()
+                if sq.classify(filt, rho, companions=False).level != "none"}
+        checked += sum(lo in weak for lo, _ in pairs)
+        assert [(lo, hi) for lo, hi in pairs if lo in weak and hi not in weak] == [], fid
+    assert checked >= 100
+
+
+# rho -> c rho and rho -> rho (1 + alpha)^(+-1) keep rho's equivalence class
+EQUIVALENT_FORMS = ["2*({})", "({})/3", "({})*(1+alpha)", "({})/(1+alpha)"]
+
+
+@pytest.mark.parametrize("fid,params,rho_text,grid,want", CLASSIFY_MATRIX,
+                         ids=[f"{row[0]}-{row[2]}" for row in CLASSIFY_MATRIX])
+def test_level_is_invariant_under_equivalent_orders(fid, params, rho_text, grid, want):
+    filt = sq.get_filter(fid, **params)
+    levels = [sq.classify(filt, sq.order_fn(form.format(rho_text), grid),
+                          companions=False).level for form in EQUIVALENT_FORMS]
+    assert levels == [want] * len(EQUIVALENT_FORMS)
 
 
 def _construct_grid(filt, grid):
