@@ -586,7 +586,8 @@ def check_mp_qualification(
     The ratio sup_lm |r_alpha(lm)| rho(lm) / rho(alpha) is followed toward
     alpha -> 0 by the tail estimator, the same rule as every other
     boundedness verdict: the check passes when its limsup reads as
-    bounded, with gamma = the tail maximum of the ratio.  A failure
+    bounded, with gamma = the ratio's maximum over the whole alpha grid,
+    so gamma bounds the ratio at every sampled alpha.  A failure
     reports the alpha where the ratio is largest and its growth, the
     largest over the smallest ratio on the alpha grid; the growth is +inf
     when that quotient overflows a double or the ratio is not finite (an
@@ -623,9 +624,9 @@ def check_mp_qualification(
     xs = -np.log(alphas)
     order = np.argsort(xs)
     est = tail_limit(xs[order], ratio_log[order], "limsup")
-    if est.bounded:
-        return MPVerdict(passes=True, gamma=est.tail_max)
     hi, lo = float(np.max(ratio_log)), float(np.min(ratio_log))
+    if est.bounded:
+        return MPVerdict(passes=True, gamma=sat_exp(hi))
     return MPVerdict(
         passes=False,
         witness_alpha=float(alphas[np.argmax(ratio_log)]),

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import specqual as sq
 from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_start
 from specqual import qualification
+from specqual.filters import residual_value
 from specqual.qualification import (SQRT_EPS, _construct_certificate, _pair_limsup,
                                     _refine_minima, _scan_window, _windowed_certificate,
                                     srho_table)
@@ -760,6 +761,39 @@ class TestIncreasingWeightCheck:
         The median rule read the drop as a 1e304-fold growth at the grid
         median alpha = 3.28e-4 and failed all five."""
         assert sq.check_mp_qualification(ex3, sq.order_fn(rho_text)).passes
+
+    @pytest.mark.parametrize("fid,rho_text", [
+        ("tsvd", "alpha"), ("ex3_exp", "alpha"), ("ex7_piecewise", "alpha"),
+        ("ex8_osc", "alpha"), ("tikhonov", "alpha^0.5"), ("showalter", "alpha")])
+    def test_passing_gamma_bounds_the_ratio_at_every_alpha(self, fid, rho_text):
+        """gamma bounds sup_lm |r_alpha(lm)| rho(lm) / rho(alpha) on the
+        whole alpha grid, not only on its small-alpha half (where ex3_exp
+        read gamma = 0.0 while the ratio reached 0.557)."""
+        filt, rho = sq.get_filter(fid), sq.order_fn(rho_text)
+        # the check's default grids on (0, 1]
+        top = min(1.0, filt.alpha_max * (1 - 1e-12))
+        alphas = np.geomspace(1e-7, top, int(64 * math.log10(top / 1e-7)))
+        lams = np.geomspace(1e-4, 1.0, 65)
+        verdict = sq.check_mp_qualification(filt, rho)
+        assert verdict.passes
+        assert verdict == sq.check_mp_qualification(filt, rho, 1.0, lams, alphas)
+        with np.errstate(all="ignore"):
+            r = np.abs(residual_value(filt, alphas[:, None], lams))
+        ratio = np.max(r * rho.at(lams), axis=1) / rho.at(alphas)
+        assert np.all(ratio <= verdict.gamma * (1 + 1e-12))
+
+    @pytest.mark.parametrize("fid,rho_text,gamma", [
+        ("showalter", "alpha", math.exp(-1.0)),
+        ("tikhonov", "alpha^0.5", 0.5),
+        ("tikhonov", "alpha^0.25", 0.25 ** 0.25 * 0.75 ** 0.75),
+    ], ids=["showalter", "tikhonov-0.5", "tikhonov-0.25"])
+    def test_passing_gamma_is_the_closed_form_supremum(self, fid, rho_text, gamma):
+        """sup e^(-lm/alpha) lm/alpha = 1/e, and tikhonov's
+        sup (alpha/(alpha+lm)) (lm/alpha)^nu = nu^nu (1-nu)^(1-nu), both at
+        lm/alpha fixed, which the grids sample."""
+        verdict = sq.check_mp_qualification(sq.get_filter(fid), sq.order_fn(rho_text))
+        assert verdict.passes
+        assert verdict.gamma == pytest.approx(gamma, rel=1e-6)
 
     def test_tikhonov_growth_is_the_grid_span(self, tikhonov):
         """For rho = alpha^2 the sup over lm <= 1 sits at lm = 1, so the
