@@ -37,7 +37,7 @@ H3_SHRINK = 0.5
 H3_LAMBDA_MIN = 0.01
 
 ALPHA_GRID_MIN = 1e-7  # default small end of the working alpha grid
-LAMBDA_GRID_MAX = 10.0  # default top of the lambda grid, below any lambda_sup clamp
+LAMBDA_GRID_MAX = 10.0  # top of the default lambda grid before the lambda_sup clamp
 
 
 class FilterError(ValueError):

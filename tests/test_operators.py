@@ -43,10 +43,11 @@ class TestJacobiSVD:
 
     def test_rank_deficient(self):
         A = np.outer([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])
-        _, U, s, V = sq.svd_decompose(A)
+        model, U, s, V = sq.svd_decompose(A)
         resid = np.linalg.norm(A - U @ np.diag(s) @ V.T) / np.linalg.norm(A)
         assert resid < 1e-10
         assert np.sum(s > 1e-10 * s[0]) == 1
+        assert model.dim == 1  # the two round-off singular values fall below SVD_RTOL
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_entries_rejected(self, bad):
