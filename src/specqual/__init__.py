@@ -45,7 +45,7 @@ from .filters import (
     make_custom_filter,
     verify_srm_axioms,
 )
-from .limits import LimitEstimate, tail_limit
+from .limits import LimitEstimate, Tail, tail_limit, tail_of
 from .rates import (
     CompareVerdict,
     OrderFn,

@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .filters import FilterFamily
-from .limits import sat_exp_column, tail_limit
+from .limits import sat_exp_column, tail_limit, tail_of
 from .operators import (
     MembershipVerdict,
     SourceElement,
@@ -241,10 +241,9 @@ def _study_ratio_bounded(study: ConvergenceStudy) -> bool:
     recs = [r for r in study.records if math.isfinite(r.log_ratio)]
     if len(recs) < 8:
         return True
-    xs = np.array([-math.log(r.alpha) for r in recs])
+    t = tail_of([r.alpha for r in recs])
     lv = np.array([r.log_ratio for r in recs])
-    order = np.argsort(xs)
-    est = tail_limit(xs[order], lv[order], "limsup", cap=STUDY_RATIO_CAP)
+    est = tail_limit(t, lv[t.index], "limsup", cap=STUDY_RATIO_CAP)
     return bool(est.bounded and est.value < STUDY_RATIO_CAP)
 
 

@@ -16,17 +16,21 @@ Raw tail extrema are not enough.  Three behaviors must be told apart:
   power-law divergences reach only ~1e6 on representable grids, so the
   1e12 cap alone cannot flag them and the trend has to.
 
-The tail (small-alpha half of the grid in log scale) is split into
-consecutive geometric blocks; block extrema and their locations drive
-the trend classification, the Richardson correction, and the
-stabilization verdict (the estimate must move less than 5% when the
-window is advanced by one block).
+``tail_of`` turns an alpha grid, in any order, into its ``Tail``: the
+small-alpha half of the grid in log scale, as the alphas, their
+positions in the grid and x = -ln(alpha), ascending in x.  A caller
+evaluates its statistic on ``Tail.alphas`` only and hands the values to
+``tail_limit``.  The tail is split into consecutive geometric blocks;
+block extrema and their locations drive the trend classification, the
+Richardson correction, and the stabilization verdict (the estimate must
+move less than 5% when the window is advanced by one block).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,16 +117,28 @@ def _block_extrema(t_xs, t_lv, edges, pick_min: bool):
     return ms, xe
 
 
-def _tail_edge(xs):
-    """The x at which the tail of the ascending grid ``xs`` begins."""
-    return xs[0] + TAIL_FRACTION * (xs[-1] - xs[0])
+class Tail(NamedTuple):
+    """The points of an alpha grid that ``tail_limit`` reads."""
+
+    alphas: np.ndarray  # the tail alphas, ascending in x (descending alpha)
+    index: np.ndarray   # their positions in the grid
+    xs: np.ndarray      # -ln of those alphas, ascending
+    edge: float         # the x where the tail begins
 
 
-def tail_start(xs) -> int:
-    """Index of the first column of the ascending grid ``xs`` that
-    ``tail_limit`` reads; the columns before it are never read, so a
-    caller may leave them unevaluated."""
-    return int(np.searchsorted(xs, _tail_edge(xs), "left"))
+def tail_of(alpha_grid) -> Tail:
+    """The ``Tail`` of a 1-d grid of at least 8 alphas, in any order: the
+    points from x = -ln(alpha) at ``TAIL_FRACTION`` of the way from the
+    grid's smallest x to its largest on."""
+    alphas = np.asarray(alpha_grid, dtype=float)
+    if alphas.ndim != 1 or alphas.size < 8:
+        raise ValueError("need a 1-d alpha grid with at least 8 points")
+    xs = -np.log(alphas)
+    order = np.argsort(xs)
+    xs = xs[order]
+    edge = xs[0] + TAIL_FRACTION * (xs[-1] - xs[0])
+    k = int(np.searchsorted(xs, edge, "left"))
+    return Tail(alphas[order[k:]], order[k:], xs[k:], edge)
 
 
 def _richardson(x1, m1, x2, m2):
@@ -131,7 +147,7 @@ def _richardson(x1, m1, x2, m2):
 
 
 def tail_limit(
-    xs: np.ndarray,
+    tail: Tail,
     log_values: np.ndarray,
     kind: str,
     *,
@@ -140,13 +156,11 @@ def tail_limit(
 ) -> LimitEstimate | list[LimitEstimate]:
     """Estimate lim inf/sup of exp(log_values) as x = -ln(alpha) -> +inf.
 
-    ``xs`` must be ascending (toward alpha -> 0); ``log_values`` holds
-    ln(q) and may contain +-inf (q saturated or exactly zero).  Only the
-    columns from ``tail_start(xs)`` on are read: the head columns before
-    it are never read and may hold anything, NaN included.
+    ``log_values`` holds ln(q) at ``tail.alphas``, one value per tail
+    point, and may contain +-inf (q saturated or exactly zero).
 
     ``log_values`` may also be 2-d, one row per sequence on the shared
-    ``xs`` (rows x points); then the result is a list with one estimate
+    tail (rows x points); then the result is a list with one estimate
     per row.  The block extrema of all rows are found at once; each row's
     estimate is the one a 1-d call on that row returns.
 
@@ -155,23 +169,20 @@ def tail_limit(
     """
     if kind not in ("liminf", "limsup"):
         raise ValueError(f"kind must be liminf or limsup, got {kind!r}")
-    xs = np.asarray(xs, dtype=float)
+    t_xs = tail.xs
     lv = np.asarray(log_values, dtype=float)
-    if xs.ndim != 1 or xs.size < 8 or lv.ndim not in (1, 2) or lv.shape[-1] != xs.size:
-        raise ValueError("need a 1-d xs with at least 8 points and log_values "
-                         "of matching width (1-d, or 2-d with one row per sequence)")
-    rows = lv.reshape(-1, xs.size)
+    if lv.ndim not in (1, 2) or lv.shape[-1] != t_xs.size:
+        raise ValueError("need log_values with one column per tail point "
+                         "(1-d, or 2-d with one row per sequence)")
+    t_lv = lv.reshape(-1, t_xs.size)
 
-    start = tail_start(xs)
-    t_xs, t_lv = xs[start:], rows[:, start:]
-
-    edges = np.linspace(_tail_edge(xs), xs[-1], n_blocks + 1)
+    edges = np.linspace(tail.edge, t_xs[-1], n_blocks + 1)
     ms_log, xe = _block_extrema(t_xs, t_lv, edges, kind == "liminf")
     raw_min = np.min(t_lv, axis=1)
     raw_max = np.max(t_lv, axis=1)
 
     out = []
-    for i in range(rows.shape[0]):
+    for i in range(t_lv.shape[0]):
         ms = [sat_exp(v) for v in ms_log[i].tolist()]
         row_meta = {"blocks": [None if math.isnan(m) else m for m in ms],
                     "extrapolated": False}

@@ -37,8 +37,7 @@ import numpy as np
 
 from .filters import (FilterFamily, default_alpha_grid, default_lambda_grid,
                       residual_log_sign)
-from .limits import (CAP, FLOOR, LimitEstimate, sat_exp, sat_exp_array, tail_limit,
-                     tail_start)
+from .limits import CAP, FLOOR, LimitEstimate, sat_exp, sat_exp_array, tail_limit, tail_of
 from .rates import (
     TabulatedOrder,
     TabulatedSource,
@@ -216,21 +215,6 @@ def _grids(filt, lambda_grid, alpha_grid):
     return np.asarray(lams, dtype=float), np.asarray(alphas, dtype=float)
 
 
-def _tail_mesh(alpha_grid, n_rows):
-    """The grid x = -ln(alpha) in ascending order and an uninitialized
-    (rows x points) mesh on it, with the alphas of the columns
-    ``tail_limit`` reads and the view of those columns.  Only that view
-    needs filling: ``tail_limit`` never reads the head columns before it,
-    so they are left unwritten."""
-    alphas = np.asarray(alpha_grid, dtype=float)
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
-    xs = xs[order]
-    k = tail_start(xs)
-    mesh = np.empty((n_rows, xs.size))
-    return xs, mesh, alphas[order[k:]], mesh[:, k:]
-
-
 # ---------------------------------------------------------------------------
 # s_rho estimation
 # ---------------------------------------------------------------------------
@@ -263,10 +247,10 @@ def srho_table(
     bad = lams[~(lams > 0)]
     if bad.size:
         raise QualificationError(f"lambda must be positive, got {bad[0]}")
-    xs, log_ratio, alphas, tail = _tail_mesh(alphas, lams.size)
+    t = tail_of(alphas)
     with np.errstate(all="ignore"):
-        tail[:] = rho.log_at(alphas) - filt._r_log(alphas, lams[:, None])
-    ests = tail_limit(xs, log_ratio, "liminf")
+        log_ratio = rho.log_at(t.alphas) - filt._r_log(t.alphas, lams[:, None])
+    ests = tail_limit(t, log_ratio, "liminf")
     return {float(lam): est for lam, est in zip(lams, ests)}
 
 
@@ -277,14 +261,14 @@ def srho_table(
 def _pair_limsup(filt, s, rho, lams, alphas):
     """limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha), one estimate
     per entry of the 1-d array ``lams``."""
-    xs, lq, alphas, tail = _tail_mesh(alphas, lams.size)
+    t = tail_of(alphas)
     with np.errstate(all="ignore"):
-        tail[:] = (
+        lq = (
             s.log_at(lams)[:, None]
-            + np.asarray(filt._r_log(alphas, lams[:, None]), dtype=float)
-            - rho.log_at(alphas)
+            + np.asarray(filt._r_log(t.alphas, lams[:, None]), dtype=float)
+            - rho.log_at(t.alphas)
         )
-    return tail_limit(xs, lq, "limsup")
+    return tail_limit(t, lq, "limsup")
 
 
 def check_weak_pair(
@@ -462,7 +446,7 @@ def check_order_source_pair(
     lams, alphas = _grids(filt, lambda_grid, alpha_grid)
     lam_max = float(np.max(lams))
     n_alpha = min(WINDOW_ALPHAS, alphas.size)
-    sub = np.geomspace(alphas[0], alphas[-1], n_alpha)
+    sub = np.geomspace(np.min(alphas), np.max(alphas), n_alpha)
 
     # one row per alpha: the coarse scan, its refined minimum, the dips
     A = sub[:, None]
@@ -488,9 +472,8 @@ def check_order_source_pair(
     gam_log = np.take_along_axis(Q, best, axis=1)[:, 0]
     gam_lam = np.take_along_axis(L, best, axis=1)[:, 0]
 
-    xs = -np.log(sub)
-    order = np.argsort(xs)
-    est = tail_limit(xs[order], gam_log[order], "liminf")
+    t = tail_of(sub)
+    est = tail_limit(t, gam_log[t.index], "liminf")
 
     holds = est.positive
     worst = int(np.argmin(gam_log))
@@ -541,19 +524,18 @@ def estimate_classical_order(
     if alpha_grid is None:
         alpha_grid = _deep_alpha_grid(filt)
     lams = np.asarray(lambda_grid, dtype=float)
-    xs, lq, alphas, tail = _tail_mesh(alpha_grid, mu_grid.size * lams.size)
+    t = tail_of(alpha_grid)
 
-    with np.errstate(all="ignore"):
-        rlog = np.asarray(filt._r_log(alphas, lams[:, None]), dtype=float)
-
-    # the rows are mu-major; splitting the row axis of the tail view keeps
-    # it a view, filled in the order (mu*ln(lm) + ln|r|) - mu*ln(alpha)
     n = lams.size
-    block = tail.reshape(mu_grid.size, n, alphas.size)
+    with np.errstate(all="ignore"):
+        rlog = np.broadcast_to(filt._r_log(t.alphas, lams[:, None]), (n, t.alphas.size))
+
+    # one (mu x lambda x alpha) block, filled in the order
+    # (mu*ln(lm) + ln|r|) - mu*ln(alpha); its rows are mu-major
     mu = mu_grid[:, None, None]
-    np.add(mu * np.log(lams)[:, None], rlog, out=block)
-    np.subtract(block, mu * np.log(alphas), out=block)
-    ests = tail_limit(xs, lq, "limsup", n_blocks=5)
+    lq = np.add(mu * np.log(lams)[:, None], rlog)
+    np.subtract(lq, mu * np.log(t.alphas), out=lq)
+    ests = tail_limit(t, lq.reshape(-1, t.alphas.size), "limsup", n_blocks=5)
     passed = [all(est.bounded for est in ests[i * n:(i + 1) * n])
               for i in range(mu_grid.size)]
 
@@ -588,7 +570,8 @@ def check_mp_qualification(
     boundedness verdict: the check passes when its limsup reads as
     bounded, with gamma = the ratio's maximum over the whole alpha grid,
     so gamma bounds the ratio at every sampled alpha.  A failure
-    reports the alpha where the ratio is largest and its growth, the
+    reports the alpha where the ratio is largest (the smallest such alpha
+    on a tie) and its growth, the
     largest over the smallest ratio on the alpha grid; the growth is +inf
     when that quotient overflows a double or the ratio is not finite (an
     order with a pole in (0, a]).  On failure a companion certificate
@@ -611,7 +594,7 @@ def check_mp_qualification(
     if alpha_grid is None:
         top = min(a, filt.alpha_max * (1 - 1e-12))
         alpha_grid = np.geomspace(1e-7, top, int(64 * math.log10(top / 1e-7)))
-    alphas = np.asarray(alpha_grid, dtype=float)
+    alphas = np.sort(np.asarray(alpha_grid, dtype=float))
     lams = np.asarray(lambda_grid, dtype=float)
 
     with np.errstate(all="ignore"):
@@ -621,9 +604,8 @@ def check_mp_qualification(
         lrho = rho.log_at(alphas)
         ratio_log = lS - lrho
 
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
-    est = tail_limit(xs[order], ratio_log[order], "limsup")
+    t = tail_of(alphas)
+    est = tail_limit(t, ratio_log[t.index], "limsup")
     hi, lo = float(np.max(ratio_log)), float(np.min(ratio_log))
     if est.bounded:
         return MPVerdict(passes=True, gamma=sat_exp(hi))
@@ -631,7 +613,7 @@ def check_mp_qualification(
         passes=False,
         witness_alpha=float(alphas[np.argmax(ratio_log)]),
         growth=sat_exp(hi - lo) if hi < math.inf else math.inf,  # +inf or NaN: a pole
-        weak_certificate=_windowed_certificate(R[order[::-1]], lrho[order[::-1]], lams),
+        weak_certificate=_windowed_certificate(R, lrho, lams),
     )
 
 

@@ -39,7 +39,7 @@ from .expressions import (
     to_string,
     variables_of,
 )
-from .limits import sat_exp_array, tail_limit
+from .limits import sat_exp_array, tail_limit, tail_of
 
 # decay-to-zero proxy thresholds
 FAST_DECAY_REL = 1e-3
@@ -224,9 +224,8 @@ def precedes(rho1, rho2, grid: np.ndarray | None = None) -> CompareVerdict:
     lr = rho1.log_at(grid) - rho2.log_at(grid)
     if np.any(np.isnan(lr)):
         raise DomainError("comparison grid left the functions' domain")
-    xs = -np.log(grid)
-    order = np.argsort(xs)
-    est = tail_limit(xs[order], lr[order], "limsup")
+    t = tail_of(grid)
+    est = tail_limit(t, lr[t.index], "limsup")
     if not est.bounded:
         return CompareVerdict(holds=False, witness_alpha=float(grid[np.argmax(lr)]))
     return CompareVerdict(holds=True, constant=est.tail_max)

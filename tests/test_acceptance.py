@@ -14,7 +14,7 @@ import pytest
 import specqual as sq
 from specqual.cli import main as cli_main
 from specqual.expressions import eval_array, parse_expr, to_string
-from specqual.limits import tail_limit
+from specqual.limits import tail_limit, tail_of
 from specqual.qualification import srho_table
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
@@ -213,10 +213,9 @@ def test_criterion_8_oscillatory_signature():
     lq = (float(s_tab.log_at(1.0))
           + np.asarray(ex8._r_log(alphas, np.float64(1.0)), dtype=float)
           - np.asarray(rho.log_at(alphas), dtype=float))
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
-    up = tail_limit(xs[order], lq[order], "limsup")
-    dn = tail_limit(xs[order], lq[order], "liminf")
+    t = tail_of(alphas)
+    up = tail_limit(t, lq[t.index], "limsup")
+    dn = tail_limit(t, lq[t.index], "liminf")
     ok = 0.9 <= up.value <= 1.1 and dn.value < 0.1
     verdict(8, ok, f"limsup {up.value:.4f} in [0.9, 1.1]; liminf {dn.value:.2e} < 0.1")
 

@@ -19,7 +19,7 @@ import pytest
 
 import specqual as sq
 from specqual import qualification
-from specqual.limits import tail_start
+from specqual.limits import tail_of
 
 
 @pytest.fixture
@@ -167,8 +167,7 @@ def test_optimal_catalog_gamma(fid, order, grid, gamma):
 
 def tail_columns(alpha_grid):
     """The number of alphas of ``alpha_grid`` that ``tail_limit`` reads."""
-    xs = np.sort(-np.log(alpha_grid))
-    return xs.size - tail_start(xs)
+    return tail_of(alpha_grid).alphas.size
 
 
 @pytest.mark.parametrize("n_lambda", [3, 30])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specqual as sq
-from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_start
+from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_of
 from specqual import qualification
 from specqual.filters import residual_value
 from specqual.qualification import (SQRT_EPS, _construct_certificate, _pair_limsup,
@@ -18,19 +18,26 @@ from specqual.qualification import (SQRT_EPS, _construct_certificate, _pair_lims
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
 
+def _x_tail(xs, lv):
+    """The Tail of the grid alpha = e^(-x) and the columns of ``lv`` at
+    its points."""
+    t = tail_of(np.exp(-xs))
+    return t, lv[..., t.index]
+
+
 class TestTailLimit:
     """The block-trend estimator on synthetic sequences."""
 
     def test_flat_sequence(self):
         xs = np.linspace(1.0, 20.0, 400)
-        est = tail_limit(xs, np.log(np.full(400, 3.0)), "liminf")
+        est = tail_limit(*_x_tail(xs, np.log(np.full(400, 3.0))), "liminf")
         assert est.value == pytest.approx(3.0)
         assert est.stabilized
 
     def test_one_over_x_drift_is_extrapolated(self):
         xs = np.linspace(1.0, 16.0, 600)
         vals = 2.0 + 5.0 / xs
-        est = tail_limit(xs, np.log(vals), "liminf")
+        est = tail_limit(*_x_tail(xs, np.log(vals)), "liminf")
         assert est.value == pytest.approx(2.0, rel=1e-3)
         assert est.stabilized and est.trend == "down"
         assert est.grid_meta["extrapolated"]
@@ -38,26 +45,26 @@ class TestTailLimit:
     def test_growing_sequence_not_stabilized(self):
         xs = np.linspace(1.0, 16.0, 600)
         vals = np.exp(0.5 * xs)
-        est = tail_limit(xs, np.log(vals), "limsup")
+        est = tail_limit(*_x_tail(xs, np.log(vals)), "limsup")
         assert not est.bounded
 
     def test_literal_divergence_reports_infinity(self):
         xs = np.linspace(1.0, 16.0, 400)
         lv = np.full(400, np.inf)
-        est = tail_limit(xs, lv, "liminf")
+        est = tail_limit(*_x_tail(xs, lv), "liminf")
         assert est.value == math.inf and est.stabilized
 
     def test_tail_bracket_invariant(self):
         xs = np.linspace(1.0, 16.0, 400)
         rng = np.random.default_rng(7)
         vals = 1.0 + 0.01 * rng.random(400)
-        est = tail_limit(xs, np.log(vals), "limsup")
+        est = tail_limit(*_x_tail(xs, np.log(vals)), "limsup")
         assert est.tail_min <= est.value <= est.tail_max
 
     def test_infinity_only_past_cap(self):
         xs = np.linspace(1.0, 16.0, 400)
         vals = np.full(400, 1e10)  # large but below the divergence cap
-        est = tail_limit(xs, np.log(vals), "liminf")
+        est = tail_limit(*_x_tail(xs, np.log(vals)), "liminf")
         assert math.isfinite(est.value)
 
 
@@ -94,14 +101,14 @@ def _sequences(steps, rows):
     return xs, lv
 
 
-def _masked_blocks(xs, lv, kind, n_blocks):
+def _masked_blocks(t, lv, kind, n_blocks):
     """Block extrema by their definition: closed blocks [lo, hi] over the
-    tail, each picked out with a boolean mask."""
-    x_lo = xs[0] + TAIL_FRACTION * (xs[-1] - xs[0])
-    edges = np.linspace(x_lo, xs[-1], n_blocks + 1)
+    tail ``t``, each picked out of ``lv`` (one value per tail point) with a
+    boolean mask on ``t.xs``."""
+    edges = np.linspace(t.edge, t.xs[-1], n_blocks + 1)
     out = []
     for lo, hi in zip(edges[:-1], edges[1:]):
-        seg = lv[(xs >= lo) & (xs <= hi)]
+        seg = lv[(t.xs >= lo) & (t.xs <= hi)]
         if seg.size == 0:
             out.append(None)
         else:
@@ -120,13 +127,13 @@ class TestBatchedTailLimit:
         n_blocks=st.sampled_from([4, 5]),
     )
     def test_rows_match_single_calls(self, steps, rows, kind, n_blocks):
-        xs, lv = _sequences(steps, rows)
-        batched = tail_limit(xs, lv, kind, n_blocks=n_blocks)
+        t, lv = _x_tail(*_sequences(steps, rows))
+        batched = tail_limit(t, lv, kind, n_blocks=n_blocks)
         assert isinstance(batched, list) and len(batched) == len(rows)
         for i, est in enumerate(batched):
-            single = tail_limit(xs, lv[i], kind, n_blocks=n_blocks)
+            single = tail_limit(t, lv[i], kind, n_blocks=n_blocks)
             assert _fields(est) == _fields(single)
-            assert est.grid_meta["blocks"] == _masked_blocks(xs, lv[i], kind, n_blocks)
+            assert est.grid_meta["blocks"] == _masked_blocks(t, lv[i], kind, n_blocks)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -134,49 +141,60 @@ class TestBatchedTailLimit:
         rows=st.lists(_ROW, min_size=1, max_size=5),
         kind=st.sampled_from(["liminf", "limsup"]),
         n_blocks=st.sampled_from([4, 5]),
+        seed=st.integers(0, 2**32 - 1),
     )
-    def test_head_columns_are_never_read(self, steps, rows, kind, n_blocks):
-        """NaN before tail_start(xs) changes no field of any estimate, and
-        tail_start is the first x at or past the tail's left edge."""
+    def test_shuffled_grid_gives_the_same_estimates(self, steps, rows, kind, n_blocks,
+                                                    seed):
+        """A permuted alpha grid, with its values permuted alike, gives the
+        same tail and field-identical estimates; the tail is every x at or
+        past its edge, TAIL_FRACTION of the way across the grid."""
         xs, lv = _sequences(steps, rows)
-        k = tail_start(xs)
-        x_lo = xs[0] + TAIL_FRACTION * (xs[-1] - xs[0])
-        assert xs[k] >= x_lo and (k == 0 or xs[k - 1] < x_lo)
-        headless = lv.copy()
-        headless[:, :k] = np.nan
-        full = tail_limit(xs, lv, kind, n_blocks=n_blocks)
-        tail_only = tail_limit(xs, headless, kind, n_blocks=n_blocks)
-        assert [_fields(e) for e in tail_only] == [_fields(e) for e in full]
+        alphas = np.exp(-xs)
+        perm = np.random.default_rng(seed).permutation(xs.size)
+        t, shuffled = tail_of(alphas), tail_of(alphas[perm])
+        grid_xs = -np.log(alphas)
+        edge = grid_xs[0] + TAIL_FRACTION * (grid_xs[-1] - grid_xs[0])
+        assert t.edge == shuffled.edge == edge
+        assert np.array_equal(t.xs, grid_xs[grid_xs >= edge])
+        assert np.array_equal(perm[shuffled.index], t.index)
+        assert np.array_equal(shuffled.alphas, t.alphas)
+        est = tail_limit(t, lv[:, t.index], kind, n_blocks=n_blocks)
+        est_shuffled = tail_limit(shuffled, lv[:, perm][:, shuffled.index], kind,
+                                  n_blocks=n_blocks)
+        assert [_fields(e) for e in est_shuffled] == [_fields(e) for e in est]
 
-    def test_width_mismatch_rejected(self):
-        xs = np.linspace(1.0, 16.0, 40)
+    @pytest.mark.parametrize("call", [
+        lambda: tail_of(np.geomspace(1e-6, 0.5, 7)),
+        lambda: tail_of(np.geomspace(1e-6, 0.5, 40).reshape(4, 10)),
+        lambda: tail_limit(tail_of(np.exp(-np.linspace(1.0, 16.0, 40))),
+                           np.zeros((3, 19)), "liminf"),
+    ], ids=["seven-points", "2-d-grid", "width-mismatch"])
+    def test_malformed_input_rejected(self, call):
         with pytest.raises(ValueError):
-            tail_limit(xs, np.zeros((3, 39)), "liminf")
+            call()
 
 
 def _reference_srho(filt, rho, lams, alphas):
     """One 1-d tail_limit call per lambda."""
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
+    t = tail_of(alphas)
     out = {}
     for lam in lams:
         with np.errstate(all="ignore"):
             lv = np.asarray(rho.log_at(alphas)) - filt._r_log(alphas, np.float64(lam))
-        out[float(lam)] = tail_limit(xs[order], lv[order], "liminf")
+        out[float(lam)] = tail_limit(t, lv[t.index], "liminf")
     return out
 
 
 def _reference_pair_limsup(filt, s, rho, lams, alphas):
     """One 1-d tail_limit call per lambda."""
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
+    t = tail_of(alphas)
     out = {}
     for lam in lams:
         with np.errstate(all="ignore"):
             lq = (float(np.ravel(s.log_at(np.float64(lam)))[0])
                   + np.asarray(filt._r_log(alphas, np.float64(lam)))
                   - np.asarray(rho.log_at(alphas)))
-        out[float(lam)] = tail_limit(xs[order], lq[order], "limsup")
+        out[float(lam)] = tail_limit(t, lq[t.index], "limsup")
     return out
 
 
@@ -236,15 +254,14 @@ def _reference_classical(filt, mu_grid, lams, alphas):
     """The classical order from one fresh full (lambda x alpha) mesh and
     one tail_limit call per mu, bracketed by its definition: low is the
     last mu that passes before the first one that fails, high that one."""
-    xs = -np.log(alphas)
-    order = np.argsort(xs)
-    xs, alphas = xs[order], alphas[order]
+    t = tail_of(alphas)
     with np.errstate(all="ignore"):
         rlog = filt._r_log(alphas, lams[:, None])
     passed = []
     for mu in mu_grid:
         lq = mu * np.log(lams)[:, None] + rlog - mu * np.log(alphas)
-        passed.append(all(est.bounded for est in tail_limit(xs, lq, "limsup", n_blocks=5)))
+        passed.append(all(est.bounded for est in
+                          tail_limit(t, lq[:, t.index], "limsup", n_blocks=5)))
     fails = [float(mu) for mu, ok in zip(mu_grid, passed) if not ok]
     high = fails[0] if fails else None
     first_fail = passed.index(False) if fails else len(passed)
@@ -263,14 +280,14 @@ class TestClassicalOrderMesh:
         co = sq.estimate_classical_order(filt)
         lams = sq.default_lambda_grid(filt, per_decade=2)
         alphas = np.sort(qualification._deep_alpha_grid(filt))[::-1]
-        xs = -np.log(alphas)
+        t = tail_of(alphas)
         with np.errstate(all="ignore"):
             rlog = filt._r_log(alphas, lams[:, None])
         passed = []
         for mu in co.mu_grid:
             lq = mu * np.log(lams)[:, None] + rlog - mu * np.log(alphas)
             passed.append(all(est.bounded for est in
-                              tail_limit(xs, lq, "limsup", n_blocks=5)))
+                              tail_limit(t, lq[:, t.index], "limsup", n_blocks=5)))
         assert co.passed == passed
 
     @pytest.mark.parametrize("mu_grid", MU_GRIDS, ids=["default", "unsorted", "one-mu"])
@@ -480,6 +497,33 @@ class TestOrderSourcePairs:
         assert verdict.holds
         assert verdict.gamma >= 0.49
 
+    def test_verdicts_do_not_depend_on_the_grid_order(self, ex4, rho_log, s_lambda):
+        """ex4 x -1/ln(alpha), source lambda, h = rho: a permuted or reversed
+        alpha grid gives the gamma of the grid in ascending order.  An alpha
+        subgrid built from alphas[0] and alphas[-1] read 0.5342 and 0.5368
+        on the two permutations.  The other tail-read verdicts are
+        field-identical on a permuted grid."""
+        grid = sq.default_alpha_grid(ex4)
+        shuffled = [np.random.default_rng(seed).permutation(grid) for seed in (3, 5)]
+        gammas = [sq.check_order_source_pair(ex4, rho_log, s_lambda, rho_log,
+                                             alpha_grid=g).gamma
+                  for g in [grid, *shuffled, grid[::-1]]]
+        assert gammas == [gammas[0]] * 4
+        assert gammas[0] == pytest.approx(0.5310210344216609, rel=1e-12)
+
+        alpha = sq.order_fn("alpha")
+        checks = [
+            lambda g: srho_table(ex4, rho_log, alpha_grid=g),
+            lambda g: sq.check_weak_pair(ex4, s_lambda, rho_log, alpha_grid=g),
+            lambda g: sq.check_mp_qualification(ex4, rho_log, alpha_grid=g),
+            lambda g: sq.check_mp_qualification(ex4, alpha, alpha_grid=g),
+            lambda g: sq.precedes(alpha, rho_log, g),
+            lambda g: sq.precedes(rho_log, alpha, g),
+        ]
+        for check in checks:
+            expected = repr(check(grid))
+            assert [repr(check(g)) for g in shuffled] == [expected] * 2
+
     def test_log_filter_gamma_one_half(self, ex4, rho_log, s_ratio):
         verdict = sq.check_order_source_pair(ex4, rho_log, s_ratio, rho_log,
                                              alpha_grid=EX4_GRID)
@@ -517,18 +561,18 @@ class TestOrderSourcePairs:
             calls.append(args)
             return check(*args, **kwargs)
 
-        def recorded_tail(xs, values, kind, **kwargs):
+        def recorded_tail(t, values, kind, **kwargs):
             if np.ndim(values) == 1:  # the s_rho table is one 2-d call
-                infima.append((np.array(xs), np.array(values)))
-            return tail(xs, values, kind, **kwargs)
+                infima.append((t.alphas, np.array(values)))
+            return tail(t, values, kind, **kwargs)
 
         monkeypatch.setattr(qualification, "check_order_source_pair", recorded_check)
         monkeypatch.setattr(qualification, "tail_limit", recorded_tail)
         sq.classify(ex9, rho_exp_sqrt, companions=False)
         assert len(calls) == len(infima) == 1
         _, rho, s, _, lambda_grid, _ = calls[0]
-        (xs, gam_log), = infima
-        alphas, lam_max = np.exp(-xs), float(np.max(lambda_grid))
+        (alphas, gam_log), = infima
+        lam_max = float(np.max(lambda_grid))
         k = np.floor(lam_max ** 1.5 / (math.pi * alphas))
         root = (k * math.pi * alphas) ** (2.0 / 3.0)
         k = np.where(root > lam_max, k - 1, k)
@@ -663,10 +707,9 @@ class TestOscillatorySignature:
         lq = (float(s_tab.log_at(lam))
               + np.asarray(ex8._r_log(alphas, np.float64(lam)))
               - np.asarray(rho_alpha.log_at(alphas)))
-        xs = -np.log(alphas)
-        order = np.argsort(xs)
-        up = tail_limit(xs[order], lq[order], "limsup")
-        dn = tail_limit(xs[order], lq[order], "liminf")
+        t = tail_of(alphas)
+        up = tail_limit(t, lq[t.index], "limsup")
+        dn = tail_limit(t, lq[t.index], "liminf")
         assert 0.9 <= up.value <= 1.1
         assert dn.value < 0.1
 
@@ -688,6 +731,19 @@ class TestClassicalOrder:
 
     def test_log_filter_zero(self, ex4):
         assert sq.estimate_classical_order(ex4).zero
+
+    def test_residual_free_of_alpha(self):
+        """g = 1/(2 lambda) keeps r = 1/2 as alpha -> 0, from a kernel whose
+        output does not broadcast over alpha: no mu passes, and the
+        mp-check reads the same on the grid in either order."""
+        half = sq.make_custom_filter("half_inverse", lambda a, lm: 0.5 / lm, 1.0, 1.0)
+        assert sq.estimate_classical_order(half).zero
+        grid = np.geomspace(1e-7, 0.5, 400)
+        rho = sq.order_fn("alpha")
+        verdict = sq.check_mp_qualification(half, rho, alpha_grid=grid)
+        assert not verdict.passes
+        reversed_grid = sq.check_mp_qualification(half, rho, alpha_grid=grid[::-1])
+        assert repr(reversed_grid) == repr(verdict)  # repr: h_at_alpha_min is nan
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_oscillatory_bracket_tracks_k(self, k):
@@ -859,6 +915,24 @@ def test_level_is_invariant_under_equivalent_orders(fid, params, rho_text, grid,
     levels = [sq.classify(filt, sq.order_fn(form.format(rho_text), grid),
                           companions=False).level for form in EQUIVALENT_FORMS]
     assert levels == [want] * len(EQUIVALENT_FORMS)
+
+
+def test_classical_order_is_the_mp_order_for_powers():
+    """For rho = alpha^mu the mp qualification is the classical one: mu
+    passes the classical probe exactly when the mp-check passes with
+    alpha^mu, on every catalog filter.  ex8_osc at k = 0.4 separates the
+    two (the probe bounds each fixed lambda, not the sup over lambda), so
+    it is not among the defaults probed here."""
+    mismatches = []
+    for fid in sq.list_filters():
+        filt = sq.get_filter(fid)
+        co = sq.estimate_classical_order(filt)
+        for mu in (0.25, 0.5, 1.0, 2.0, 4.0):
+            classical = co.passed[co.mu_grid.index(mu)]
+            mp = sq.check_mp_qualification(filt, sq.order_fn(f"alpha^{mu}")).passes
+            if classical != mp:
+                mismatches.append((fid, mu, classical, mp))
+    assert mismatches == []
 
 
 def _construct_grid(filt, grid):
