@@ -315,7 +315,8 @@ def _log_eval(expr: FuncExpr, binding):
             if op == "*":
                 return la + lb, sa * sb
             if op == "/":
-                return la - lb, sa * np.copysign(1.0, sb)  # b's sign bit: 1/-0.0 is -inf
+                lv, sv = la - lb, sa * np.copysign(1.0, sb)  # b's sign bit: 1/-0.0 is -inf
+                return lv, np.where(lv == -np.inf, 0.0 * sv, sv)  # x/inf is a signed zero
             return _log_sum(la, sa, lb, -sb if op == "-" else sb)
     raise TypeError(f"not a FuncExpr node: {expr!r}")
 

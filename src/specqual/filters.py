@@ -63,7 +63,7 @@ class ResidualValue:
     sign: int       # -1, 0, +1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FilterFamily:
     """A parametric spectral filter with a closed-form ln|r|.
 
@@ -78,7 +78,10 @@ class FilterFamily:
     returns the largest point <= lambda (the first one when lambda lies
     below it) where |r| takes an exact local minimum, and ln|r| there; it
     is None for a family without one.  Instances are immutable and safe
-    to share.
+    to share.  A family is made of closures, so it compares and hashes by
+    identity: two ``get_filter`` calls give two unequal families, and
+    ``qualification.classify`` keys its classical-order probe on the
+    instance.
     """
 
     id: str

@@ -102,14 +102,19 @@ class PairVerdict:
 
 @dataclass(frozen=True)
 class ClassicalOrder:
-    """Dyadic bracket for the classical qualification order."""
+    """Dyadic bracket for the classical qualification order.
+
+    ``classify`` shares one instance between the reports of a filter, so
+    every field is immutable: ``mu_grid`` is the ascending mu grid and
+    ``passed`` the verdict of each of its entries.
+    """
 
     low: float | None      # largest passing mu
     high: float | None     # smallest failing mu
     zero: bool             # even the smallest mu fails
     infinite: bool         # even the largest mu passes
-    mu_grid: list[float] = field(default_factory=list)
-    passed: list[bool] = field(default_factory=list)
+    mu_grid: tuple[float, ...] = ()
+    passed: tuple[bool, ...] = ()
 
     def to_json_dict(self) -> dict:
         return jsonable({
@@ -510,6 +515,7 @@ def estimate_classical_order(
 ) -> ClassicalOrder:
     """Bracket the classical order on a dyadic mu grid.
 
+    The mu grid is probed in ascending order, whatever its given order.
     For each mu, boundedness of lambda^mu |r| / alpha^mu is tested per
     lambda over a deep alpha grid reaching 1e-300: statistics like
     alpha^(-1/64)/|ln alpha| only reveal their divergence hundreds of
@@ -518,7 +524,7 @@ def estimate_classical_order(
     (mu x lambda) block of rows, and one tail estimate; mu passes when
     every row of its block is bounded.
     """
-    mu_grid = default_mu_grid() if mu_grid is None else np.asarray(mu_grid, dtype=float)
+    mu_grid = default_mu_grid() if mu_grid is None else np.sort(np.asarray(mu_grid, dtype=float))
     if lambda_grid is None:
         lambda_grid = default_lambda_grid(filt, per_decade=2)
     if alpha_grid is None:
@@ -536,8 +542,8 @@ def estimate_classical_order(
     lq = np.add(mu * np.log(lams)[:, None], rlog)
     np.subtract(lq, mu * np.log(t.alphas), out=lq)
     ests = tail_limit(t, lq.reshape(-1, t.alphas.size), "limsup", n_blocks=5)
-    passed = [all(est.bounded for est in ests[i * n:(i + 1) * n])
-              for i in range(mu_grid.size)]
+    passed = tuple(all(est.bounded for est in ests[i * n:(i + 1) * n])
+                   for i in range(mu_grid.size))
 
     low = None
     high = None
@@ -551,9 +557,19 @@ def estimate_classical_order(
         high=high,
         zero=not passed[0],
         infinite=all(passed),
-        mu_grid=[float(m) for m in mu_grid],
+        mu_grid=tuple(float(m) for m in mu_grid),
         passed=passed,
     )
+
+
+@functools.lru_cache(maxsize=64)
+def _classical_order(filt: FilterFamily) -> ClassicalOrder:
+    """``estimate_classical_order(filt)`` on its default grids, probed once
+    per filter instance: the classical order belongs to the method alone,
+    not to the (method, rho) pair that ``classify`` is asked about.  A
+    family compares by identity, so a ``dataclasses.replace`` copy probes
+    again."""
+    return estimate_classical_order(filt)
 
 
 def check_mp_qualification(
@@ -811,7 +827,11 @@ def classify(
     the lambda range); weak falls back to a canonical list of
     bounded certified sources when strong fails.  With ``companions``
     the report also carries the classical-order bracket and the
-    increasing-weight check; without them both are None.
+    increasing-weight check; without them both are None.  The bracket
+    depends on the filter alone, so it is probed once per filter
+    instance and the same ``ClassicalOrder`` is shared by every report
+    of that instance; this assumes the family's ``g`` and ``_r_log`` are
+    pure functions.
     """
     _require_certified(rho, "order function")
     lambda_grid, alpha_grid = _grids(filt, lambda_grid, alpha_grid)
@@ -868,7 +888,7 @@ def classify(
         rho_label=getattr(rho, "label", "rho"),
         level=level,
         srho_table=table,
-        classical_mu0=estimate_classical_order(filt) if companions else None,
+        classical_mu0=_classical_order(filt) if companions else None,
         mp_verdict=check_mp_qualification(filt, rho) if companions else None,
         evidence=evidence,
         source_label=source_label,

@@ -25,6 +25,7 @@ positive and decaying.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,9 +110,14 @@ class SourceFn(_ClosedForm):
 class _Tabulated:
     """A table over the ``_knots`` field, interpolated log-log linearly."""
 
+    @functools.cached_property
+    def _log_knots(self):
+        """ln of the knots, taken on the first ``log_at``; the table is
+        not to be changed in place after that."""
+        return np.log(getattr(self, self._knots))
+
     def log_at(self, x):
-        knots = getattr(self, self._knots)
-        out = _loglog_interp(np.log(np.asarray(x, dtype=float)), np.log(knots), self.log_values)
+        out = _loglog_interp(np.log(np.asarray(x, dtype=float)), self._log_knots, self.log_values)
         return _scalar_or_array(out)
 
     def at(self, x):

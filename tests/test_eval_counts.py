@@ -136,6 +136,52 @@ def test_canonical_sources_certified_once(monkeypatch):
     assert made == list(qualification.CANONICAL_SOURCES)
 
 
+def test_classical_probe_runs_once_per_filter(counts):
+    """A second classify of one filter instance reuses its classical
+    order: it makes exactly the probe's one ``_r_log`` call and one
+    ``tail_limit`` call fewer, and shares the first report's bracket."""
+    filt = counted_filter(counts, "ex8_osc", k=1.0)
+    rho = sq.order_fn("alpha")
+
+    def classify_counted():
+        r_log, tail = counts["r_log"], counts["tail_limit"]
+        report = sq.classify(filt, rho)
+        return report, (counts["r_log"] - r_log, counts["tail_limit"] - tail)
+
+    first, (r_log, tail) = classify_counted()
+    second, made = classify_counted()
+    assert made == (r_log - 1, tail - 1)
+    assert second.classical_mu0 is first.classical_mu0
+
+
+def test_replaced_filter_probes_again(counts):
+    """A ``dataclasses.replace`` copy is a new family (families compare by
+    identity), so it is probed again and not served its original's
+    cached order."""
+    filt = counted_filter(counts, "tikhonov")
+    first = qualification._classical_order(filt)
+    before = counts["tail_limit"]
+    assert qualification._classical_order(filt) is first
+    assert counts["tail_limit"] == before
+    copy = dataclasses.replace(filt)
+    assert copy != filt
+    assert qualification._classical_order(copy) is not first
+    assert counts["tail_limit"] == before + 1
+
+
+def test_explicit_grids_are_never_cached(counts):
+    """``estimate_classical_order`` itself always probes, with a mu grid
+    or without one, before and after ``classify`` filled the cache."""
+    filt = counted_filter(counts, "tikhonov")
+    sq.classify(filt, sq.order_fn("alpha"))
+    for mu_grid in (None, [0.5, 1.0, 2.0], None):
+        before = dict(counts)
+        co = sq.estimate_classical_order(filt, mu_grid)
+        assert (counts["r_log"], counts["tail_limit"]) == (before["r_log"] + 1,
+                                                           before["tail_limit"] + 1)
+        assert (co.low, co.high) == (1.0, 2.0)
+
+
 def test_import_certifies_nothing():
     """``import specqual`` certifies no function, so a cold CLI call that
     never reaches the weak fallback pays nothing for its sources."""

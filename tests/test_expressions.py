@@ -319,6 +319,7 @@ def _log_eval_trees(var):
 @example(tree=parse_expr("(alpha+alpha)/alpha-0.1"))
 @example(tree=parse_expr("exp(alpha)-(1+alpha)"))
 @example(tree=parse_expr("ln(2^alpha)"))
+@example(tree=parse_expr("alpha/ln(alpha-alpha)"))  # x/-inf is -0.0: sign 0, not -1
 def test_log_eval_matches_high_precision_oracle(tree):
     """log_eval against 50-digit mpmath on drawn trees, alpha down to 1e-300."""
     mpmath = pytest.importorskip("mpmath")

@@ -57,11 +57,22 @@ CATALOG = [
 ]
 
 
-def catalog_text() -> str:
-    docs = []
+def catalog_reports(calls: int = 1) -> list[list]:
+    """``calls`` lists of the catalog reports: each row is classified
+    ``calls`` times on one filter instance, and list i holds the i-th
+    report of every row."""
+    runs = [[] for _ in range(calls)]
     for fid, params, order, grid in CATALOG:
+        filt = sq.get_filter(fid, **params)
         rho = sq.order_fn(order, None if grid is None else np.geomspace(*grid))
-        docs.append(sq.classify(sq.get_filter(fid, **params), rho).to_json_dict())
+        for run in runs:
+            run.append(sq.classify(filt, rho))
+    return runs
+
+
+def catalog_text(reports=None) -> str:
+    reports = catalog_reports()[0] if reports is None else reports
+    docs = [report.to_json_dict() for report in reports]
     return json.dumps(jsonable(docs), indent=2, allow_nan=False) + "\n"
 
 
@@ -127,6 +138,17 @@ def converge_output(argv) -> tuple[str, str]:
 
 def test_catalog_documents_match_golden():
     assert catalog_text() == GOLDEN.read_text(encoding="utf-8")
+
+
+def test_repeated_classify_matches_golden():
+    """A second classify of each row on the same filter instance reads
+    the classical order from the per-filter cache; both documents are
+    the golden ones, so a cache hit prints what a probe prints."""
+    first, second = catalog_reports(2)
+    golden = GOLDEN.read_text(encoding="utf-8")
+    assert catalog_text(first) == golden
+    assert catalog_text(second) == golden
+    assert all(a.classical_mu0 is b.classical_mu0 for a, b in zip(first, second))
 
 
 def test_order_source_verdicts_match_golden():

@@ -268,7 +268,7 @@ def _reference_classical(filt, mu_grid, lams, alphas):
     low = float(mu_grid[first_fail - 1]) if first_fail else None
     return sq.ClassicalOrder(low=low, high=high, zero=not passed[0],
                              infinite=all(passed),
-                             mu_grid=[float(m) for m in mu_grid], passed=passed)
+                             mu_grid=tuple(float(m) for m in mu_grid), passed=tuple(passed))
 
 
 class TestClassicalOrderMesh:
@@ -288,17 +288,18 @@ class TestClassicalOrderMesh:
             lq = mu * np.log(lams)[:, None] + rlog - mu * np.log(alphas)
             passed.append(all(est.bounded for est in
                               tail_limit(t, lq[:, t.index], "limsup", n_blocks=5)))
-        assert co.passed == passed
+        assert co.passed == tuple(passed)
 
     @pytest.mark.parametrize("mu_grid", MU_GRIDS, ids=["default", "unsorted", "one-mu"])
     @pytest.mark.parametrize("fid,params", CLASSICAL_FILTERS,
                              ids=[f"{fid}{params}" for fid, params in CLASSICAL_FILTERS])
     def test_batch_matches_per_mu_loop(self, fid, params, mu_grid):
-        """The one (mu x lambda) batch is the per-mu loop, field for field."""
+        """The one (mu x lambda) batch is the per-mu loop, field for field;
+        an unsorted mu grid is bracketed as its ascending sort."""
         filt = sq.get_filter(fid, **params)
         co = sq.estimate_classical_order(filt, mu_grid)
         reference = _reference_classical(
-            filt, qualification.default_mu_grid() if mu_grid is None else mu_grid,
+            filt, qualification.default_mu_grid() if mu_grid is None else np.sort(mu_grid),
             sq.default_lambda_grid(filt, per_decade=2), qualification._deep_alpha_grid(filt))
         assert repr(co) == repr(reference)
 
@@ -744,6 +745,16 @@ class TestClassicalOrder:
         assert not verdict.passes
         reversed_grid = sq.check_mp_qualification(half, rho, alpha_grid=grid[::-1])
         assert repr(reversed_grid) == repr(verdict)  # repr: h_at_alpha_min is nan
+
+    @pytest.mark.parametrize("mu_grid", [[4.0, 2.0, 1.0, 0.5], [2.0, 0.5, 4.0, 1.0]])
+    def test_bracket_ignores_mu_order(self, tikhonov, mu_grid):
+        """A mu grid in any order gives the bracket of its ascending sort;
+        read in the given order they gave low None and high 4.0 or 2.0,
+        both flagged zero, for tikhonov, whose classical order is 1."""
+        co = sq.estimate_classical_order(tikhonov, mu_grid)
+        assert (co.low, co.high, co.zero, co.infinite) == (1.0, 2.0, False, False)
+        assert co.mu_grid == (0.5, 1.0, 2.0, 4.0)
+        assert co.passed == (True, True, False, False)
 
     @pytest.mark.parametrize("k", [0.5, 1.0, 2.0])
     def test_oscillatory_bracket_tracks_k(self, k):
