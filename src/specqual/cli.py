@@ -31,6 +31,7 @@ from .filters import (
     UnknownFilterError,
     _check_alpha,
     _check_lambda,
+    _decades,
     default_alpha_grid,
     default_lambda_grid,
     get_filter,
@@ -269,10 +270,7 @@ def _lambda_values(args, filt):
             raise InputError("--lambda geo spec needs 0 < MIN < MAX < inf and "
                              f"PERDECADE in 1..{MAX_PER_DECADE}")
         _check_lambda(filt, [lo, hi])
-        # past ~308 decades hi / lo overflows, while the logs of the ends do not
-        ratio = hi / lo
-        decades = math.log10(ratio) if ratio < math.inf else math.log10(hi) - math.log10(lo)
-        n = max(int(per * decades) + 1, 2)
+        n = max(int(per * _decades(lo, hi)) + 1, 2)
         return np.geomspace(lo, hi, n)
     try:
         vals = np.array([float(tok) for tok in spec.split(",") if tok.strip()])
@@ -390,8 +388,11 @@ def cmd_converge(args) -> int:
         q = float(args.generator[2:])
     except ValueError as exc:
         raise InputError(f"bad --generator '{args.generator}'") from exc
-    j = np.arange(1, model.dim + 1, dtype=float)
-    w = j ** q
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.arange(1, model.dim + 1, dtype=float) ** q
+    if not (math.isfinite(q) and np.all(np.isfinite(w))):
+        raise InputError(f"--generator '{args.generator}' needs a finite Q and a finite "
+                         f"w_j = j^Q for every j <= {model.dim}")
 
     elem = make_source_element(model, source, w)
     study_grid = np.geomspace(max(1e-5, float(model.eigenvalues[-1]) / 10.0),

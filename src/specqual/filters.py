@@ -480,6 +480,11 @@ class AxiomReport:
         return self.h1_finite and self.h2_bounded and self.h3_pointwise
 
 
+def _decades(lo: float, hi: float) -> float:
+    """log10(hi / lo), from the logs of the ends where the ratio overflows."""
+    return math.log10(hi / lo) if hi / lo < math.inf else math.log10(hi) - math.log10(lo)
+
+
 def default_alpha_grid(filt: FilterFamily, alpha_min: float = ALPHA_GRID_MIN,
                        alpha_max: float | None = None,
                        per_decade: int | None = None) -> np.ndarray:
@@ -488,8 +493,7 @@ def default_alpha_grid(filt: FilterFamily, alpha_min: float = ALPHA_GRID_MIN,
         alpha_max = filt.alpha_max / 2.0
     if per_decade is None:
         per_decade = 512 if filt.oscillatory else 64
-    decades = math.log10(alpha_max / alpha_min)
-    n = max(int(math.ceil(per_decade * decades)) + 1, 16)
+    n = max(int(math.ceil(per_decade * _decades(alpha_min, alpha_max))) + 1, 16)
     return np.geomspace(alpha_min, alpha_max, n)
 
 

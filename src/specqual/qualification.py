@@ -496,6 +496,14 @@ def check_order_source_pair(
 # classical order and the increasing-weight check
 # ---------------------------------------------------------------------------
 
+def _sup_log_ratio(log_r, log_w_lam, log_w_alpha) -> np.ndarray:
+    """ln of sup_lm |r_alpha(lm)| w(lm) / w(alpha) over the sampled lambdas.
+    ``log_r`` is a (lambda x alpha) ln|r| mesh, or broadcasts to one;
+    ``log_w_lam`` and ``log_w_alpha`` hold ln w, one row per weight."""
+    with np.errstate(all="ignore"):
+        return np.max(log_w_lam[:, :, None] + log_r, axis=1) - log_w_alpha
+
+
 def _deep_alpha_grid(filt: FilterFamily) -> np.ndarray:
     top = filt.alpha_max / 2.0
     decades = math.log10(top / DEEP_ALPHA_MIN)
@@ -516,13 +524,12 @@ def estimate_classical_order(
     """Bracket the classical order on a dyadic mu grid.
 
     The mu grid is probed in ascending order, whatever its given order.
-    For each mu, boundedness of lambda^mu |r| / alpha^mu is tested per
-    lambda over a deep alpha grid reaching 1e-300: statistics like
-    alpha^(-1/64)/|ln alpha| only reveal their divergence hundreds of
-    decades down, far below any working grid.  The whole mu grid is
-    probed as one batch: one residual mesh over (lambda x alpha), one
-    (mu x lambda) block of rows, and one tail estimate; mu passes when
-    every row of its block is bounded.
+    For each mu, boundedness of sup_lm lm^mu |r| / alpha^mu over the
+    sampled lambdas is tested over a deep alpha grid reaching 1e-300:
+    statistics like alpha^(-1/64)/|ln alpha| only reveal their divergence
+    hundreds of decades down, far below any working grid.  The whole mu
+    grid is one batch: one (lambda x alpha) residual mesh, one sampled-sup
+    row per mu and one tail estimate; mu passes when its row reads bounded.
     """
     mu_grid = default_mu_grid() if mu_grid is None else np.sort(np.asarray(mu_grid, dtype=float))
     if lambda_grid is None:
@@ -531,32 +538,17 @@ def estimate_classical_order(
         alpha_grid = _deep_alpha_grid(filt)
     lams = np.asarray(lambda_grid, dtype=float)
     t = tail_of(alpha_grid)
-
-    n = lams.size
     with np.errstate(all="ignore"):
-        rlog = np.broadcast_to(filt._r_log(t.alphas, lams[:, None]), (n, t.alphas.size))
-
-    # one (mu x lambda x alpha) block, filled in the order
-    # (mu*ln(lm) + ln|r|) - mu*ln(alpha); its rows are mu-major
-    mu = mu_grid[:, None, None]
-    lq = np.add(mu * np.log(lams)[:, None], rlog)
-    np.subtract(lq, mu * np.log(t.alphas), out=lq)
-    ests = tail_limit(t, lq.reshape(-1, t.alphas.size), "limsup", n_blocks=5)
-    passed = tuple(all(est.bounded for est in ests[i * n:(i + 1) * n])
-                   for i in range(mu_grid.size))
-
-    low = None
-    high = None
-    for mu, ok in zip(mu_grid, passed):
-        if ok and high is None:
-            low = float(mu)
-        elif high is None:
-            high = float(mu)
+        rlog = filt._r_log(t.alphas, lams[:, None])
+    mu = mu_grid[:, None]
+    lq = _sup_log_ratio(rlog, mu * np.log(lams), mu * np.log(t.alphas))
+    passed = tuple(est.bounded for est in tail_limit(t, lq, "limsup", n_blocks=5))
+    k = passed.index(False) if False in passed else len(passed)  # the first failing mu
     return ClassicalOrder(
-        low=low,
-        high=high,
-        zero=not passed[0],
-        infinite=all(passed),
+        low=float(mu_grid[k - 1]) if k else None,
+        high=float(mu_grid[k]) if k < len(passed) else None,
+        zero=k == 0,
+        infinite=k == len(passed),
         mu_grid=tuple(float(m) for m in mu_grid),
         passed=passed,
     )
@@ -614,11 +606,9 @@ def check_mp_qualification(
     lams = np.asarray(lambda_grid, dtype=float)
 
     with np.errstate(all="ignore"):
-        R = np.asarray(filt._r_log(alphas[:, None], lams[None, :]), dtype=float)
-        lrho_lam = rho.log_at(lams)
-        lS = np.max(R + lrho_lam[None, :], axis=1)
+        R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
         lrho = rho.log_at(alphas)
-        ratio_log = lS - lrho
+        ratio_log = _sup_log_ratio(R, rho.log_at(lams)[None], lrho[None])[0]
 
     t = tail_of(alphas)
     est = tail_limit(t, ratio_log[t.index], "limsup")
@@ -629,7 +619,7 @@ def check_mp_qualification(
         passes=False,
         witness_alpha=float(alphas[np.argmax(ratio_log)]),
         growth=sat_exp(hi - lo) if hi < math.inf else math.inf,  # +inf or NaN: a pole
-        weak_certificate=_windowed_certificate(R, lrho, lams),
+        weak_certificate=_windowed_certificate(R.T, lrho, lams),
     )
 
 

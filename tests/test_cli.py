@@ -2,7 +2,10 @@
 
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -11,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import specqual
 from specqual.cli import MAX_PER_DECADE, build_parser, main
 
 
@@ -425,6 +429,79 @@ def test_geo_lambda_past_double_ratio(capsys):
     assert "floor" in json.loads(err)["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ("classify", "--filter", "tikhonov", "--order", "alpha"),
+    ("srho", "--filter", "ex3", "--order", "alpha"),
+    ("construct", "--filter", "tikhonov"),
+], ids=lambda argv: argv[0])
+def test_subnormal_alpha_min(capsys, argv):
+    """alpha_max / 1e-320 overflows; the grid counts its decades from the
+    logs of the ends instead of ending in an OverflowError traceback."""
+    code, out, _ = run(capsys, *argv, "--alpha-min", "1e-320")
+    assert code in (0, 1, 3)
+    json.loads(out, parse_constant=_reject_constant)
+
+
+@pytest.mark.parametrize("generator", ["j^nan", "j^inf", "j^400"])
+def test_non_finite_generator_exits_two(capsys, generator):
+    """j^nan made every w_j but w_1 nan; j^inf and 200^400 made w_j inf,
+    and every record then printed "err": "nan" with exit 0."""
+    code, out, err = run(capsys, "converge", "--filter", "tikhonov", "--source", "lambda",
+                         "--generator", generator)
+    assert_input_error(code, out, err)
+    assert "--generator" in json.loads(err)["message"]
+
+
+CONVERGE = ("converge", "--filter", "tikhonov", "--source", "lambda", "--dim", "16")
+
+
+@pytest.mark.parametrize("argv,files", [
+    ((), {}),
+    (("nope",), {}),
+    (("classical", "--config", "cfg.json"), {"cfg.json": "[1,2]"}),
+    (("classical", "--filter", "ex8", "--param", "k=abc"), {}),
+    (("classical", "--filter", "tikhonov", "--param", "k=1"), {}),
+    (("srho", "--filter", "tikhonov", "--order", "alpha", "--lambda", "geo:1:2"), {}),
+    (("srho", "--filter", "tikhonov", "--order", "alpha", "--lambda", "geo:a:b:c"), {}),
+    ((*CONVERGE, "--generator", "j^x"), {}),
+    ((*CONVERGE, "--fit-window", "1"), {}),
+    ((*CONVERGE, "--fit-window", "a:b"), {}),
+    ((*CONVERGE, "--fit-window", "2:1"), {}),
+    ((*CONVERGE, "--model", "diag:foo"), {}),
+    ((*CONVERGE, "--model", "ragged.csv"), {"ragged.csv": "1,2\n3\n"}),
+], ids=["no-command", "bad-command", "config-not-object", "param-not-number",
+        "param-unknown", "geo-three-parts", "geo-not-numbers", "generator-not-number",
+        "fit-window-one-part", "fit-window-not-numbers", "fit-window-reversed",
+        "model-unknown-rule", "model-ragged-csv"])
+def test_input_error_branches(capsys, tmp_path, monkeypatch, argv, files):
+    monkeypatch.chdir(tmp_path)
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    assert_input_error(*run(capsys, *argv))
+
+
+def test_config_param_object_is_param_flags(capsys, tmp_path):
+    """A config "param" object gives one --param K=V per entry."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"filter": "ex8", "param": {"k": 2}}))
+    code, from_config, _ = run(capsys, "classical", "--config", str(cfg))
+    assert code == 0
+    assert (code, from_config) == run(capsys, "classical", "--filter", "ex8", "--param", "k=2")[:2]
+
+
+def test_python_dash_m_specqual(tmp_path):
+    """``python -m specqual`` is ``python -m specqual.cli``, byte for byte."""
+    env = dict(os.environ, PYTHONPATH=str(Path(specqual.__file__).resolve().parents[1]))
+
+    def cli(*argv):
+        return subprocess.run([sys.executable, "-m", *argv], env=env, cwd=tmp_path,
+                              capture_output=True, check=True).stdout
+
+    assert cli("specqual", "--version") == f"specqual {specqual.__version__}\n".encode()
+    call = ("classify", "--filter", "tikhonov", "--order", "alpha")
+    assert cli("specqual", *call) == cli("specqual.cli", *call)
+
+
 class TestConfigAndDeterminism:
     def test_config_supplies_required_flags(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -578,7 +655,7 @@ PARAM_FILTERS = {"k": "ex8_osc", "mu": "landweber"}
 ADVERSARIAL_VALUES = [
     "nan", "inf", "-inf", "0", "-1", "1e-300", "1e300", "", "1,1",
     "alpha^(", "2*3", "exp(1)", "1/(1-1)", "ln(0)",
-    "geo:0.01:10:4", "geo:1e-5:1e5:2", "geo:1:1.001:4096", "geo:1e-300:1e300:1",
+    "1e-320", "geo:0.01:10:4", "geo:1e-5:1e5:2", "geo:1:1.001:4096", "geo:1e-300:1e300:1",
     "k=1", "k=2", "k=nan", "k=0", "k=1e-300", "k=1e300",
     "mu=0.5", "mu=100", "mu=9000", "mu=1e-300", "mu=-inf",
 ]

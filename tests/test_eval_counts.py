@@ -241,6 +241,26 @@ def test_classical_order_is_one_batch_per_mu(counts):
     assert counts == {"r_log": 1, "tail_limit": 1, "points": points}
 
 
+@pytest.mark.parametrize("mu_grid", [None, np.array([3.0, 0.25, 1.5])], ids=["default", "three-mu"])
+def test_classical_order_reads_one_row_per_mu(counts, monkeypatch, mu_grid):
+    """The probe hands ``tail_limit`` one sampled-sup row per mu, 13 on the
+    default grid; it handed over one row per (mu, lambda), 91 by default."""
+    shapes = []
+    tail_limit = qualification.tail_limit
+
+    def shaped_tail_limit(tail, log_values, *args, **kwargs):
+        shapes.append(np.shape(log_values))
+        return tail_limit(tail, log_values, *args, **kwargs)
+
+    monkeypatch.setattr(qualification, "tail_limit", shaped_tail_limit)
+    filt = counted_filter(counts, "ex8_osc", k=1.0)
+    co = sq.estimate_classical_order(filt, mu_grid)
+    tail = tail_columns(qualification._deep_alpha_grid(filt))
+    assert (counts["r_log"], counts["tail_limit"]) == (1, 1)
+    assert shapes == [(len(co.mu_grid), tail)]
+    assert len(co.mu_grid) == (13 if mu_grid is None else 3)
+
+
 @pytest.mark.parametrize("fid", ["tikhonov", "tsvd", "showalter"])
 def test_convergence_study_is_one_mesh(counts, fid):
     """One (alpha x eigenvalue) mesh per study; a per-alpha loop made 150 calls."""

@@ -336,6 +336,22 @@ def test_landweber_default_lambda_grid_below_95_unchanged(mu):
     np.testing.assert_array_equal(got, want)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("fid", ["tikhonov", "ex9_osc"])
+def test_subnormal_alpha_min_grid(fid):
+    """0.5 / 1e-320 overflows a double; the grid then counts its decades
+    from the logs of the ends, where it raised OverflowError before.  A
+    finite ratio keeps the ratio form, so every other grid is unchanged."""
+    filt = sq.get_filter(fid)
+    per = 512 if filt.oscillatory else 64
+    grid = sq.default_alpha_grid(filt, alpha_min=1e-320)
+    decades = math.log10(0.5) - math.log10(1e-320)
+    assert grid.size == int(math.ceil(per * decades)) + 1
+    assert grid[0] == 1e-320 and grid[-1] == 0.5 and np.all(np.diff(grid) > 0)
+    want = np.geomspace(1e-300, 0.5, int(math.ceil(per * math.log10(0.5 / 1e-300))) + 1)
+    np.testing.assert_array_equal(sq.default_alpha_grid(filt, alpha_min=1e-300), want)
+
+
 def test_ex10_range_is_open_at_alpha_max():
     """The coefficient -1/ln(alpha) of ex10_osc is infinite at alpha = 1."""
     filt = sq.get_filter("ex10_osc")
