@@ -289,6 +289,14 @@ def _certified(args, kind: str, grid=None):
         fn = (certify_order_fn if kind == "order" else certify_source_fn)(text, grid)
     except ExprError as exc:
         raise InputError(f"bad --{kind} expression: {exc}") from exc
+    if not fn.certified and kind == "order":
+        # ln rho may be -inf on a prefix of the ascending grid (-1/alpha below ~1e-308)
+        low = np.isneginf(fn.log_at(grid))
+        k = int(np.argmin(low))  # the first alpha where ln rho is finite
+        if k and not low[k:].any() and certify_order_fn(text, grid[k:]).certified:
+            hint = "; raise --alpha-min above it" if hasattr(args, "alpha_min") else ""
+            raise InputError(f"--order '{text}' underflows: ln rho is -inf for alpha <= "
+                             f"{grid[k - 1]:.6g}{hint}")
     if not fn.certified:
         rules = " (must be positive, nondecreasing, vanishing at 0)" if kind == "order" else ""
         raise InputError(f"--{kind} '{text}' is not an admissible {kind} function{rules}")

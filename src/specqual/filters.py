@@ -74,10 +74,10 @@ class FilterFamily:
     ``residual_log_sign`` reads the sign from ln|r|.  ``_r_log`` stays the
     estimators' one-output path.  The value of r comes from
     ``residual_value``.
-    ``_dips(alpha, lambda)`` is the dip set of an oscillatory family: it
-    returns the largest point <= lambda (the first one when lambda lies
-    below it) where |r| takes an exact local minimum, and ln|r| there; it
-    is None for a family without one.  Instances are immutable and safe
+    ``_dips(alpha, lambda)`` is the dip set of a family whose |r| has
+    known exact minima in lambda: it returns the largest such point
+    <= lambda (the first one when lambda lies below it) and ln|r| there;
+    it is None for a family without one.  Instances are immutable and safe
     to share.  A family is made of closures, so it compares and hashes by
     identity: two ``get_filter`` calls give two unequal families, and
     ``qualification.classify`` keys its classical-order probe on the
@@ -244,10 +244,15 @@ def _ex7_piecewise():
     # alpha_0 < 1/2.  Inner region [0, 2a) uses the constant filter value
     # c(a) = (2a - (a + 2a^2)/ln 3)^(-1); outer region uses
     # g = (1 - h)/(lm + h) with h = a / (a + ln(a/(a+lm))).
+    # The inner residual 1 - lm*c(a) vanishes at lm = 1/c(a) (~1.09a as a -> 0),
+    # inside [0, 2a) for every alpha in the range: ``_dips`` returns that root.
     LN3 = math.log(3.0)
 
+    def root(a):
+        return 2.0 * a - (a + 2.0 * a * a) / LN3
+
     def c_of(a):
-        return 1.0 / (2.0 * a - (a + 2.0 * a * a) / LN3)
+        return 1.0 / root(a)
 
     def g(a, lm):
         a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
@@ -273,9 +278,13 @@ def _ex7_piecewise():
             out[~inner] = np.log(ao) + np.log1p(lo) - out[~inner]
         return out, np.sign(v)
 
+    def dips(a, lm):
+        shape = np.broadcast_shapes(np.shape(a), np.shape(lm))
+        return np.broadcast_to(root(np.asarray(a, float)), shape), np.full(shape, -math.inf)
+
     return FilterFamily(
         id="ex7_piecewise", alpha_max=0.4, h2_constant=6.0, oscillatory=False,
-        _g=g, _r_log=lambda a, lm: log_sign(a, lm)[0], _r_log_sign=log_sign,
+        _g=g, _r_log=lambda a, lm: log_sign(a, lm)[0], _r_log_sign=log_sign, _dips=dips,
     )
 
 

@@ -335,6 +335,27 @@ def test_out_of_range_grid_exits_two(capsys, argv):
     assert "order function" not in doc["message"]  # a range error, not a rejected order
 
 
+@pytest.mark.parametrize("argv,message", [
+    (("srho", "--filter", "ex3", "--order", "exp(-1/alpha)", "--alpha-min", "1e-310"),
+     "--order 'exp(-1/alpha)' underflows: ln rho is -inf for alpha <= 5.4244e-309;"
+     " raise --alpha-min above it"),
+    (("mp-check", "--filter", "tikhonov", "--order", "exp(-exp(1/alpha))"),
+     "--order 'exp(-exp(1/alpha))' underflows: ln rho is -inf for alpha <= 0.00137423"),
+    (("srho", "--filter", "ex3", "--order", "alpha-alpha", "--alpha-min", "1e-310"),
+     "--order 'alpha-alpha' is not an admissible order function"
+     " (must be positive, nondecreasing, vanishing at 0)"),
+], ids=["underflow-below-alpha-min", "underflow-on-a-fixed-grid", "zero-order"])
+def test_rejected_order_names_its_reason(capsys, argv, message):
+    """ln rho = -1/alpha is -inf on the 112 smallest alphas of a grid from
+    1e-310, and the order is admissible above them: the message names the
+    largest such alpha.  mp-check has no --alpha-min to raise, so it only
+    names the alpha.  An order that is 0, so -inf at every alpha, is
+    rejected by the admissibility rules as before."""
+    code, out, err = run(capsys, *argv)
+    assert_input_error(code, out, err)
+    assert json.loads(err)["message"] == message
+
+
 @pytest.mark.parametrize("argv", [
     ("classify", "--filter", "tikhonov", "--order", "alpha+lambda"),
     ("classify", "--filter", "tikhonov", "--order", "lambda"),

@@ -393,3 +393,27 @@ def test_dip_set_matches_high_precision_roots(fid, params):
             # the phase at the root is k*pi, whose sine is exactly 0
             want = mpmath.log(oracle(mpmath.mp, a, root, mpf(0)))
             assert abs(mpf(log_r[i, j]) - want) <= 1e-12 * abs(want), (fid, i, j)
+
+
+def test_ex7_dip_is_the_root_of_its_residual():
+    """ex7's one dip against the 50-digit root of its inner residual
+    1 - lambda c(alpha), found by ``findroot``: the root to 4 ulp, inside
+    the inner region [0, 2 alpha), ln r = -inf there, and r changing sign
+    across it.  Every lambda gets the same dip."""
+    mpmath = pytest.importorskip("mpmath")
+    filt = sq.get_filter("ex7_piecewise")
+    alphas = np.geomspace(1e-7, filt.alpha_max, 9)[:, None]
+    lams = np.array([1e-3, 0.1, 1.0, 9.9])[None, :]
+    lk, log_r = filt._dips(alphas, lams)
+    assert lk.shape == log_r.shape == (9, 4)
+    assert np.all(log_r == -math.inf)
+    assert np.all(lk == lk[:, :1]) and np.all((0 < lk) & (lk < 2 * alphas))
+    with mpmath.workdps(50):
+        for a, got in zip(alphas[:, 0], lk[:, 0]):
+            a_mp = mpmath.mpf(a)
+            root = mpmath.findroot(
+                lambda lm: RESIDUAL_ORACLES["ex7_piecewise"](mpmath.mp, a_mp, lm, 0),
+                (a_mp / 2, 3 * a_mp / 2))
+            assert abs(mpmath.mpf(got) - root) <= 4 * np.spacing(float(root)), a
+    _, sign = residual_log_sign(filt, alphas, lk[:, :1] * np.array([1 - 1e-9, 1 + 1e-9]))
+    assert np.all(sign == [1, -1])

@@ -11,9 +11,8 @@ import specqual as sq
 from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_of
 from specqual import qualification
 from specqual.filters import residual_value
-from specqual.qualification import (SQRT_EPS, _construct_certificate, _pair_limsup,
-                                    _refine_minima, _scan_window, _windowed_certificate,
-                                    srho_table)
+from specqual.qualification import (_construct_certificate, _pair_limsup,
+                                    _windowed_certificate, srho_table)
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
@@ -319,105 +318,65 @@ class TestClassicalOrderMesh:
         assert repr(co) == repr(reference)
 
 
-class TestGoldenRefinement:
-    @pytest.mark.parametrize("shape", ["quadratic", "kink"])
-    def test_lands_on_known_minimum(self, shape):
-        """The minimizer in ln lambda is found to within sqrt(eps) *
-        max(|t|, 1), where the lanes stop, and the returned value is
-        log_q at the returned lambda."""
-        rng = np.random.default_rng(11)
-        t = rng.uniform(-20.0, 20.0, (6, 3))
-        lo = t - rng.uniform(1e-3, 2.0, t.shape)
-        hi = t + rng.uniform(1e-3, 2.0, t.shape)
-
-        def log_q(lam):
-            d = np.log(lam) - t
-            return d * d if shape == "quadratic" else np.abs(d)
-
-        lam, q = _refine_minima(log_q, lo, hi)
-        assert lam.shape == t.shape
-        tol = math.sqrt(np.finfo(float).eps) * np.maximum(np.abs(t), 1.0)
-        assert np.all(np.abs(np.log(lam) - t) <= tol)
-        np.testing.assert_array_equal(q, log_q(lam))
-
-    def test_lowers_gamma_on_an_oscillatory_window(self, monkeypatch):
-        """Off the catalog the golden read can beat both the coarse scan
-        and the dips of an oscillatory family: with the search replaced by
-        its bracket midpoints, gamma reads 5.8651273, higher."""
-        args = (sq.get_filter("ex8_osc", k=1.0), sq.order_fn("exp(-1/alpha)"),
-                sq.source_fn("lambda^0.05"), sq.order_fn("exp(-1/alpha)"),
-                np.geomspace(1e-2, 0.5, 6))
-        refined = sq.check_order_source_pair(*args)
-        assert refined.gamma == 5.865122612525739
-
-        def midpoints(log_q, lo, hi):
-            lam = np.exp(0.5 * (np.asarray(lo) + np.asarray(hi)))
-            return lam, log_q(lam)
-
-        monkeypatch.setattr(qualification, "_refine_minima", midpoints)
-        assert refined.gamma < sq.check_order_source_pair(*args).gamma
+def _reference_window_infima(filt, rho, s, h, lams, alphas):
+    """Each per-alpha window infimum of the order-source check and the
+    lambda it sits at, one alpha at a time: the 64-point geometric scan
+    from max(h(alpha), 1e-300) to lambda_max, both ends included, then
+    the family's dips that lie in the window, and the least ln q of the
+    two reads (the scan's on a tie)."""
+    lam_max = float(np.max(lams))
+    sub = np.geomspace(np.min(alphas), np.max(alphas), min(96, alphas.size))
+    log_lo, log_hi = np.maximum(h.log_at(sub), math.log(1e-300)), math.log(lam_max)
+    infima, where = [], []
+    for a, lo in zip(sub, log_lo):
+        lam = np.exp(lo + np.linspace(0.0, 1.0, 64) * (log_hi - lo))
+        with np.errstate(all="ignore"):
+            q = s.log_at(lam) + filt._r_log(a, lam) - rho.log_at(a)
+            if filt._dips is not None:
+                ld, log_rd = filt._dips(a, lam)
+                keep = (ld >= lam[0]) & (ld <= lam_max)
+                lam = np.append(lam, ld[keep])
+                q = np.append(q, s.log_at(ld[keep]) + log_rd[keep] - rho.log_at(a))
+        infima.append(np.min(q))
+        where.append(lam[np.argmin(q)])
+    return sub, np.array(infima), np.array(where)
 
 
-class TestEdgeSettle:
-    """``_scan_window`` settles a lane whose coarse minimum sits on a window
-    edge when q one golden stopping width inside that edge is strictly
-    higher; any other lane sends every lane through ``_refine_minima``
-    on the bracket of its coarse minimum, exactly as without the probe."""
+class TestWindowInfimum:
+    @pytest.mark.parametrize("fid,params,order,source,lams,holds", [
+        ("ex3_exp", {}, "exp(-1/alpha)", "lambda^0.5", None, True),
+        ("ex3_exp", {}, "alpha", "lambda^0.5", None, False),
+        ("ex8_osc", {"k": 1.0}, "exp(-1/alpha)", "lambda^0.05", np.geomspace(1e-2, 0.5, 6),
+         True),
+        ("ex9_osc", {}, "exp(-1/sqrt(alpha))", "lambda", None, False),
+        ("ex10_osc", {}, "exp(-1/alpha)", "lambda^0.5", None, False),
+    ], ids=["ex3-holds", "ex3-fails", "ex8-holds", "ex9-fails", "ex10-fails"])
+    def test_least_of_the_scan_and_the_dips(self, monkeypatch, fid, params, order,
+                                            source, lams, holds):
+        """Every per-alpha infimum the check hands the tail estimator, its
+        gamma and its witness are those of the scan and the dips rebuilt
+        one alpha at a time, bit for bit.  The window h is rho."""
+        filt = sq.get_filter(fid, **params)
+        rho, s = sq.order_fn(order), sq.source_fn(source)
+        lams = sq.default_lambda_grid(filt) if lams is None else lams
+        infima = []
+        tail = qualification.tail_limit
 
-    LOG_LO = np.array([-20.0, -3.0, 0.5])[:, None]
-    LOG_HI = math.log(10.0)
+        def recorded_tail(t, values, kind, **kwargs):
+            infima.append(np.array(values))
+            return tail(t, values, kind, **kwargs)
 
-    def scan(self, f, log_lo=LOG_LO):
-        calls = []
-
-        def log_q(lam):
-            calls.append(np.shape(lam))
-            return f(np.log(lam))
-
-        Lc, L, Q = _scan_window(log_q, log_lo[:, 0], self.LOG_HI)
-        return log_q, calls, Lc, L, Q
-
-    @pytest.mark.parametrize("sign,edge", [(1.0, 0), (-1.0, -1)])
-    def test_strict_rise_off_the_edge_settles(self, sign, edge):
-        """q rising off the low edge, or falling into the top one: the
-        scan and probes are the only call, and the read is the scan's."""
-        _, calls, Lc, L, Q = self.scan(lambda x: sign * x)
-        assert len(calls) == 1
-        assert len(L) == len(Q) == 1 and L[0] is Lc
-        assert np.all(np.argmin(Q[0], axis=1) == np.arange(Lc.shape[1])[edge])
-
-    def refined_as_before(self, f, log_lo=LOG_LO):
-        log_q, calls, Lc, L, Q = self.scan(f, log_lo)
-        assert np.all(np.argmin(Q[-1], axis=1) == 0)  # every coarse minimum on the low edge
-        assert len(calls) > 1
-        assert len(L) == len(Q) == 2 and L[1] is Lc
-        lam_ref, q_ref = _refine_minima(log_q, np.log(Lc[:, :1]), np.log(Lc[:, 1:2]))
-        np.testing.assert_array_equal(L[0], lam_ref)
-        np.testing.assert_array_equal(Q[0], q_ref)
-        return L, Q
-
-    def test_flat_at_the_edge_is_refined(self):
-        """q flat over the first half scan step: the probe ties the edge."""
-        half_step = 0.5 * (self.LOG_HI - self.LOG_LO) / (qualification.COARSE_POINTS - 1)
-        self.refined_as_before(lambda x: np.maximum(x - (self.LOG_LO + half_step), 0.0))
-
-    def test_minimum_past_the_probe_is_refined(self):
-        """A V whose vertex lies 1e-6 (several stopping widths) off the
-        low edge of the last lane: the probe reads below the edge, so that
-        lane and the two strictly rising lanes are refined, and the last
-        one lands on the vertex, below its edge read."""
-        vertex = self.LOG_LO + 1e-6
-        assert np.all(1e-6 > SQRT_EPS * np.maximum(1.0, np.abs(self.LOG_LO)))
-        last = np.array([False, False, True])[:, None]
-        L, Q = self.refined_as_before(lambda x: np.where(last, np.abs(x - vertex), x))
-        assert np.abs(np.log(L[0][2, 0]) - vertex[2, 0]) <= SQRT_EPS
-        assert Q[0][2, 0] < Q[1][2, 0]
-
-    def test_window_narrower_than_the_probe_is_refined(self):
-        """A window clamped to 1e-6 below lambda_max (h above it) has scan
-        steps below the stopping width, so the probe would leave the
-        bracket, where the golden search returns its midpoint at once."""
-        self.refined_as_before(lambda x: x, np.array([[self.LOG_HI - 1e-6]]))
+        monkeypatch.setattr(qualification, "tail_limit", recorded_tail)
+        verdict = sq.check_order_source_pair(filt, rho, s, rho, lams)
+        sub, ref, where = _reference_window_infima(filt, rho, s, rho, lams,
+                                                   sq.default_alpha_grid(filt))
+        np.testing.assert_array_equal(infima[0], ref[tail_of(sub).index])
+        worst = int(np.argmin(ref))
+        if verdict.holds:
+            assert verdict.gamma == sat_exp(float(ref[worst]))
+        else:
+            assert verdict.witnesses == [(float(sub[worst]), float(where[worst]))]
+        assert verdict.holds == holds
 
 
 class TestSourceEstimates:
@@ -535,6 +494,19 @@ class TestOrderSourcePairs:
         verdict = sq.check_order_source_pair(ex8, rho_alpha, s_sqrt, rho_alpha)
         assert not verdict.holds
         assert verdict.witnesses
+
+    def test_ex7_root_in_the_window_breaks_the_pair(self, ex7, rho_exp, s_lambda):
+        """ex7's residual 1 - lambda c(alpha) vanishes at lambda = 1/c(alpha),
+        about 1.09 alpha, inside every window from h = exp(-1/alpha), so each
+        window infimum is 0.  No scan lambda lands on the root: read from
+        the scan alone the pair held with gamma = 0.954.  The witness is
+        the root at the smallest alpha."""
+        verdict = sq.check_order_source_pair(ex7, rho_exp, s_lambda, rho_exp)
+        assert not verdict.holds
+        (alpha, lam), = verdict.witnesses
+        assert alpha == pytest.approx(1e-7, rel=1e-12)
+        assert lam == pytest.approx(1.0 / sq.eval_g(ex7, alpha, 0.0), rel=1e-15)
+        assert abs(sq.eval_residual(ex7, alpha, lam).value) <= 1e-15
 
     def test_custom_oscillatory_filter_has_no_verdict(self, ex8, tikhonov, rho_alpha,
                                                       s_sqrt, s_lambda):
