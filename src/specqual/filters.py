@@ -80,8 +80,8 @@ class FilterFamily:
     it is None for a family without one.  Instances are immutable and safe
     to share.  A family is made of closures, so it compares and hashes by
     identity: two ``get_filter`` calls give two unequal families, and
-    ``qualification.classify`` keys its classical-order probe on the
-    instance.
+    ``qualification.classify`` keys its classical-order probe and its
+    default grids and meshes on the instance.
     """
 
     id: str
@@ -453,7 +453,9 @@ def make_custom_filter(
 
     A custom family has no dip set, so for an ``oscillatory`` one
     ``check_order_source_pair`` raises ``QualificationError`` (dips
-    unknown) rather than report a window infimum that missed them.
+    unknown) rather than report a window infimum that missed them.  Its
+    residual 1 - lambda g is assumed continuous in lambda: that check
+    reads a sign change of r between two scanned lambdas as a root.
     """
 
     def log_sign(a, lm):

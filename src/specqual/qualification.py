@@ -29,6 +29,7 @@ exp(-1/alpha) / exp(-lambda/alpha) computable at all.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass, field
@@ -212,10 +213,44 @@ def _require_certified(fn, what):
 
 def _grids(filt, lambda_grid, alpha_grid):
     """The lambda and alpha grids as float arrays, each the family's
-    default where it is None."""
-    lams = default_lambda_grid(filt) if lambda_grid is None else lambda_grid
-    alphas = default_alpha_grid(filt) if alpha_grid is None else alpha_grid
-    return np.asarray(lams, dtype=float), np.asarray(alphas, dtype=float)
+    default (kept read-only per instance) where it is None."""
+    if lambda_grid is None:
+        lambda_grid = _kept(filt, "lams", lambda: default_lambda_grid(filt))
+    if alpha_grid is None:
+        alpha_grid = _kept(filt, "alphas", lambda: default_alpha_grid(filt))
+    return np.asarray(lambda_grid, dtype=float), np.asarray(alpha_grid, dtype=float)
+
+
+# ln|r| over (lambda x tail) for the s_rho table and the weak pair, with its grids
+_Mesh = collections.namedtuple("_Mesh", "lams alphas tail r_log")
+
+
+def _mesh(filt, lambda_grid, alpha_grid) -> _Mesh:
+    """The residual mesh on the given grids, kept on the default ones."""
+    def build():
+        lams, alphas = _grids(filt, lambda_grid, alpha_grid)
+        t = tail_of(alphas)
+        with np.errstate(all="ignore"):
+            return _Mesh(lams, alphas, t, np.asarray(filt._r_log(t.alphas, lams[:, None]), float))
+    return _kept(filt, "mesh", build) if lambda_grid is None and alpha_grid is None else build()
+
+
+def _frozen(x):
+    """``x``, with every array in it (through nested tuples) read-only."""
+    if isinstance(x, np.ndarray):
+        x.setflags(write=False)
+    elif isinstance(x, tuple):
+        for v in x:
+            _frozen(v)
+    return x
+
+
+def _kept(filt, key, build):
+    """``build()``, made read-only and kept under ``key`` in ``_defaults(filt)``."""
+    kept = _defaults(filt)
+    if key not in kept:
+        kept[key] = _frozen(build())
+    return kept[key]
 
 
 # ---------------------------------------------------------------------------
@@ -246,33 +281,21 @@ def srho_table(
     """``estimate_srho`` at every lambda: one residual mesh over
     (lambda x alpha) and one batched tail estimate."""
     _require_certified(rho, "order function")
-    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
-    bad = lams[~(lams > 0)]
+    return _srho(_mesh(filt, lambda_grid, alpha_grid), rho)
+
+
+def _srho(m: _Mesh, rho) -> dict[float, LimitEstimate]:
+    bad = m.lams[~(m.lams > 0)]
     if bad.size:
         raise QualificationError(f"lambda must be positive, got {bad[0]}")
-    t = tail_of(alphas)
     with np.errstate(all="ignore"):
-        log_ratio = rho.log_at(t.alphas) - filt._r_log(t.alphas, lams[:, None])
-    ests = tail_limit(t, log_ratio, "liminf")
-    return {float(lam): est for lam, est in zip(lams, ests)}
+        log_ratio = rho.log_at(m.tail.alphas) - m.r_log
+    return dict(zip(m.lams.tolist(), tail_limit(m.tail, log_ratio, "liminf")))
 
 
 # ---------------------------------------------------------------------------
 # pair predicates
 # ---------------------------------------------------------------------------
-
-def _pair_limsup(filt, s, rho, lams, alphas):
-    """limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha), one estimate
-    per entry of the 1-d array ``lams``."""
-    t = tail_of(alphas)
-    with np.errstate(all="ignore"):
-        lq = (
-            s.log_at(lams)[:, None]
-            + np.asarray(filt._r_log(t.alphas, lams[:, None]), dtype=float)
-            - rho.log_at(t.alphas)
-        )
-    return tail_limit(t, lq, "limsup")
-
 
 def check_weak_pair(
     filt: FilterFamily,
@@ -284,24 +307,31 @@ def check_weak_pair(
     """Is s(lm)|r|/rho bounded in alpha for every sampled lambda?"""
     _require_certified(s, "source function")
     _require_certified(rho, "order function")
-    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
+    return _weak_pair(_mesh(filt, lambda_grid, alpha_grid), s, rho)
 
+
+def _pair_limsup(filt, s, rho, lams, alphas):
+    """The weak pair's limsup at each lambda of the 1-d array ``lams``."""
+    return list(check_weak_pair(filt, s, rho, lams, alphas).detail["estimates"].values())
+
+
+def _weak_pair(m: _Mesh, s, rho) -> PairVerdict:
+    """The weak pair on the residual mesh ``m``: the limsup over alpha of
+    s(lm)|r_alpha(lm)| / rho(alpha) at each lambda."""
+    with np.errstate(all="ignore"):
+        lq = s.log_at(m.lams)[:, None] + m.r_log - rho.log_at(m.tail.alphas)
     witnesses = []
     bound = 0.0
     estimates = {}
-    for lam, est in zip(lams.tolist(), _pair_limsup(filt, s, rho, lams, alphas)):
+    for lam, est in zip(m.lams.tolist(), tail_limit(m.tail, lq, "limsup")):
         estimates[lam] = est
         if not est.bounded:
-            witnesses.append((float(np.min(alphas)), lam))
+            witnesses.append((float(np.min(m.alphas)), lam))
         else:
             bound = max(bound, est.tail_max)
     holds = not witnesses
-    return PairVerdict(
-        holds=holds,
-        bound_k=bound if holds else None,
-        witnesses=witnesses,
-        detail={"estimates": estimates},
-    )
+    return PairVerdict(holds=holds, bound_k=bound if holds else None, witnesses=witnesses,
+                       detail={"estimates": estimates})
 
 
 def check_strong_pair(
@@ -312,24 +342,20 @@ def check_strong_pair(
     alpha_grid: np.ndarray | None = None,
 ) -> PairVerdict:
     """Weak pair whose limsup also stays bounded away from zero."""
-    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
-    weak = check_weak_pair(filt, s, rho, lams, alphas)
+    weak = check_weak_pair(filt, s, rho, lambda_grid, alpha_grid)
     if not weak.holds:
         return PairVerdict(holds=False, witnesses=weak.witnesses,
                            detail={"failed": "weak", **weak.detail})
-    alpha_min = float(np.min(alphas))
+    alpha_min = float(np.min(_grids(filt, lambda_grid, alpha_grid)[1]))
     witnesses = [(alpha_min, lam) for lam, est in weak.detail["estimates"].items()
                  if not est.positive]
-    return PairVerdict(
-        holds=not witnesses,
-        bound_k=weak.bound_k,
-        witnesses=witnesses,
-        detail=weak.detail,
-    )
+    return PairVerdict(holds=not witnesses, bound_k=weak.bound_k, witnesses=witnesses,
+                       detail=weak.detail)
 
 
 SCAN_POINTS = 64    # geometric lambdas of the scan of each window, both ends included
 WINDOW_ALPHAS = 96  # geometric alpha subgrid whose window infima are estimated
+_SCAN_FRACTIONS = _frozen(np.linspace(0.0, 1.0, SCAN_POINTS))  # of each window's log span
 
 
 def check_order_source_pair(
@@ -356,7 +382,9 @@ def check_order_source_pair(
         dips of an oscillatory family are its phase roots, which no lambda
         scan resolves, so an oscillatory family without a dip set raises
         ``QualificationError`` instead of a verdict; ex7's dip is the root
-        of its residual, where q is 0.
+        of its residual, where q is 0.  Without a dip set, r is taken as
+        continuous in lambda: a strict sign change between adjacent scan
+        lambdas brackets a root, and q reads 0 at the upper one.
 
     The per-alpha infima then go through the tail estimator: the pair
     holds when their liminf stays above the positivity floor, with gamma
@@ -372,22 +400,29 @@ def check_order_source_pair(
         )
     lams, alphas = _grids(filt, lambda_grid, alpha_grid)
     lam_max = float(np.max(lams))
-    n_alpha = min(WINDOW_ALPHAS, alphas.size)
-    sub = np.geomspace(np.min(alphas), np.max(alphas), n_alpha)
+
+    def window():  # the alpha subgrid and its Tail
+        sub = np.geomspace(np.min(alphas), np.max(alphas), min(WINDOW_ALPHAS, alphas.size))
+        return sub, tail_of(sub)
+    sub, t = _kept(filt, "window", window) if alpha_grid is None else window()
 
     # one row per alpha: the scan, then the dips
     A = sub[:, None]
     log_rho = rho.log_at(sub)[:, None]
     log_hi = math.log(lam_max)
     log_lo = np.minimum(np.maximum(h.log_at(sub), math.log(LAMBDA_TINY)), log_hi - 1e-6)
-    L = np.exp(log_lo[:, None] + np.linspace(0.0, 1.0, SCAN_POINTS) * (log_hi - log_lo)[:, None])
+    L = np.exp(log_lo[:, None] + _SCAN_FRACTIONS * (log_hi - log_lo)[:, None])
 
     def log_q(lam, log_r):
         with np.errstate(all="ignore"):
             return s.log_at(lam) + np.asarray(log_r, dtype=float) - log_rho
 
-    Q = log_q(L, filt._r_log(A, L))
-    if filt._dips is not None:
+    if filt._dips is None:
+        log_r, sign = residual_log_sign(filt, A, L)
+        Q = log_q(L, log_r)
+        Q[:, 1:][sign[:, :-1] * sign[:, 1:] < 0] = -math.inf
+    else:
+        Q = log_q(L, filt._r_log(A, L))
         Ld, log_rd = filt._dips(A, L)
         inside = (Ld >= L[:, :1]) & (Ld <= lam_max)
         L = np.concatenate([L, Ld], axis=1)
@@ -396,7 +431,6 @@ def check_order_source_pair(
     gam_log = np.take_along_axis(Q, best, axis=1)[:, 0]
     gam_lam = np.take_along_axis(L, best, axis=1)[:, 0]
 
-    t = tail_of(sub)
     est = tail_limit(t, gam_log[t.index], "liminf")
 
     holds = est.positive
@@ -473,14 +507,22 @@ def estimate_classical_order(
     )
 
 
-@functools.lru_cache(maxsize=64)
 def _classical_order(filt: FilterFamily) -> ClassicalOrder:
     """``estimate_classical_order(filt)`` on its default grids, probed once
     per filter instance: the classical order belongs to the method alone,
     not to the (method, rho) pair that ``classify`` is asked about.  A
     family compares by identity, so a ``dataclasses.replace`` copy probes
     again."""
-    return estimate_classical_order(filt)
+    return _kept(filt, "classical", lambda: estimate_classical_order(filt))
+
+
+@functools.lru_cache(maxsize=64)
+def _defaults(filt: FilterFamily) -> dict:
+    """``_kept``'s store of what the verdicts read of ``filt`` alone: its
+    classical order, and the rho-free inputs on its default grids.  It
+    never holds an explicit grid, nor the mp-check's ln|r| mesh (233 kB
+    at 65 x 448, more memory than the time it saves is worth)."""
+    return {}
 
 
 def check_mp_qualification(
@@ -498,38 +540,42 @@ def check_mp_qualification(
     bounded, with gamma = the ratio's maximum over the whole alpha grid,
     so gamma bounds the ratio at every sampled alpha.  A failure
     reports the alpha where the ratio is largest (the smallest such alpha
-    on a tie) and its growth, the
-    largest over the smallest ratio on the alpha grid; the growth is +inf
-    when that quotient overflows a double or the ratio is not finite (an
-    order with a pole in (0, a]).  On failure a companion certificate
-    reports whether the given rho still bounds the residual in the
-    constructive windowed sense (sup over lambda >= h(alpha) of |r|
-    below rho(alpha) for a vanishing h), which is how methods with
-    infinite classical order keep a meaningful order of convergence.
+    on a tie) and its growth, the largest over the smallest ratio on the
+    alpha grid; the growth is +inf when that quotient overflows a double
+    or the ratio is not finite (an order with a pole in (0, a]).  On
+    failure a companion certificate reports whether the given rho still
+    bounds the residual in the constructive windowed sense (sup over
+    lambda >= h(alpha) of |r| below rho(alpha) for a vanishing h), which
+    is how methods with infinite classical order keep a meaningful order
+    of convergence.
     """
     _require_certified(rho, "order function")
     if not 0 < a < math.inf:
         raise QualificationError(f"interval bound a must be positive and finite, got {a}")
-    if lambda_grid is None:
-        lam_top = a if filt.lambda_sup is None else min(a, 0.95 * filt.lambda_sup)
-        if not lam_top >= MP_LAMBDA_MIN:
-            raise QualificationError(
-                f"interval bound a={a:g} leaves the default lambda grid "
-                f"[{MP_LAMBDA_MIN:g}, {lam_top:g}] empty")
-        lambda_grid = np.geomspace(MP_LAMBDA_MIN, lam_top,
-                                   int(16 * math.log10(lam_top / MP_LAMBDA_MIN)) + 1)
-    if alpha_grid is None:
-        top = min(a, filt.alpha_max * (1 - 1e-12))
-        alpha_grid = np.geomspace(1e-7, top, int(64 * math.log10(top / 1e-7)))
-    alphas = np.sort(np.asarray(alpha_grid, dtype=float))
-    lams = np.asarray(lambda_grid, dtype=float)
+
+    def grids(lambda_grid=lambda_grid, alpha_grid=alpha_grid):
+        if lambda_grid is None:
+            lam_top = a if filt.lambda_sup is None else min(a, 0.95 * filt.lambda_sup)
+            if not lam_top >= MP_LAMBDA_MIN:
+                raise QualificationError(
+                    f"interval bound a={a:g} leaves the default lambda grid "
+                    f"[{MP_LAMBDA_MIN:g}, {lam_top:g}] empty")
+            lambda_grid = np.geomspace(MP_LAMBDA_MIN, lam_top,
+                                       int(16 * math.log10(lam_top / MP_LAMBDA_MIN)) + 1)
+        if alpha_grid is None:
+            top = min(a, filt.alpha_max * (1 - 1e-12))
+            alpha_grid = np.geomspace(1e-7, top, int(64 * math.log10(top / 1e-7)))
+        alphas = np.sort(np.asarray(alpha_grid, dtype=float))
+        return np.asarray(lambda_grid, dtype=float), alphas, tail_of(alphas)
+
+    lams, alphas, t = (_kept(filt, ("mp", a), grids) if lambda_grid is None and alpha_grid is None
+                       else grids())
 
     with np.errstate(all="ignore"):
         R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
         lrho = rho.log_at(alphas)
         ratio_log = _sup_log_ratio(R, rho.log_at(lams)[None], lrho[None])[0]
 
-    t = tail_of(alphas)
     est = tail_limit(t, ratio_log[t.index], "limsup")
     hi, lo = float(np.max(ratio_log)), float(np.min(ratio_log))
     if est.bounded:
@@ -739,13 +785,13 @@ def classify(
     increasing-weight check; without them both are None.  The bracket
     depends on the filter alone, so it is probed once per filter
     instance and the same ``ClassicalOrder`` is shared by every report
-    of that instance; this assumes the family's ``g`` and ``_r_log`` are
+    of that instance, as are the grids, tails and residual mesh of the
+    default grids; this assumes the family's ``g`` and ``_r_log`` are
     pure functions.
     """
     _require_certified(rho, "order function")
-    lambda_grid, alpha_grid = _grids(filt, lambda_grid, alpha_grid)
-
-    table = srho_table(filt, rho, lambda_grid, alpha_grid)
+    m = _mesh(filt, lambda_grid, alpha_grid)  # shared by the s_rho table and the weak fallback
+    table = _srho(m, rho)
     evidence: dict[str, PairVerdict] = {}
 
     # FLOOR < v < CAP also rules out nan and inf
@@ -754,11 +800,11 @@ def classify(
     strong = not failing
     level = "none"
     source_label = None
+    lams = np.array(sorted(table))
+    vals = np.array([table[l].value for l in lams])
 
     if strong:
         level = "strong"
-        lams = np.array(sorted(table))
-        vals = np.array([table[l].value for l in lams])
         s_tab = TabulatedSource(lambdas=lams, log_values=np.log(vals),
                                 label="s_rho (tabulated)")
         source_label = s_tab.label
@@ -768,29 +814,29 @@ def classify(
             detail={"criterion": "0 < s_rho < inf at every sampled lambda"},
         )
         evidence["weak"] = evidence["strong"]
-        osp = check_order_source_pair(filt, rho, s_tab, rho, lambda_grid, alpha_grid)
+        # alpha_grid as given: a default one takes the cached alpha subgrid
+        osp = check_order_source_pair(filt, rho, s_tab, rho, m.lams, alpha_grid)
         evidence["optimal"] = osp
         if osp.holds:
             level = "optimal"
     else:
         evidence["strong"] = PairVerdict(
             holds=False,
-            witnesses=[(float(np.min(alpha_grid)), lam) for lam in failing[:4]],
+            witnesses=[(float(np.min(m.alphas)), lam) for lam in failing[:4]],
             detail={"criterion": "s_rho must be finite, positive and stabilized"},
         )
         # weak fallback: a bounded certified source that keeps the ratio bounded
-        candidates = [*_capped_srho_candidates(table), *_canonical_sources()]
+        candidates = [*_capped_srho_candidates(lams, vals), *_canonical_sources()]
         for cand in candidates:
-            verdict = check_weak_pair(filt, cand, rho, lambda_grid, alpha_grid)
+            verdict = _weak_pair(m, cand, rho)
             if verdict.holds:
                 level = "weak"
                 source_label = getattr(cand, "label", "candidate")
                 evidence["weak"] = verdict
                 break
         else:
-            evidence["weak"] = PairVerdict(
-                holds=False, detail={"criterion": "no candidate source found"}
-            )
+            evidence["weak"] = PairVerdict(holds=False,
+                                           detail={"criterion": "no candidate source found"})
 
     return QualificationReport(
         filter_id=filt.id,
@@ -802,17 +848,16 @@ def classify(
         evidence=evidence,
         source_label=source_label,
         grid_meta={
-            "lambda_grid": [float(x) for x in lambda_grid],
-            "alpha_points": int(alpha_grid.size),
-            "alpha_range": (float(np.min(alpha_grid)), float(np.max(alpha_grid))),
+            "lambda_grid": [float(x) for x in m.lams],
+            "alpha_points": int(m.alphas.size),
+            "alpha_range": (float(np.min(m.alphas)), float(np.max(m.alphas))),
         },
     )
 
 
-def _capped_srho_candidates(table):
-    """A bounded source built by capping the finite part of the s_rho table."""
-    lams = np.array(sorted(table))
-    vals = np.array([table[l].value for l in lams])
+def _capped_srho_candidates(lams, vals):
+    """A bounded source built by capping the finite part of the s_rho
+    table, its values ``vals`` at the ascending ``lams``."""
     finite = np.isfinite(vals) & (vals > 0)
     if finite.sum() >= 2:
         cap_val = float(10.0 * np.max(vals[finite]))

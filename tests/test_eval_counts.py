@@ -145,8 +145,10 @@ def test_canonical_sources_certified_once(monkeypatch):
 
 def test_classical_probe_runs_once_per_filter(counts):
     """A second classify of one filter instance reuses its classical
-    order: it makes exactly the probe's one ``_r_log`` call and one
-    ``tail_limit`` call fewer, and shares the first report's bracket."""
+    order and its default grids' residual mesh: 4 ``_r_log`` and 4
+    ``tail_limit`` calls, then 2 and 3, and both reports share one
+    bracket.  It made 4 and 4, then 3 and 3, when only the classical
+    order was kept."""
     filt = counted_filter(counts, "ex8_osc", k=1.0)
     rho = sq.order_fn("alpha")
 
@@ -155,10 +157,52 @@ def test_classical_probe_runs_once_per_filter(counts):
         report = sq.classify(filt, rho)
         return report, (counts["r_log"] - r_log, counts["tail_limit"] - tail)
 
-    first, (r_log, tail) = classify_counted()
+    first, made = classify_counted()
+    assert made == (4, 4)
     second, made = classify_counted()
-    assert made == (r_log - 1, tail - 1)
+    assert made == (2, 3)
     assert second.classical_mu0 is first.classical_mu0
+
+
+def test_second_classify_makes_the_scan_and_mp_calls(counts, check_calls, monkeypatch):
+    """On the default grids a repeated classify evaluates only what depends
+    on rho: the order-source check's scan (its window starts at h = rho)
+    and the mp-check's mesh, which is not kept."""
+    mp = qualification.check_mp_qualification
+    mp_calls = []
+
+    def counted_mp(*args, **kwargs):
+        before = counts["r_log"]
+        verdict = mp(*args, **kwargs)
+        mp_calls.append(counts["r_log"] - before)
+        return verdict
+
+    monkeypatch.setattr(qualification, "check_mp_qualification", counted_mp)
+    filt = counted_filter(counts, "ex8_osc", k=1.0)
+    rho = sq.order_fn("alpha")
+    sq.classify(filt, rho)
+    before = counts["r_log"]
+    sq.classify(filt, rho)
+    assert counts["r_log"] - before == 2
+    assert check_calls == [1, 1] and mp_calls == [1, 1]
+
+
+@pytest.mark.parametrize("fid,order,grids,candidates", [
+    ("tsvd", "alpha", False, 1),
+    ("tikhonov", "alpha^3", False, 4),
+    ("tikhonov", "alpha^3", True, 4),
+])
+def test_weak_fallback_reads_the_srho_mesh(counts, fid, order, grids, candidates):
+    """A first classify without companions makes one ``_r_log`` call, the
+    s_rho table's mesh, however many weak-pair candidates it tries and
+    whether its grids are the defaults or given: each candidate built the
+    mesh again before (2 calls on tsvd x alpha, 5 on tikhonov x alpha^3).
+    ``candidates`` is the number of weak-pair checks, one ``tail_limit``
+    call each after the table's."""
+    filt = counted_filter(counts, fid)
+    given = (sq.default_lambda_grid(filt), sq.default_alpha_grid(filt)) if grids else ()
+    sq.classify(filt, sq.order_fn(order), *given, companions=False)
+    assert (counts["r_log"], counts["tail_limit"]) == (1, 1 + candidates)
 
 
 def test_replaced_filter_probes_again(counts):
@@ -187,6 +231,66 @@ def test_explicit_grids_are_never_cached(counts):
         assert (counts["r_log"], counts["tail_limit"]) == (before["r_log"] + 1,
                                                            before["tail_limit"] + 1)
         assert (co.low, co.high) == (1.0, 2.0)
+
+
+def test_explicit_srho_and_weak_grids_are_never_cached(counts):
+    """``srho_table`` and ``check_weak_pair`` on given grids build their own
+    mesh, one ``_r_log`` call each, before and after ``classify`` filled
+    the instance's cache on the default grids; given the default grids'
+    values, they return what the cached mesh gives."""
+    filt = counted_filter(counts, "tikhonov")
+    rho, s = sq.order_fn("alpha"), sq.source_fn("lambda")
+    lams, alphas = sq.default_lambda_grid(filt), sq.default_alpha_grid(filt)
+    made = []
+    for _ in range(2):
+        for check in (lambda: sq.srho_table(filt, rho, lams, alphas),
+                      lambda: sq.check_weak_pair(filt, s, rho, lams, alphas)):
+            before = counts["r_log"]
+            check()
+            made.append(counts["r_log"] - before)
+        sq.classify(filt, rho)
+    assert made == [1, 1, 1, 1]
+    before = counts["r_log"]
+    assert sq.srho_table(filt, rho) == sq.srho_table(filt, rho, lams, alphas)
+    assert counts["r_log"] == before + 1
+
+
+def test_cached_arrays_are_read_only(counts):
+    """Every array the instance's cache holds, and the scan fractions, is
+    read-only: a caller that writes into one gets a ValueError, not a
+    changed verdict for every later classify."""
+    filt = counted_filter(counts, "ex8_osc", k=1.0)
+    sq.classify(filt, sq.order_fn("alpha"))
+    kept = qualification._defaults(filt)
+    assert sorted(map(str, kept)) == ["('mp', 1.0)", "alphas", "classical", "lams", "mesh",
+                                      "window"]
+
+    def arrays(x):
+        if isinstance(x, tuple):
+            return [a for v in x for a in arrays(v)]
+        return [x] if isinstance(x, np.ndarray) else []
+
+    arrays = arrays((*kept.values(), qualification._SCAN_FRACTIONS))
+    assert len(arrays) == 18
+    for x in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            x[0] = 0
+
+
+def test_replaced_filter_builds_its_own_defaults(counts):
+    """A ``dataclasses.replace`` copy gets its own cache entry, and its
+    first classify builds the s_rho mesh again."""
+    filt = counted_filter(counts, "tikhonov")
+    rho = sq.order_fn("alpha")
+    sq.classify(filt, rho, companions=False)
+    before = counts["r_log"]
+    sq.classify(filt, rho, companions=False)
+    warm = counts["r_log"] - before
+    copy = dataclasses.replace(filt)
+    assert qualification._defaults(copy) is not qualification._defaults(filt)
+    before = counts["r_log"]
+    sq.classify(copy, rho, companions=False)
+    assert counts["r_log"] - before == warm + 1
 
 
 def test_import_certifies_nothing():

@@ -508,6 +508,20 @@ class TestOrderSourcePairs:
         assert lam == pytest.approx(1.0 / sq.eval_g(ex7, alpha, 0.0), rel=1e-15)
         assert abs(sq.eval_residual(ex7, alpha, lam).value) <= 1e-15
 
+    def test_custom_root_in_the_window_breaks_the_pair(self, ex7, rho_exp, s_lambda):
+        """ex7's own g as a custom family has no dip set, and no scan lambda
+        lands on its root: read from the scan's values alone the pair held
+        with gamma = 0.9536.  The sign of r flips between two scan lambdas
+        around the root, which reads as a window infimum of 0; the witness
+        is the scan lambda above the flip at the smallest alpha."""
+        custom = sq.make_custom_filter("custom_ex7", ex7._g, ex7.alpha_max, ex7.h2_constant)
+        verdict = sq.check_order_source_pair(custom, rho_exp, s_lambda, rho_exp)
+        assert not verdict.holds
+        (alpha, lam), = verdict.witnesses
+        assert alpha == pytest.approx(1e-7, rel=1e-12)
+        assert lam > 1.0 / sq.eval_g(ex7, alpha, 0.0)
+        assert sq.eval_residual(custom, alpha, lam).sign == -1
+
     def test_custom_oscillatory_filter_has_no_verdict(self, ex8, tikhonov, rho_alpha,
                                                       s_sqrt, s_lambda):
         """A custom family has no dip set, and a lambda scan misses the
