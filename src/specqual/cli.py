@@ -153,7 +153,8 @@ def build_parser() -> _Parser:
     c.add_argument("--source", required=True, help="source expression in lambda")
     c.add_argument("--model", default="diag:j^-2",
                    help="'diag:RULE' (j^-2, j^-4, exp) or a CSV matrix path")
-    c.add_argument("--dim", type=int, default=200)
+    c.add_argument("--dim", type=int,
+                   help="dimension of a 'diag:' model (default 200); must match a CSV model's")
     c.add_argument("--generator", default="j^-0.6",
                    help="generator decay 'j^-Q' for w_j = j^-Q")
     c.add_argument("--fit-window", metavar="LO:HI", help="alpha window for the slope fit")
@@ -439,7 +440,7 @@ def _load_model(args):
     if spec.startswith("diag:"):
         rule = spec.split(":", 1)[1]
         try:
-            return make_model(rule, args.dim)
+            return make_model(rule, 200 if args.dim is None else args.dim)
         except OperatorError as exc:
             raise InputError(str(exc)) from exc
     try:
@@ -449,6 +450,8 @@ def _load_model(args):
     except OperatorError as exc:
         raise InputError(str(exc)) from exc
     model, _, _, _ = svd_decompose(matrix)
+    if args.dim not in (None, model.dim):
+        raise InputError(f"--dim {args.dim} differs from the model's dimension {model.dim}")
     return model
 
 

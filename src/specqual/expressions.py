@@ -99,11 +99,10 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     while pos < len(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
-            stripped = text[pos:].lstrip()
-            at = len(text) - len(stripped)
+            at = len(text) - len(text[pos:].lstrip())
+            if at == len(text):  # only whitespace remained
+                break
             raise ExprSyntaxError(f"unexpected character '{text[at]}'", at)
-        if m.end() == m.start():  # only whitespace remained
-            break
         kind = m.lastgroup
         tokens.append((kind, m.group(kind), m.start(kind)))
         pos = m.end()

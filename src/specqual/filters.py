@@ -80,8 +80,8 @@ class FilterFamily:
     it is None for a family without one.  Instances are immutable and safe
     to share.  A family is made of closures, so it compares and hashes by
     identity: two ``get_filter`` calls give two unequal families, and
-    ``qualification.classify`` keys its classical-order probe and its
-    default grids and meshes on the instance.
+    ``qualification.classify`` keeps its classical-order probe and its
+    default grids and meshes per instance, until the instance is freed.
     """
 
     id: str
@@ -508,6 +508,11 @@ def default_alpha_grid(filt: FilterFamily, alpha_min: float = ALPHA_GRID_MIN,
     return np.geomspace(alpha_min, alpha_max, n)
 
 
+def lambda_top(filt: FilterFamily, cap: float) -> float:
+    """A default lambda grid's top ``cap``, clamped to 0.95 lambda_sup."""
+    return cap if filt.lambda_sup is None else min(cap, 0.95 * filt.lambda_sup)
+
+
 def default_lambda_grid(filt: FilterFamily, lam_min: float = 1e-2,
                         per_decade: int = 4) -> np.ndarray:
     """Default lambda sample set up to LAMBDA_GRID_MAX, clamped below the
@@ -517,11 +522,9 @@ def default_lambda_grid(filt: FilterFamily, lam_min: float = 1e-2,
     falls to or below ``lam_min`` (landweber with mu >= 0.95 / lam_min),
     the grid spans the decade below the clamped top instead.
     """
-    lam_max = LAMBDA_GRID_MAX
-    if filt.lambda_sup is not None:
-        lam_max = min(lam_max, 0.95 * filt.lambda_sup)
-        if lam_max <= lam_min:
-            lam_min = lam_max / 10.0
+    lam_max = lambda_top(filt, LAMBDA_GRID_MAX)
+    if lam_max <= lam_min:
+        lam_min = lam_max / 10.0
     decades = math.log10(lam_max / lam_min)
     n = max(int(round(per_decade * decades)) + 1, 4)
     return np.geomspace(lam_min, lam_max, n)

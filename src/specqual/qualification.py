@@ -32,12 +32,13 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filters import (FilterFamily, default_alpha_grid, default_lambda_grid,
-                      residual_log_sign)
+from .filters import (ALPHA_GRID_MIN, FilterFamily, default_alpha_grid, default_lambda_grid,
+                      lambda_top, residual_log_sign)
 from .limits import CAP, FLOOR, LimitEstimate, sat_exp, sat_exp_array, tail_limit, tail_of
 from .rates import (
     TabulatedOrder,
@@ -245,6 +246,19 @@ def _frozen(x):
     return x
 
 
+_STORE = weakref.WeakKeyDictionary()  # a live family -> its ``_defaults``
+
+
+def _defaults(filt: FilterFamily) -> dict:
+    """What the verdicts read of ``filt`` alone, freed with ``filt``: its
+    classical order and the rho-free inputs on its default grids, never an
+    explicit grid nor the mp-check's ln|r| mesh (233 kB at 65 x 448)."""
+    kept = _STORE.get(filt)
+    if kept is None:
+        kept = _STORE[filt] = {}
+    return kept
+
+
 def _kept(filt, key, build):
     """``build()``, made read-only and kept under ``key`` in ``_defaults(filt)``."""
     kept = _defaults(filt)
@@ -308,11 +322,6 @@ def check_weak_pair(
     _require_certified(s, "source function")
     _require_certified(rho, "order function")
     return _weak_pair(_mesh(filt, lambda_grid, alpha_grid), s, rho)
-
-
-def _pair_limsup(filt, s, rho, lams, alphas):
-    """The weak pair's limsup at each lambda of the 1-d array ``lams``."""
-    return list(check_weak_pair(filt, s, rho, lams, alphas).detail["estimates"].values())
 
 
 def _weak_pair(m: _Mesh, s, rho) -> PairVerdict:
@@ -458,10 +467,7 @@ def _sup_log_ratio(log_r, log_w_lam, log_w_alpha) -> np.ndarray:
 
 
 def _deep_alpha_grid(filt: FilterFamily) -> np.ndarray:
-    top = filt.alpha_max / 2.0
-    decades = math.log10(top / DEEP_ALPHA_MIN)
-    n = int(decades * DEEP_PER_DECADE)
-    return np.geomspace(DEEP_ALPHA_MIN, top, n)
+    return default_alpha_grid(filt, DEEP_ALPHA_MIN, per_decade=DEEP_PER_DECADE)
 
 
 def default_mu_grid() -> np.ndarray:
@@ -508,21 +514,8 @@ def estimate_classical_order(
 
 
 def _classical_order(filt: FilterFamily) -> ClassicalOrder:
-    """``estimate_classical_order(filt)`` on its default grids, probed once
-    per filter instance: the classical order belongs to the method alone,
-    not to the (method, rho) pair that ``classify`` is asked about.  A
-    family compares by identity, so a ``dataclasses.replace`` copy probes
-    again."""
+    """``estimate_classical_order(filt)`` on its default grids, kept per instance."""
     return _kept(filt, "classical", lambda: estimate_classical_order(filt))
-
-
-@functools.lru_cache(maxsize=64)
-def _defaults(filt: FilterFamily) -> dict:
-    """``_kept``'s store of what the verdicts read of ``filt`` alone: its
-    classical order, and the rho-free inputs on its default grids.  It
-    never holds an explicit grid, nor the mp-check's ln|r| mesh (233 kB
-    at 65 x 448, more memory than the time it saves is worth)."""
-    return {}
 
 
 def check_mp_qualification(
@@ -555,7 +548,7 @@ def check_mp_qualification(
 
     def grids(lambda_grid=lambda_grid, alpha_grid=alpha_grid):
         if lambda_grid is None:
-            lam_top = a if filt.lambda_sup is None else min(a, 0.95 * filt.lambda_sup)
+            lam_top = lambda_top(filt, a)
             if not lam_top >= MP_LAMBDA_MIN:
                 raise QualificationError(
                     f"interval bound a={a:g} leaves the default lambda grid "
@@ -564,7 +557,8 @@ def check_mp_qualification(
                                        int(16 * math.log10(lam_top / MP_LAMBDA_MIN)) + 1)
         if alpha_grid is None:
             top = min(a, filt.alpha_max * (1 - 1e-12))
-            alpha_grid = np.geomspace(1e-7, top, int(64 * math.log10(top / 1e-7)))
+            alpha_grid = np.geomspace(ALPHA_GRID_MIN, top,
+                                      int(64 * math.log10(top / ALPHA_GRID_MIN)))
         alphas = np.sort(np.asarray(alpha_grid, dtype=float))
         return np.asarray(lambda_grid, dtype=float), alphas, tail_of(alphas)
 
@@ -654,7 +648,7 @@ def construct_weak_qualification(
     """
     if lambda_grid is None:
         # inside the family's lambda range, and at least a decade wide
-        top = 100.0 if filt.lambda_sup is None else min(100.0, 0.95 * filt.lambda_sup)
+        top = lambda_top(filt, 100.0)
         lambda_grid = np.geomspace(min(1e-4, top / 10.0), top, 321)
     if alpha_grid is None:
         alpha_grid = default_alpha_grid(filt, per_decade=64)

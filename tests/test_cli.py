@@ -305,6 +305,21 @@ class TestConverge:
         assert json.loads(out1)["study"]["model"] == "dense-svd(64x64)"
         assert out1.encode() == out2.encode()
 
+    @pytest.mark.parametrize("dim", ["0", "1", "3", "200"])
+    def test_csv_model_rejects_another_dim(self, capsys, tmp_path, dim):
+        """A CSV model has its own dimension: a --dim, as a flag or a config
+        key, that differs from it exits 2 and names both."""
+        path = tmp_path / "m.csv"
+        path.write_text("1.0,0.0\n0.0,0.5\n")
+        argv = ("converge", "--filter", "tikhonov", "--source", "lambda", "--model", str(path))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"dim": int(dim)}))
+        for extra in (("--dim", dim), ("--config", str(cfg))):
+            code, out, err = run(capsys, *argv, *extra)
+            assert_input_error(code, out, err)
+            message = json.loads(err)["message"]
+            assert message == f"--dim {dim} differs from the model's dimension 2"
+
     def test_non_finite_matrix_exits_two(self, capsys, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("1.0,nan\n0.0,0.5\n")
@@ -366,6 +381,18 @@ def test_wrong_variable_exits_two(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert_input_error(code, out, err)
     assert "only" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("argv,flag,text", [
+    (("classify", "--filter", "tikhonov"), "--order", "alpha"),
+    (("converge", "--filter", "tikhonov", "--dim", "16"), "--source", "lambda"),
+], ids=["order", "source"])
+@pytest.mark.parametrize("pad", [" ", "\t", "  \n"])
+def test_padded_expression_prints_as_unpadded(capsys, argv, flag, text, pad):
+    """Trailing whitespace ends an expression: no traceback, same stdout."""
+    want = run(capsys, *argv, flag, text)
+    assert want[0] == 0
+    assert run(capsys, *argv, flag, text + pad) == want
 
 
 @pytest.mark.parametrize("argv", [

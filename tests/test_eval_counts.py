@@ -9,9 +9,11 @@ they gate the batched estimators without any wall-clock measurement.
 """
 
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -291,6 +293,20 @@ def test_replaced_filter_builds_its_own_defaults(counts):
     before = counts["r_log"]
     sq.classify(copy, rho, companions=False)
     assert counts["r_log"] - before == warm + 1
+
+
+def test_store_entry_lives_exactly_as_long_as_its_instance():
+    """The store holds no reference to an instance: once the caller drops
+    a classified instance it is collected, and its entry goes with it."""
+    filt = sq.get_filter("ex9_osc")
+    sq.classify(filt, sq.order_fn("exp(-1/sqrt(alpha))"))
+    kept = qualification._defaults(filt)
+    assert "mesh" in kept
+    ref = weakref.ref(filt)
+    del filt
+    gc.collect()
+    assert ref() is None
+    assert all(entry is not kept for entry in qualification._STORE.values())
 
 
 def test_import_certifies_nothing():

@@ -69,6 +69,16 @@ class TestParsing:
         with pytest.raises(ExprSyntaxError):
             parse_expr("(alpha + 1")
 
+    @pytest.mark.parametrize("text", ["alpha ", "alpha\t", " alpha \n", "exp(-1/alpha)  "])
+    def test_trailing_whitespace_ends_the_expression(self, text):
+        assert parse_expr(text) == parse_expr(text.strip())
+
+    @pytest.mark.parametrize("text,position", [("alpha  $", 7), ("  @", 2), ("alpha + ", 8)])
+    def test_error_after_spaces_reports_its_position(self, text, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text)
+        assert err.value.position == position
+
 
 class TestEvaluation:
     def test_reciprocal_log(self):

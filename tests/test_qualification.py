@@ -11,8 +11,8 @@ import specqual as sq
 from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_of
 from specqual import qualification
 from specqual.filters import residual_value
-from specqual.qualification import (_construct_certificate, _pair_limsup,
-                                    _windowed_certificate, srho_table)
+from specqual.qualification import (_construct_certificate, _windowed_certificate,
+                                    srho_table)
 
 EX4_GRID = np.geomspace(1e-7, 0.15, 448)
 
@@ -446,8 +446,9 @@ class TestStrongPairs:
 
     def test_limsup_lands_at_one_for_tikhonov(self, tikhonov, s_lambda, rho_alpha):
         for lam in (0.01, 1.0, 10.0):
-            est, = _pair_limsup(tikhonov, s_lambda, rho_alpha, np.array([lam]),
-                                sq.default_alpha_grid(tikhonov))
+            verdict = sq.check_weak_pair(tikhonov, s_lambda, rho_alpha, np.array([lam]),
+                                         sq.default_alpha_grid(tikhonov))
+            est, = verdict.detail["estimates"].values()
             assert est.value == pytest.approx(1.0, rel=0.01)
 
 
