@@ -270,8 +270,9 @@ def log_eval(expr: FuncExpr, binding: dict[str, np.ndarray | float]):
     Leaves, sin, exp's argument and the exponent of ^ are evaluated
     linearly; logs of products and quotients add; ``a^b`` is ``b*ln a``
     for a finite positive base and ``np.power`` otherwise; sums go through
-    a signed logaddexp; ln takes its child's log.  The sign is +-1, NaN or
-    a signed zero, so division by an exact zero keeps the IEEE sign.
+    a signed logaddexp, save a difference of two leaves within a factor 2,
+    which is exact in floats; ln takes its child's log.  The sign is +-1,
+    NaN or a signed zero, so division by an exact zero keeps the IEEE sign.
     """
     with np.errstate(all="ignore"):
         return _log_eval(expr, binding)
@@ -316,17 +317,37 @@ def _log_eval(expr: FuncExpr, binding):
             if op == "/":
                 lv, sv = la - lb, sa * np.copysign(1.0, sb)  # b's sign bit: 1/-0.0 is -inf
                 return lv, np.where(lv == -np.inf, 0.0 * sv, sv)  # x/inf is a signed zero
-            return _log_sum(la, sa, lb, -sb if op == "-" else sb)
+            sb = -sb if op == "-" else sb
+            lv, sv = _log_sum(la, sa, lb, sb)
+            if isinstance(left, Const | Var) and isinstance(right, Const | Var):
+                # leaves within a factor 2 of each other subtract exactly
+                # (Sterbenz); the rounding of their logs would grow by the
+                # cancellation (3.5 - 3.703: 18x)
+                cancel = (sa * sb < 0) & (np.abs(la - lb) < _LN2)
+                if np.any(cancel):
+                    lin, s_lin = _signed_log(_eval_array(expr, binding))
+                    lv, sv = np.where(cancel, lin, lv), np.where(cancel, s_lin, sv)
+            return lv, sv
     raise TypeError(f"not a FuncExpr node: {expr!r}")
+
+
+_LN2 = np.log(2.0)
 
 
 def _log_sum(la, sa, lb, sb):
     """Signed logaddexp: ``(ln|a + b|, sign)`` for a = sa*e^la, b = sb*e^lb."""
-    # r = (smaller term) / (larger term); equal logs (two zeros or two
-    # infinities included) are a ratio of +-1
-    r = sa * sb * np.exp(-np.abs(np.where(la == lb, 0.0, la - lb)))
+    # d = ln of (larger term) / (smaller term); equal logs (two zeros or two
+    # infinities included) are d = 0, a ratio r of +-1
+    d = np.abs(np.where(la == lb, 0.0, la - lb))
+    r = sa * sb * np.exp(-d)
+    l1r, s_sum = np.log1p(r), np.sign(1.0 + r)
+    near = (r < 0) & (d < _LN2)
+    if np.any(near):
+        # ln(1 - e^-d) is ln(-expm1(-d)): 1 + r would round a small d away
+        l1r = np.where(near, np.log(-np.expm1(-d)), l1r)
+        s_sum = np.where(near & (d > 0), 1.0, s_sum)
     s_hi = np.where(la >= lb, sa, sb)
-    return np.maximum(la, lb) + np.log1p(r), s_hi * np.sign(1.0 + r) + 0.0  # a - a is +0
+    return np.maximum(la, lb) + l1r, s_hi * s_sum + 0.0  # a - a is +0
 
 
 def eval_array(expr: FuncExpr, binding: dict[str, np.ndarray | float]):
