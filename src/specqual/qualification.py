@@ -251,8 +251,9 @@ _STORE = weakref.WeakKeyDictionary()  # a live family -> its ``_defaults``
 
 def _defaults(filt: FilterFamily) -> dict:
     """What the verdicts read of ``filt`` alone, freed with ``filt``: its
-    classical order and the rho-free inputs on its default grids, never an
-    explicit grid nor the mp-check's ln|r| mesh (233 kB at 65 x 448)."""
+    classical order and the rho-free inputs on its default grids, the
+    mp-check's ln|r| mesh (233 kB at 65 x 447) for the last ``a`` only,
+    and never an explicit grid."""
     kept = _STORE.get(filt)
     if kept is None:
         kept = _STORE[filt] = {}
@@ -541,6 +542,9 @@ def check_mp_qualification(
     lambda >= h(alpha) of |r| below rho(alpha) for a vanishing h), which
     is how methods with infinite classical order keep a meaningful order
     of convergence.
+
+    On the default grids the rho-free ln|r| mesh is built once and kept
+    per instance, for the last ``a`` only; given grids are never kept.
     """
     _require_certified(rho, "order function")
     if not 0 < a < math.inf:
@@ -559,14 +563,19 @@ def check_mp_qualification(
             top = min(a, filt.alpha_max * (1 - 1e-12))
             alpha_grid = np.geomspace(ALPHA_GRID_MIN, top,
                                       int(64 * math.log10(top / ALPHA_GRID_MIN)))
+        lams = np.asarray(lambda_grid, dtype=float)
         alphas = np.sort(np.asarray(alpha_grid, dtype=float))
-        return np.asarray(lambda_grid, dtype=float), alphas, tail_of(alphas)
+        t = tail_of(alphas)
+        with np.errstate(all="ignore"):
+            R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
+        return a, lams, alphas, t, R
 
-    lams, alphas, t = (_kept(filt, ("mp", a), grids) if lambda_grid is None and alpha_grid is None
-                       else grids())
+    default = lambda_grid is None and alpha_grid is None
+    if default and _defaults(filt).get("mp", (a,))[0] != a:
+        del _defaults(filt)["mp"]  # one mp entry per instance: the last a's
+    _, lams, alphas, t, R = _kept(filt, "mp", grids) if default else grids()
 
     with np.errstate(all="ignore"):
-        R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
         lrho = rho.log_at(alphas)
         ratio_log = _sup_log_ratio(R, rho.log_at(lams)[None], lrho[None])[0]
 

@@ -147,10 +147,11 @@ def test_canonical_sources_certified_once(monkeypatch):
 
 def test_classical_probe_runs_once_per_filter(counts):
     """A second classify of one filter instance reuses its classical
-    order and its default grids' residual mesh: 4 ``_r_log`` and 4
-    ``tail_limit`` calls, then 2 and 3, and both reports share one
-    bracket.  It made 4 and 4, then 3 and 3, when only the classical
-    order was kept."""
+    order, its default grids' residual mesh and the mp-check's mesh:
+    4 ``_r_log`` and 4 ``tail_limit`` calls, then 1 and 3, and both
+    reports share one bracket.  It made 4 and 4, then 3 and 3, when only
+    the classical order was kept, and 2 and 3 on the second classify
+    before the mp mesh was kept."""
     filt = counted_filter(counts, "ex8_osc", k=1.0)
     rho = sq.order_fn("alpha")
 
@@ -162,31 +163,38 @@ def test_classical_probe_runs_once_per_filter(counts):
     first, made = classify_counted()
     assert made == (4, 4)
     second, made = classify_counted()
-    assert made == (2, 3)
+    assert made == (1, 3)
     assert second.classical_mu0 is first.classical_mu0
 
 
-def test_second_classify_makes_the_scan_and_mp_calls(counts, check_calls, monkeypatch):
-    """On the default grids a repeated classify evaluates only what depends
-    on rho: the order-source check's scan (its window starts at h = rho)
-    and the mp-check's mesh, which is not kept."""
+@pytest.fixture
+def mp_calls(counts, monkeypatch):
+    """The ``_r_log`` calls of each mp-check, one entry per check."""
     mp = qualification.check_mp_qualification
-    mp_calls = []
+    made = []
 
     def counted_mp(*args, **kwargs):
         before = counts["r_log"]
         verdict = mp(*args, **kwargs)
-        mp_calls.append(counts["r_log"] - before)
+        made.append(counts["r_log"] - before)
         return verdict
 
     monkeypatch.setattr(qualification, "check_mp_qualification", counted_mp)
+    return made
+
+
+def test_second_classify_makes_the_scan_and_mp_calls(counts, check_calls, mp_calls):
+    """On the default grids a repeated classify evaluates only what depends
+    on rho: the order-source check's scan (its window starts at h = rho).
+    The mp-check reads its kept mesh and makes no call; it made one on
+    every classify before that mesh was kept."""
     filt = counted_filter(counts, "ex8_osc", k=1.0)
     rho = sq.order_fn("alpha")
     sq.classify(filt, rho)
     before = counts["r_log"]
     sq.classify(filt, rho)
-    assert counts["r_log"] - before == 2
-    assert check_calls == [1, 1] and mp_calls == [1, 1]
+    assert counts["r_log"] - before == 1
+    assert check_calls == [1, 1] and mp_calls == [1, 0]
 
 
 @pytest.mark.parametrize("fid,order,grids,candidates", [
@@ -257,6 +265,13 @@ def test_explicit_srho_and_weak_grids_are_never_cached(counts):
     assert counts["r_log"] == before + 1
 
 
+def arrays_in(x):
+    """The arrays in ``x``, through nested tuples."""
+    if isinstance(x, tuple):
+        return [a for v in x for a in arrays_in(v)]
+    return [x] if isinstance(x, np.ndarray) else []
+
+
 def test_cached_arrays_are_read_only(counts):
     """Every array the instance's cache holds, and the scan fractions, is
     read-only: a caller that writes into one gets a ValueError, not a
@@ -264,19 +279,48 @@ def test_cached_arrays_are_read_only(counts):
     filt = counted_filter(counts, "ex8_osc", k=1.0)
     sq.classify(filt, sq.order_fn("alpha"))
     kept = qualification._defaults(filt)
-    assert sorted(map(str, kept)) == ["('mp', 1.0)", "alphas", "classical", "lams", "mesh",
-                                      "window"]
-
-    def arrays(x):
-        if isinstance(x, tuple):
-            return [a for v in x for a in arrays(v)]
-        return [x] if isinstance(x, np.ndarray) else []
-
-    arrays = arrays((*kept.values(), qualification._SCAN_FRACTIONS))
-    assert len(arrays) == 18
+    assert sorted(kept) == ["alphas", "classical", "lams", "mesh", "mp", "window"]
+    arrays = arrays_in((*kept.values(), qualification._SCAN_FRACTIONS))
+    assert len(arrays) == 19  # the mp entry's ln|r| mesh is the 19th
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 0
+
+
+@pytest.mark.parametrize("fid,params,bound", [
+    ("ex8_osc", {"k": 1.0}, 525_000),
+    ("tikhonov", {}, 285_000),
+])
+def test_kept_bytes_are_bounded(fid, params, bound):
+    """The bytes an instance keeps after one classify, each base array
+    counted once (a kept ``Tail`` holds views into its grid): 522,800 on
+    ex8_osc and 282,664 on tikhonov when the bounds were set, 290,360
+    and 50,224 before the mp-check's 65 x 447 ln|r| mesh was kept."""
+    filt = sq.get_filter(fid, **params)
+    sq.classify(filt, sq.order_fn("alpha"))
+    bases = {}
+    for x in arrays_in(tuple(qualification._defaults(filt).values())):
+        while isinstance(x.base, np.ndarray):
+            x = x.base
+        bases[id(x)] = x
+    assert sum(x.nbytes for x in bases.values()) <= bound
+
+
+def test_one_mp_entry_per_instance(counts, mp_calls):
+    """The store keeps the mp-check's grids and mesh for the last ``a``
+    alone: after 20 values of ``a`` it holds one mp entry, and the next
+    default classify (a = 1) builds that mesh again in one ``_r_log``
+    call.  One entry per distinct ``a`` was kept before."""
+    filt = counted_filter(counts, "tikhonov")
+    rho = sq.order_fn("alpha")
+    for a in np.geomspace(0.05, 0.95, 20):
+        qualification.check_mp_qualification(filt, rho, a)
+    kept = qualification._defaults(filt)
+    assert list(kept) == ["mp"] and kept["mp"][0] == 0.95
+    sq.classify(filt, rho)
+    assert mp_calls == [1] * 21
+    assert sorted(kept) == ["alphas", "classical", "lams", "mesh", "mp", "window"]
+    assert kept["mp"][0] == 1.0
 
 
 def test_replaced_filter_builds_its_own_defaults(counts):

@@ -23,6 +23,7 @@ regenerate the files with
 and review its diff.
 """
 
+import dataclasses
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
@@ -149,6 +150,34 @@ def test_repeated_classify_matches_golden():
     assert catalog_text(first) == golden
     assert catalog_text(second) == golden
     assert all(a.classical_mu0 is b.classical_mu0 for a, b in zip(first, second))
+
+
+MP_FAILING = {("ex4_log", "-1/ln(alpha)"), ("ex4_log", "(-ln(alpha))^(-0.5)"),
+              ("ex9_osc", "exp(-1/sqrt(alpha))"), ("ex10_osc", "-1/ln(alpha)")}
+
+
+@pytest.mark.parametrize("fid,params,order,grid", CATALOG,
+                         ids=[f"{row[0]}-{row[2]}" for row in CATALOG])
+def test_kept_mp_mesh_prints_the_bytes_of_a_fresh_one(fid, params, order, grid):
+    """The mp-check on the default grids builds its ln|r| mesh on the
+    first call and reads the kept one after; explicit copies of the same
+    grids are never kept, so each such call builds the mesh again (one
+    ``_r_log`` call).  All four print the same bytes, the failing rows'
+    ``weak_certificate`` included."""
+    calls = []
+    filt = sq.get_filter(fid, **params)
+    r_log = filt._r_log
+    filt = dataclasses.replace(filt, _r_log=lambda a, lm: calls.append(1) or r_log(a, lm))
+    rho = sq.order_fn(order, None if grid is None else np.geomspace(*grid))
+    docs, made = [], []
+    for i in range(4):
+        given = () if i < 2 else [x.copy() for x in sq.qualification._defaults(filt)["mp"][1:3]]
+        before = len(calls)
+        docs.append(json.dumps(sq.check_mp_qualification(filt, rho, 1.0, *given).to_json_dict()))
+        made.append(len(calls) - before)
+    assert made == [1, 0, 1, 1]
+    assert docs == docs[:1] * 4
+    assert ("weak_certificate" in docs[0]) == ((fid, order) in MP_FAILING)
 
 
 def test_order_source_verdicts_match_golden():
