@@ -11,7 +11,12 @@ whose rows drop the r = 0 terms.  ``tests/golden/order_source.json`` holds
 60 direct ``check_order_source_pair`` verdicts beyond the catalog: every
 filter x {alpha, alpha^0.5, exp(-1/alpha)} x {lambda, lambda^0.5}, with the
 window h = rho, each as its holds, gamma, witnesses and the repr of its
-tail estimate.  ``tests/golden/cli_*.txt`` hold the exit code (first
+tail estimate.  ``tests/golden/tail_limit.json`` holds the fields of every
+estimate ``tail_limit`` returns in a warm classify of each catalog row
+(30 calls) and on a seeded set of degenerate inputs (grids of 8 to 12
+alphas, so that some blocks are empty, rows with +-inf and nan, both
+kinds, 4 and 5 blocks, two caps, 1-d and 2-d), each float as its
+``float.hex``.  ``tests/golden/cli_*.txt`` hold the exit code (first
 line) and stdout of five CLI calls that print no passing mp-check: the
 README ``srho`` and ``classical`` calls, two failing ``mp-check`` calls
 and ``construct`` in CSV.  A change that moves any printed value shows up
@@ -25,7 +30,9 @@ and review its diff.
 
 import dataclasses
 import io
+import itertools
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -39,6 +46,7 @@ from specqual.qualification import jsonable
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 GOLDEN = GOLDEN_DIR / "catalog.json"
 ORDER_SOURCE = GOLDEN_DIR / "order_source.json"
+TAIL_LIMIT = GOLDEN_DIR / "tail_limit.json"
 
 EX4_GRID = (1e-7, 0.15, 448)   # geomspace arguments of the order's certification grid
 EX10_GRID = (1e-7, 0.5, 448)
@@ -93,6 +101,79 @@ def order_source_text() -> str:
                              "holds": v.holds, "gamma": v.gamma, "witnesses": v.witnesses,
                              "inf_estimate": repr(v.detail["inf_estimate"])})
     return json.dumps(jsonable(docs), indent=2, allow_nan=False) + "\n"
+
+
+def estimate_doc(est) -> dict:
+    """The fields of one tail estimate, each float as its ``float.hex``."""
+    def bits(v):
+        return None if v is None else float(v).hex()
+    return {"value": bits(est.value), "tail_min": bits(est.tail_min),
+            "tail_max": bits(est.tail_max), "stabilized": est.stabilized, "trend": est.trend,
+            "extrapolated": est.grid_meta["extrapolated"],
+            "blocks": [bits(b) for b in est.grid_meta["blocks"]]}
+
+
+def warm_catalog_estimates() -> list[list]:
+    """The estimates of every ``tail_limit`` call that a second (warm)
+    classify of each catalog row makes, one list per call."""
+    calls = []
+    tail_limit = sq.qualification.tail_limit
+
+    def recorded(*args, **kwargs):
+        out = tail_limit(*args, **kwargs)
+        calls.append(out if isinstance(out, list) else [out])
+        return out
+
+    for fid, params, order, grid in CATALOG:
+        filt = sq.get_filter(fid, **params)
+        rho = sq.order_fn(order, None if grid is None else np.geomspace(*grid))
+        sq.classify(filt, rho)
+        sq.qualification.tail_limit = recorded
+        try:
+            sq.classify(filt, rho)
+        finally:
+            sq.qualification.tail_limit = tail_limit
+    return calls
+
+
+def degenerate_tail_calls():
+    """Seeded ``tail_limit`` calls on few-point grids, one per combination
+    of kind, block count, cap and dimension, six draws each: rows of noise,
+    1/x drifts, geometric approaches and linear trends in x, some
+    saturating past exp's overflow edge and some holding +-inf and nan."""
+    rng = np.random.default_rng(20261019)
+    for kind, n_blocks, cap, two_d in itertools.product(
+            ("liminf", "limsup"), (4, 5), (1e12, 50.0), (False, True)):
+        for _ in range(6):
+            grid = np.geomspace(10.0 ** -rng.uniform(2, 30), 10.0 ** -rng.uniform(0, 1),
+                                int(rng.integers(8, 13)))
+            t = sq.limits.tail_of(rng.permutation(grid))
+            x = t.xs
+            rows = []
+            for _ in range(int(rng.integers(2, 7)) if two_d else 1):
+                level, c = rng.uniform(-3, 3), rng.uniform(-2, 2) * 10.0 ** rng.integers(-1, 3)
+                with np.errstate(all="ignore"):
+                    row = [rng.normal(level, 10.0 ** rng.uniform(-3, 1), x.size),
+                           np.log(np.abs(math.exp(level) + c / x)),
+                           np.log(math.exp(level) + abs(c) * np.exp(-rng.uniform(0.1, 3) * x)),
+                           level + c * x,
+                           np.full(x.size, rng.choice([level, 705.0, 712.0, math.log(cap)]))][
+                        int(rng.integers(0, 5))]
+                hit = rng.random(x.size) < 0.2
+                row[hit] = rng.choice([math.inf, -math.inf, math.nan], int(hit.sum()))
+                rows.append(row)
+            yield t, np.array(rows) if two_d else rows[0], kind, {"cap": cap,
+                                                                  "n_blocks": n_blocks}
+
+
+def tail_limit_text() -> str:
+    docs = [{"call": f"catalog {i}", "estimates": [estimate_doc(e) for e in ests]}
+            for i, ests in enumerate(warm_catalog_estimates())]
+    for i, (t, lv, kind, kwargs) in enumerate(degenerate_tail_calls()):
+        out = sq.limits.tail_limit(t, lv, kind, **kwargs)
+        docs.append({"call": f"degenerate {i}: {kind} {kwargs} {lv.shape}",
+                     "estimates": [estimate_doc(e) for e in (out if lv.ndim == 2 else [out])]})
+    return "[\n" + ",\n".join(json.dumps(d) for d in docs) + "\n]\n"
 
 
 README_CONVERGE = ("converge", "--filter", "tikhonov", "--model", "diag:j^-2", "--dim", "200",
@@ -180,6 +261,12 @@ def test_kept_mp_mesh_prints_the_bytes_of_a_fresh_one(fid, params, order, grid):
     assert ("weak_certificate" in docs[0]) == ((fid, order) in MP_FAILING)
 
 
+def test_tail_estimates_match_golden():
+    """Every field of every estimate, bit for bit: the warm catalog's
+    calls and the degenerate draws."""
+    assert tail_limit_text() == TAIL_LIMIT.read_text(encoding="utf-8")
+
+
 def test_order_source_verdicts_match_golden():
     assert order_source_text() == ORDER_SOURCE.read_text(encoding="utf-8")
 
@@ -201,6 +288,7 @@ if __name__ == "__main__":
     GOLDEN_DIR.mkdir(exist_ok=True)
     GOLDEN.write_text(catalog_text(), encoding="utf-8")
     ORDER_SOURCE.write_text(order_source_text(), encoding="utf-8")
+    TAIL_LIMIT.write_text(tail_limit_text(), encoding="utf-8")
     for name, argv in CONVERGE_CALLS.items():
         out, err = converge_output(argv)
         (GOLDEN_DIR / name).write_text(out, encoding="utf-8")
