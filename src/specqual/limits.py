@@ -94,29 +94,6 @@ def sat_exp_array(logv) -> np.ndarray:
     return out
 
 
-def _block_extrema(t_xs, t_lv, edges, pick_min: bool):
-    """Extremum of each row of t_lv per block, with the x where it is attained.
-
-    ``t_xs`` is ascending, so each closed block [lo, hi] is a contiguous
-    column slice.  Returns two (rows, blocks) arrays; an empty block holds
-    nan and the block midpoint.
-    """
-    rows = np.arange(t_lv.shape[0])
-    ms = np.full((t_lv.shape[0], len(edges) - 1), math.nan)
-    xe = np.empty_like(ms)
-    for j, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
-        i0 = np.searchsorted(t_xs, lo, "left")
-        i1 = np.searchsorted(t_xs, hi, "right")
-        if i0 >= i1:
-            xe[:, j] = 0.5 * (lo + hi)
-            continue
-        seg = t_lv[:, i0:i1]
-        idx = np.argmin(seg, axis=1) if pick_min else np.argmax(seg, axis=1)
-        ms[:, j] = seg[rows, idx]
-        xe[:, j] = t_xs[i0 + idx]
-    return ms, xe
-
-
 class Tail(NamedTuple):
     """The points of an alpha grid that ``tail_limit`` reads."""
 
@@ -161,8 +138,10 @@ def tail_limit(
 
     ``log_values`` may also be 2-d, one row per sequence on the shared
     tail (rows x points); then the result is a list with one estimate
-    per row.  The block extrema of all rows are found at once; each row's
-    estimate is the one a 1-d call on that row returns.
+    per row, each the one a 1-d call on that row returns.  The block and
+    raw extrema of all rows go through libm's exp in one map (``np.exp``'s
+    SIMD path can differ in the last bit); the scalar ``_row_limit`` then
+    reads each row, which on 1 to 13 rows beats whole-array branches.
 
     ``grid_meta`` of each estimate holds its trend class, whether an
     extrapolation fired, and the block extrema.
@@ -176,18 +155,31 @@ def tail_limit(
                          "(1-d, or 2-d with one row per sequence)")
     t_lv = lv.reshape(-1, t_xs.size)
 
+    # each closed block [lo, hi] of the ascending t_xs is a column slice;
+    # per row: the block extrema, then the raw tail min and max
     edges = np.linspace(tail.edge, t_xs[-1], n_blocks + 1)
-    ms_log, xe = _block_extrema(t_xs, t_lv, edges, kind == "liminf")
-    raw_min = np.min(t_lv, axis=1)
-    raw_max = np.max(t_lv, axis=1)
+    starts = np.searchsorted(t_xs, edges[:-1], "left").tolist()
+    ends = np.searchsorted(t_xs, edges[1:], "right").tolist()
+    rows = np.arange(t_lv.shape[0])
+    ext = np.full((rows.size, n_blocks + 2), math.nan)
+    xe = np.empty((rows.size, n_blocks))  # where each extremum is attained
+    pick = np.argmin if kind == "liminf" else np.argmax
+    for j, (i0, i1) in enumerate(zip(starts, ends)):
+        if i0 >= i1:  # an empty block: nan at the block midpoint
+            xe[:, j] = 0.5 * (edges[j] + edges[j + 1])
+            continue
+        idx = i0 + pick(t_lv[:, i0:i1], axis=1)
+        ext[:, j] = t_lv[rows, idx]
+        xe[:, j] = t_xs[idx]
+    ext[:, -2], ext[:, -1] = np.min(t_lv, axis=1), np.max(t_lv, axis=1)
+    vals = sat_exp_column(ext.ravel())
 
     out = []
-    for i in range(t_lv.shape[0]):
-        ms = [sat_exp(v) for v in ms_log[i].tolist()]
+    for i, xs in enumerate(xe.tolist()):
+        *ms, raw_min, raw_max = vals[i * (n_blocks + 2):(i + 1) * (n_blocks + 2)]
         row_meta = {"blocks": [None if math.isnan(m) else m for m in ms],
                     "extrapolated": False}
-        out.append(_row_limit(kind, ms, xe[i].tolist(), sat_exp(float(raw_min[i])),
-                              sat_exp(float(raw_max[i])), row_meta, cap))
+        out.append(_row_limit(kind, ms, xs, raw_min, raw_max, row_meta, cap))
     return out if lv.ndim == 2 else out[0]
 
 

@@ -296,15 +296,17 @@ def srho_table(
     """``estimate_srho`` at every lambda: one residual mesh over
     (lambda x alpha) and one batched tail estimate."""
     _require_certified(rho, "order function")
-    return _srho(_mesh(filt, lambda_grid, alpha_grid), rho)
+    m = _mesh(filt, lambda_grid, alpha_grid)
+    return _srho(m, rho.log_at(m.tail.alphas))
 
 
-def _srho(m: _Mesh, rho) -> dict[float, LimitEstimate]:
+def _srho(m: _Mesh, lrho) -> dict[float, LimitEstimate]:
+    """The s_rho table on the residual mesh ``m``; ``lrho`` is ln rho at its tail."""
     bad = m.lams[~(m.lams > 0)]
     if bad.size:
         raise QualificationError(f"lambda must be positive, got {bad[0]}")
     with np.errstate(all="ignore"):
-        log_ratio = rho.log_at(m.tail.alphas) - m.r_log
+        log_ratio = lrho - m.r_log
     return dict(zip(m.lams.tolist(), tail_limit(m.tail, log_ratio, "liminf")))
 
 
@@ -322,14 +324,15 @@ def check_weak_pair(
     """Is s(lm)|r|/rho bounded in alpha for every sampled lambda?"""
     _require_certified(s, "source function")
     _require_certified(rho, "order function")
-    return _weak_pair(_mesh(filt, lambda_grid, alpha_grid), s, rho)
+    m = _mesh(filt, lambda_grid, alpha_grid)
+    return _weak_pair(m, s, rho.log_at(m.tail.alphas))
 
 
-def _weak_pair(m: _Mesh, s, rho) -> PairVerdict:
-    """The weak pair on the residual mesh ``m``: the limsup over alpha of
-    s(lm)|r_alpha(lm)| / rho(alpha) at each lambda."""
+def _weak_pair(m: _Mesh, s, lrho) -> PairVerdict:
+    """The weak pair on the residual mesh ``m``, ``lrho`` being ln rho at its
+    tail: the limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha) at each lambda."""
     with np.errstate(all="ignore"):
-        lq = s.log_at(m.lams)[:, None] + m.r_log - rho.log_at(m.tail.alphas)
+        lq = s.log_at(m.lams)[:, None] + m.r_log - lrho
     witnesses = []
     bound = 0.0
     estimates = {}
@@ -419,8 +422,9 @@ def check_order_source_pair(
     # one row per alpha: the scan, then the dips
     A = sub[:, None]
     log_rho = rho.log_at(sub)[:, None]
+    log_h = log_rho[:, 0] if h is rho else h.log_at(sub)  # classify's window is rho itself
     log_hi = math.log(lam_max)
-    log_lo = np.minimum(np.maximum(h.log_at(sub), math.log(LAMBDA_TINY)), log_hi - 1e-6)
+    log_lo = np.minimum(np.maximum(log_h, math.log(LAMBDA_TINY)), log_hi - 1e-6)
     L = np.exp(log_lo[:, None] + _SCAN_FRACTIONS * (log_hi - log_lo)[:, None])
 
     def log_q(lam, log_r):
@@ -596,9 +600,12 @@ def _windowed_certificate(R, lrho, lams) -> dict:
 
     ``R`` is the (alpha x lambda) mesh of ln|r| and ``lrho`` holds
     ln rho(alpha), one entry per row of ``R``, the rows in ascending alpha.
+    A row's window h starts past its last lambda where ln|r| <= ln rho(alpha)
+    + 1e-9 fails (as it does for a nan), or is nan if that is the last lambda.
     """
-    ok = _suffix_max(R) <= lrho[:, None] + 1e-9
-    h_vals = np.where(np.any(ok, axis=1), lams[np.argmax(ok, axis=1)], np.nan)
+    bad = ~(R <= lrho[:, None] + 1e-9)
+    start = np.where(np.any(bad, axis=1), len(lams) - np.argmax(bad[:, ::-1], axis=1), 0)
+    h_vals = np.append(lams, np.nan)[start]  # nan: no window
     found = np.isfinite(h_vals)
     tail = found[: max(len(lrho) // 2, 1)]
     holds = bool(np.all(tail))
@@ -793,8 +800,9 @@ def classify(
     pure functions.
     """
     _require_certified(rho, "order function")
-    m = _mesh(filt, lambda_grid, alpha_grid)  # shared by the s_rho table and the weak fallback
-    table = _srho(m, rho)
+    m = _mesh(filt, lambda_grid, alpha_grid)
+    lrho = rho.log_at(m.tail.alphas)  # both shared by the s_rho table and the weak fallback
+    table = _srho(m, lrho)
     evidence: dict[str, PairVerdict] = {}
 
     # FLOOR < v < CAP also rules out nan and inf
@@ -831,7 +839,7 @@ def classify(
         # weak fallback: a bounded certified source that keeps the ratio bounded
         candidates = [*_capped_srho_candidates(lams, vals), *_canonical_sources()]
         for cand in candidates:
-            verdict = _weak_pair(m, cand, rho)
+            verdict = _weak_pair(m, cand, lrho)
             if verdict.holds:
                 level = "weak"
                 source_label = getattr(cand, "label", "candidate")

@@ -499,3 +499,30 @@ def test_one_kernel_call_per_residual_value():
     calls["g"] = 0
     sq.verify_srm_axioms(custom)
     assert calls["g"] == 4  # g itself for H1, one value mesh, two H3 probes
+
+
+@pytest.mark.parametrize("fid,order,level,calls", [
+    ("tsvd", "alpha", "weak", 3),
+    ("tikhonov", "alpha^3", "none", 3),  # all four weak-pair candidates fail
+    ("tikhonov", "alpha", "optimal", 4),
+])
+def test_warm_classify_evaluates_ln_rho_once_per_grid(monkeypatch, fid, order, level, calls):
+    """A warm classify evaluates the order once on each grid it reads: the
+    tail of the s_rho mesh, shared by the table and every weak-pair
+    candidate; the order-source subgrid, shared by rho and its window
+    h = rho; and the mp-check's alpha and lambda grids.  The table and
+    each candidate evaluated it on the tail, and the check twice on the
+    subgrid: 4, 7 and 5 calls on these rows before."""
+    filt, rho = sq.get_filter(fid), sq.order_fn(order)
+    sq.classify(filt, rho)
+    log_at = type(rho).log_at
+    made = []
+
+    def counted_log_at(self, x):
+        if self is rho:
+            made.append(np.size(x))
+        return log_at(self, x)
+
+    monkeypatch.setattr(type(rho), "log_at", counted_log_at)
+    assert sq.classify(filt, rho).level == level
+    assert len(made) == calls

@@ -749,6 +749,23 @@ class TestClassicalOrder:
         assert (co.low, co.high) == (k, 2 * k)
 
 
+def _suffix_max_certificate(R, lrho, lams) -> dict:
+    """``_windowed_certificate`` as it read the window through the suffix
+    maxima of each row of ``R``: the reference the certificate must match."""
+    with np.errstate(all="ignore"):
+        suffix_max = np.flip(np.maximum.accumulate(np.flip(R, axis=1), axis=1), axis=1)
+    ok = suffix_max <= lrho[:, None] + 1e-9
+    h_vals = np.where(np.any(ok, axis=1), lams[np.argmax(ok, axis=1)], np.nan)
+    found = np.isfinite(h_vals)
+    holds = bool(np.all(found[: max(len(lrho) // 2, 1)]))
+    vanishing = False
+    if holds:
+        lo = h_vals[np.nonzero(found)[0][0]]
+        vanishing = bool(lo <= lams[min(max(1, len(lams) // 5), len(lams) - 1)])
+    return {"holds": holds and vanishing, "h_at_alpha_min": float(h_vals[0]),
+            "coverage": float(np.mean(found))}
+
+
 class TestIncreasingWeightCheck:
     def test_tikhonov_passes_with_tight_gamma(self, tikhonov, rho_alpha):
         verdict = sq.check_mp_qualification(tikhonov, rho_alpha)
@@ -796,6 +813,42 @@ class TestIncreasingWeightCheck:
         for grid in (g[::-1], shuffled):
             got = sq.check_mp_qualification(showalter, rho_exp_sqrt, alpha_grid=grid)
             assert got.to_json_dict() == want.to_json_dict()
+
+    @pytest.mark.parametrize("fid,order,grid", [
+        ("ex4_log", "-1/ln(alpha)", EX4_GRID),
+        ("ex4_log", "(-ln(alpha))^(-0.5)", EX4_GRID),
+        ("ex9_osc", "exp(-1/sqrt(alpha))", None),
+        ("ex10_osc", "-1/ln(alpha)", np.geomspace(1e-7, 0.5, 448)),
+    ])
+    def test_certificate_matches_suffix_max_reference_on_catalog(self, fid, order, grid):
+        """The catalog rows whose mp-check fails, on the kept mp mesh."""
+        filt, rho = sq.get_filter(fid), sq.order_fn(order, grid)
+        assert not sq.check_mp_qualification(filt, rho).passes
+        _, lams, alphas, _, R = qualification._defaults(filt)["mp"]
+        with np.errstate(all="ignore"):
+            lrho = rho.log_at(alphas)
+        got = _windowed_certificate(R.T, lrho, lams)
+        assert repr(got) == repr(_suffix_max_certificate(R.T, lrho, lams))
+
+    def test_certificate_matches_suffix_max_reference_on_random_meshes(self):
+        """Seeded meshes, mostly decreasing in lambda, with nan and +-inf in
+        ln|r| and nan and +-inf in ln rho; the dicts must print alike."""
+        rng = np.random.default_rng(26)
+        seen = set()
+        for _ in range(600):
+            n_alpha, n_lam = int(rng.integers(1, 40)), int(rng.integers(1, 30))
+            lams = np.geomspace(10.0 ** -rng.uniform(1, 6), 10.0 ** rng.uniform(-1, 2), n_lam)
+            alphas = np.geomspace(1e-7, 0.5, n_alpha)
+            R = (rng.normal(0, 3) - rng.uniform(0, 2) * np.log(lams)
+                 + rng.normal(0, 10.0 ** rng.uniform(-3, 1), (n_alpha, n_lam)))
+            lrho = rng.normal(0, 3) + rng.uniform(0, 2) * np.log(alphas) + rng.normal(0, 1)
+            for x, p in ((R, rng.uniform(0, 0.1)), (lrho, rng.uniform(0, 0.2))):
+                hit = rng.random(x.shape) < p
+                x[hit] = rng.choice([math.nan, math.inf, -math.inf], int(hit.sum()))
+            got = _windowed_certificate(R, lrho, lams)
+            assert repr(got) == repr(_suffix_max_certificate(R, lrho, lams))
+            seen.add((got["holds"], 0 < got["coverage"] < 1))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
 
     def test_landweber_one_point_default_grid(self):
         """mu = 9000 puts the top of the default lambda grid, 0.95/mu, within
