@@ -78,32 +78,31 @@ from .qualification import (
     estimate_srho,
     srho_table,
 )
-from .operators import (
-    DimensionError,
-    MembershipVerdict,
-    OperatorError,
-    SourceElement,
-    SpectralModel,
-    load_matrix_csv,
-    make_model,
-    make_source_element,
-    membership_probe,
-    model_from_json,
-    regularization_error,
-    log_regularization_error,
-    regularize,
-    svd_decompose,
-)
-from .experiments import (
-    ConvergenceStudy,
-    ConverseProbe,
-    ExperimentError,
-    MaximalSourceReport,
-    SlopeFit,
-    converse_probe,
-    fit_order,
-    maximal_source_demo,
-    run_convergence,
-)
 
+# operators and experiments serve only convergence studies: their names are
+# imported on first access (PEP 562), so that `import specqual` and every
+# other CLI subcommand skip loading them
+_LAZY = {name: module for module, names in (
+    ("operators", "DimensionError MembershipVerdict OperatorError SourceElement SpectralModel "
+                  "load_matrix_csv make_model make_source_element membership_probe "
+                  "model_from_json regularization_error log_regularization_error regularize "
+                  "svd_decompose"),
+    ("experiments", "ConvergenceStudy ConverseProbe ExperimentError MaximalSourceReport "
+                    "SlopeFit converse_probe fit_order maximal_source_demo run_convergence"),
+) for name in names.split()}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+    globals()[name] = value = getattr(import_module(f".{_LAZY[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})
+
+
+__all__ = sorted(n for n in __dir__() if not n.startswith("_"))  # the lazy names too
 __version__ = "0.1.0"

@@ -38,13 +38,6 @@ from .filters import (
     list_filters,
 )
 from .limits import sat_exp_array
-from .operators import (
-    OperatorError,
-    load_matrix_csv,
-    make_model,
-    make_source_element,
-    svd_decompose,
-)
 from .qualification import (
     HypothesisViolation,
     QualificationError,
@@ -56,7 +49,6 @@ from .qualification import (
     jsonable,
     srho_table,
 )
-from .experiments import ExperimentError, fit_order, run_convergence
 from .rates import certify_order_fn, certify_source_fn
 
 EXIT_OK = 0
@@ -386,38 +378,46 @@ def cmd_construct(args) -> int:
 
 
 def cmd_converge(args) -> int:
-    filt = _get_filter(args)
-    model = _load_model(args)
-    source = _certified(args, "source")
-    rho = _certified(args, "order", default_alpha_grid(filt))
+    # the one subcommand that loads operators and experiments, or raises their errors
+    from .experiments import ExperimentError, fit_order, run_convergence
+    from .operators import OperatorError, make_source_element
 
-    if not args.generator.startswith("j^"):
-        raise InputError("--generator must look like 'j^-0.6'")
     try:
-        q = float(args.generator[2:])
-    except ValueError as exc:
-        raise InputError(f"bad --generator '{args.generator}'") from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.arange(1, model.dim + 1, dtype=float) ** q
-    if not (math.isfinite(q) and np.all(np.isfinite(w))):
-        raise InputError(f"--generator '{args.generator}' needs a finite Q and a finite "
-                         f"w_j = j^Q for every j <= {model.dim}")
+        filt = _get_filter(args)
+        model = _load_model(args)
+        source = _certified(args, "source")
+        rho = _certified(args, "order", default_alpha_grid(filt))
 
-    elem = make_source_element(model, source, w)
-    study_grid = np.geomspace(max(1e-5, float(model.eigenvalues[-1]) / 10.0),
-                              filt.alpha_max / 2.0, 150)
-    study = run_convergence(model, filt, elem, rho, study_grid)
-    window = _fit_window(args)
-    try:
-        fit = fit_order(study, window)
-        fit_doc = fit.to_json_dict()
-    except ExperimentError as exc:
-        fit_doc = {"error": str(exc)}
-    doc = {"study": study.to_json_dict(), "fit": fit_doc}
-    _emit_doc(args, doc, doc["study"]["records"])
-    if args.format == "csv":
-        sys.stderr.write(_dump_json({"fit": fit_doc}))
-    return EXIT_OK
+        if not args.generator.startswith("j^"):
+            raise InputError("--generator must look like 'j^-0.6'")
+        try:
+            q = float(args.generator[2:])
+        except ValueError as exc:
+            raise InputError(f"bad --generator '{args.generator}'") from exc
+        with np.errstate(over="ignore", invalid="ignore"):
+            w = np.arange(1, model.dim + 1, dtype=float) ** q
+        if not (math.isfinite(q) and np.all(np.isfinite(w))):
+            raise InputError(f"--generator '{args.generator}' needs a finite Q and a finite "
+                             f"w_j = j^Q for every j <= {model.dim}")
+
+        elem = make_source_element(model, source, w)
+        study_grid = np.geomspace(max(1e-5, float(model.eigenvalues[-1]) / 10.0),
+                                  filt.alpha_max / 2.0, 150)
+        study = run_convergence(model, filt, elem, rho, study_grid)
+        window = _fit_window(args)
+        try:
+            fit = fit_order(study, window)
+            fit_doc = fit.to_json_dict()
+        except ExperimentError as exc:
+            fit_doc = {"error": str(exc)}
+        doc = {"study": study.to_json_dict(), "fit": fit_doc}
+        _emit_doc(args, doc, doc["study"]["records"])
+        if args.format == "csv":
+            sys.stderr.write(_dump_json({"fit": fit_doc}))
+        return EXIT_OK
+    except (OperatorError, ExperimentError) as exc:
+        _structured_error(str(exc), code=type(exc).__name__)
+        return EXIT_INPUT
 
 
 def _fit_window(args):
@@ -436,6 +436,7 @@ def _fit_window(args):
 
 
 def _load_model(args):
+    from .operators import OperatorError, load_matrix_csv, make_model, svd_decompose
     spec = args.model
     if spec.startswith("diag:"):
         rule = spec.split(":", 1)[1]
@@ -478,8 +479,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         _structured_error(str(exc))
         return EXIT_INPUT
-    except (ExprError, FilterError, QualificationError, OperatorError,
-            ExperimentError) as exc:
+    except (ExprError, FilterError, QualificationError) as exc:
         _structured_error(str(exc), code=type(exc).__name__)
         return EXIT_INPUT
 

@@ -773,3 +773,34 @@ def test_cli_contract(call):
         doc = json.loads(out, parse_constant=_reject_constant)
         assert "nan" not in [str(v) for v in _verdict_values(doc)]
     assert run_captured(argv) == (code, out, err)
+
+
+# converge's error exits, byte for byte: stderr for each (relative model
+# paths, so that a message naming the file reads the same in any directory)
+CONVERGE_ERRORS = {
+    "zero-matrix": (("--model", "zero.csv"), "OperatorError",
+                    "matrix is numerically zero; no spectral model"),
+    "ragged-csv": (("--model", "ragged.csv"), "input-error", "ragged CSV matrix"),
+    "empty-csv": (("--model", "empty.csv"), "input-error", "empty matrix file: empty.csv"),
+    "unknown-rule": (("--model", "diag:nosuch"), "input-error",
+                     "unknown spectrum rule 'nosuch' (choose from ['exp', 'j^-2', 'j^-4'])"),
+    "dim-too-large": (("--dim", "100000"), "input-error", "dim must be in [1, 512], got 100000"),
+    "landweber-mu-2": (("--filter", "landweber", "--param", "mu=2"), "ParameterRangeError",
+                       "model spectrum reaches 1, beyond the valid range of filter "
+                       "'landweber' (< 0.5)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONVERGE_ERRORS))
+def test_converge_error_bytes(capsys, tmp_path, monkeypatch, case):
+    """Each converge error exits 2 with an empty stdout and these exact
+    stderr bytes; the zero matrix keeps its OperatorError code, and
+    landweber's mu = 2 is the ParameterRangeError of the model's spectrum."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.csv").write_text("0,0\n0,0\n")
+    (tmp_path / "ragged.csv").write_text("1,2\n3\n")
+    (tmp_path / "empty.csv").write_text("")
+    extra, error, message = CONVERGE_ERRORS[case]
+    code, out, err = run(capsys, "converge", "--filter", "tikhonov", "--source", "lambda", *extra)
+    assert (code, out) == (2, "")
+    assert err == json.dumps({"error": error, "message": message}, indent=2) + "\n"
