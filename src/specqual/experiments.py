@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -51,19 +52,54 @@ class StudyRecord(NamedTuple):
     log_ratio: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConvergenceStudy:
-    """Per-alpha reconstruction errors against a target rate."""
+    """Per-alpha reconstruction errors against a target rate, as columns.
 
-    records: list[StudyRecord]
+    ``alpha`` is the grid, descending; ``log_err`` and ``log_rho`` hold
+    ln err and ln rho(alpha) at each of its points.  The three are
+    read-only float copies, so ``records``, the same study as one
+    ``StudyRecord`` per alpha, is built on its first read and cannot go
+    stale.
+    """
+
+    alpha: np.ndarray
+    log_err: np.ndarray
+    log_rho: np.ndarray
     filter_id: str
     model_provenance: str
     source_label: str
     rho_label: str
     source: SourceElement | None = None
 
+    def __post_init__(self):
+        for name in ("alpha", "log_err", "log_rho"):
+            col = np.array(getattr(self, name), dtype=float)
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
+        if not (self.alpha.ndim == 1 and self.alpha.shape == self.log_err.shape
+                == self.log_rho.shape):
+            raise ExperimentError("alpha, log_err and log_rho must be 1-d columns of one length")
+
+    @property
+    def log_ratio(self) -> np.ndarray:
+        """ln(err / rho) at each alpha; NaN where both are infinite alike."""
+        with np.errstate(invalid="ignore"):  # inf - inf is a NaN ratio
+            return self.log_err - self.log_rho
+
     def alphas(self) -> np.ndarray:
-        return np.array([r.alpha for r in self.records])
+        return self.alpha
+
+    def _record_columns(self) -> tuple[list[float], ...]:
+        """The six fields of a StudyRecord, one list per field."""
+        log_ratio = self.log_ratio
+        return (self.alpha.tolist(), sat_exp_column(self.log_err),
+                sat_exp_column(self.log_rho), sat_exp_column(log_ratio),
+                self.log_err.tolist(), log_ratio.tolist())
+
+    @cached_property
+    def records(self) -> list[StudyRecord]:
+        return list(map(StudyRecord, *self._record_columns()))
 
     def to_csv(self) -> str:
         return csv_text(self.to_json_dict()["records"])
@@ -75,8 +111,8 @@ class ConvergenceStudy:
             "source": self.source_label,
             "order": self.rho_label,
             "records": [
-                {"alpha": r.alpha, "err": r.err, "rho": r.rho, "ratio": r.ratio}
-                for r in self.records
+                {"alpha": a, "err": e, "rho": r, "ratio": q}
+                for a, e, r, q, _, _ in zip(*self._record_columns())
             ],
         })
 
@@ -110,8 +146,10 @@ def run_convergence(
 
     A study is one (alpha x eigenvalue) mesh: one batched
     ``log_regularization_error`` call and one ``rho.log_at`` call over the
-    whole grid.  Ratios are formed in the log domain so that exponentially
-    small errors (and rates) stay meaningful after both underflow.
+    whole grid, kept as the study's ln err and ln rho columns.  Ratios are
+    formed in the log domain so that exponentially small errors (and
+    rates) stay meaningful after both underflow; the linear err, rho and
+    ratio are taken only when records, JSON or CSV are asked for.
     """
     if not getattr(rho, "certified", False):
         raise ExperimentError("order function must be certified")
@@ -123,15 +161,10 @@ def run_convergence(
     if alphas.size == 0:  # a study with no records has no table and no fit
         raise ExperimentError("alpha grid is empty")
 
-    log_errs = log_regularization_error(model, filt, alphas, source)
-    log_rhos = rho.log_at(alphas)
-    with np.errstate(invalid="ignore"):  # inf - inf is a NaN ratio
-        log_ratios = log_errs - log_rhos
-    records = list(map(StudyRecord, alphas.tolist(), sat_exp_column(log_errs),
-                       sat_exp_column(log_rhos), sat_exp_column(log_ratios),
-                       log_errs.tolist(), log_ratios.tolist()))
     return ConvergenceStudy(
-        records=records,
+        alpha=alphas,
+        log_err=log_regularization_error(model, filt, alphas, source),
+        log_rho=rho.log_at(alphas),
         filter_id=filt.id,
         model_provenance=model.provenance,
         source_label=getattr(source.source_s, "label", "source"),
@@ -149,16 +182,20 @@ def fit_order(study: ConvergenceStudy, window: tuple[float, float] | None = None
     if window is None:
         window = _default_window(study)
     lo, hi = window
-    pts = [r for r in study.records if lo <= r.alpha <= hi]
-    if any(r.err == 0.0 for r in pts):
+    in_window = (study.alpha >= lo) & (study.alpha <= hi)
+    log_err = study.log_err[in_window]
+    # a record's err is libm's exp of ln err: 0.0 only from ln(2^-1075) ~ -745.13 down
+    if any(math.exp(v) == 0.0 for v in log_err[log_err < -744.0].tolist()):
         raise ExperimentError("window contains exact-zero errors; shrink it")
-    pts = [r for r in pts if math.isfinite(r.log_err)]
-    if len(pts) < 8:
-        raise ExperimentError(f"need at least 8 usable records in the window, got {len(pts)}")
+    usable = np.isfinite(log_err)
+    n_points = int(np.count_nonzero(usable))
+    if n_points < 8:
+        raise ExperimentError(f"need at least 8 usable records in the window, got {n_points}")
 
-    # ln rho from the log channel directly (rho may underflow as a double)
-    x = np.array([r.log_err - r.log_ratio for r in pts])
-    y = np.array([r.log_err for r in pts])
+    # ln rho from the log channel directly (rho may underflow as a double),
+    # as ln err - ln ratio, the form the records hold
+    y = log_err[usable]
+    x = y - study.log_ratio[in_window][usable]
     xm, ym = float(x.mean()), float(y.mean())
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
@@ -170,14 +207,14 @@ def fit_order(study: ConvergenceStudy, window: tuple[float, float] | None = None
     sst = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - float(np.sum(resid ** 2)) / sst))
     return SlopeFit(slope=slope, intercept=intercept, r_squared=r2,
-                    window=(lo, hi), n_points=len(pts))
+                    window=(lo, hi), n_points=n_points)
 
 
 def _default_window(study: ConvergenceStudy) -> tuple[float, float]:
     """Clip below 10x the smallest eigenvalue so the exactly-resolved
     finite tail does not pollute the fit, and below a tenth of the top
     alpha to stay clear of the large-alpha shoulder."""
-    alphas = study.alphas()
+    alphas = study.alpha
     # a study without records gets an empty window, which fit_order rejects
     lo = float(alphas.min(initial=math.inf))
     if study.source is not None:
@@ -238,11 +275,12 @@ def converse_probe(
 
 def _study_ratio_bounded(study: ConvergenceStudy) -> bool:
     """Bounded err/rho over the study grid: capped and not trending up."""
-    recs = [r for r in study.records if math.isfinite(r.log_ratio)]
-    if len(recs) < 8:
+    log_ratio = study.log_ratio
+    finite = np.isfinite(log_ratio)
+    if np.count_nonzero(finite) < 8:
         return True
-    t = tail_of([r.alpha for r in recs])
-    lv = np.array([r.log_ratio for r in recs])
+    t = tail_of(study.alpha[finite])
+    lv = log_ratio[finite]
     est = tail_limit(t, lv[t.index], "limsup", cap=STUDY_RATIO_CAP)
     return bool(est.bounded and est.value < STUDY_RATIO_CAP)
 

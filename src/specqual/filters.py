@@ -389,9 +389,7 @@ def _showalter():
         return out
 
     def r_log(a, lm):
-        return -np.asarray(lm, float) / np.asarray(a, float) * np.ones(
-            np.broadcast(a, lm).shape
-        )
+        return -np.asarray(lm, float) / np.asarray(a, float)
 
     return FilterFamily(
         id="showalter", alpha_max=1.0, h2_constant=1.0, oscillatory=False,

@@ -47,6 +47,8 @@ class SpectralModel:
         object.__setattr__(self, "eigenvalues", eig)
         if eig.ndim != 1 or eig.size == 0:
             raise OperatorError("eigenvalues must be a nonempty 1-d array")
+        if not np.all(np.isfinite(eig)):
+            raise OperatorError("eigenvalues must be finite")
         if np.any(eig <= 0):
             raise OperatorError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) > 0):
@@ -200,9 +202,10 @@ def log_regularization_error(model: SpectralModel, filt: FilterFamily,
     _filter_lambda_check(model, filt)
     with np.errstate(all="ignore"):
         lr = np.asarray(filt._r_log(a.reshape(-1, 1), model.eigenvalues), dtype=float)
-        terms = 2.0 * lr + 2.0 * np.log(np.abs(source.x_dagger))
+        # 2(a + b) is 2a + 2b bit for bit: scaling by 2 commutes with rounding
+        terms = 2.0 * (lr + np.log(np.abs(source.x_dagger)))
         keep = terms > -np.inf
-        peaks = np.max(np.where(keep, terms, -np.inf), axis=1)
+        peaks = np.fmax.reduce(terms, axis=1, initial=-np.inf)  # NaN terms drop out
         sums = np.sum(np.exp(terms - peaks[:, None]), axis=1)
         # a masked sum would associate differently, so a row that drops a
         # term sums its compacted row; a row that drops all of them is -inf

@@ -7,9 +7,15 @@ import numpy as np
 import pytest
 
 import specqual as sq
-from specqual.experiments import ConvergenceStudy, StudyRecord
+from specqual.experiments import (
+    STUDY_RATIO_CAP,
+    ConvergenceStudy,
+    StudyRecord,
+    _default_window,
+    _study_ratio_bounded,
+)
 from specqual.filters import _check_alpha
-from specqual.limits import sat_exp
+from specqual.limits import sat_exp, tail_limit, tail_of
 from specqual.operators import _filter_lambda_check
 
 STUDY_GRID = np.geomspace(1e-5, 0.5, 220)
@@ -168,6 +174,179 @@ class TestBatchedStudy:
         assert str(batched.value) == str(from_loop.value)
 
 
+# -- the record-based readers, as they were before a study kept columns ----
+
+def fit_by_records(study, window=None):
+    """fit_order as a loop over the study's records."""
+    if window is None:
+        window = window_by_records(study)
+    lo, hi = window
+    pts = [r for r in study.records if lo <= r.alpha <= hi]
+    if any(r.err == 0.0 for r in pts):
+        raise sq.ExperimentError("window contains exact-zero errors; shrink it")
+    pts = [r for r in pts if math.isfinite(r.log_err)]
+    if len(pts) < 8:
+        raise sq.ExperimentError(f"need at least 8 usable records in the window, got {len(pts)}")
+    x = np.array([r.log_err - r.log_ratio for r in pts])
+    y = np.array([r.log_err for r in pts])
+    xm, ym = float(x.mean()), float(y.mean())
+    sxx = float(np.sum((x - xm) ** 2))
+    sxy = float(np.sum((x - xm) * (y - ym)))
+    if sxx == 0.0:
+        raise sq.ExperimentError("rate function is constant over the window")
+    slope = sxy / sxx
+    intercept = ym - slope * xm
+    resid = y - (slope * x + intercept)
+    sst = float(np.sum((y - ym) ** 2))
+    r2 = 1.0 if sst == 0.0 else max(0.0, min(1.0, 1.0 - float(np.sum(resid ** 2)) / sst))
+    return sq.SlopeFit(slope=slope, intercept=intercept, r_squared=r2,
+                       window=(lo, hi), n_points=len(pts))
+
+
+def window_by_records(study):
+    alphas = np.array([r.alpha for r in study.records])
+    lo = float(alphas.min(initial=math.inf))
+    if study.source is not None:
+        lo = max(lo, 10.0 * float(study.source.model.eigenvalues[-1]))
+    hi = float(alphas.max(initial=0.0)) / 10.0
+    return (lo, hi)
+
+
+def ratio_bounded_by_records(study):
+    recs = [r for r in study.records if math.isfinite(r.log_ratio)]
+    if len(recs) < 8:
+        return True
+    t = tail_of([r.alpha for r in recs])
+    lv = np.array([r.log_ratio for r in recs])
+    est = tail_limit(t, lv[t.index], "limsup", cap=STUDY_RATIO_CAP)
+    return bool(est.bounded and est.value < STUDY_RATIO_CAP)
+
+
+def fit_outcome(fit, study, window=None):
+    """The bits of a fit, or the message of the error it raised."""
+    try:
+        f = fit(study, window)
+    except sq.ExperimentError as exc:
+        return ("error", str(exc))
+    return (float.hex(f.slope), float.hex(f.intercept), float.hex(f.r_squared),
+            f.n_points, tuple(map(float.hex, f.window)))
+
+
+def assert_columns_read_like_records(study, windows=()):
+    """Every reader of the columns against its record-based reference; the
+    columns are read first, so no reader leans on records built earlier."""
+    got = [_default_window(study), _study_ratio_bounded(study)]
+    got += [fit_outcome(sq.fit_order, study, w) for w in (None, *windows)]
+    want = [window_by_records(study), ratio_bounded_by_records(study)]
+    want += [fit_outcome(fit_by_records, study, w) for w in (None, *windows)]
+    assert list(map(float.hex, got[0])) == list(map(float.hex, want[0]))
+    assert got[1:] == want[1:]
+    return got
+
+
+class TestColumnsReadLikeRecords:
+    """The slope fit, its default window and the converse probe's ratio
+    test read the study's columns and give, bit for bit and message for
+    message, what the same readers gave as loops over records."""
+
+    WINDOWS = ((2.5e-4, 1e-3), (1e-5, 1e-2), (1e-4, 1.1e-4), (0.1, 1.0))
+
+    @pytest.mark.parametrize("fid", sq.list_filters())
+    def test_batched_studies(self, fid):
+        filt = sq.get_filter(fid, **({"k": 1.0} if fid == "ex8_osc" else {}))
+        top = 0.99 if fid == "ex10_osc" else filt.alpha_max
+        grids = [np.geomspace(1e-5, filt.alpha_max / 2.0, 150),
+                 np.geomspace(1e-7, top, 97)]
+        outcomes = set()
+        for rule, dim in (("j^-2", 200), ("j^-4", 64), ("exp", 32)):
+            model = sq.make_model(rule, dim)
+            j = np.arange(1, dim + 1, dtype=float)
+            combos = [("lambda", j ** -0.6, "alpha"),
+                      ("lambda^0.5", np.where(j % 3 == 0, 0.0, j ** -0.6),
+                       "exp(-1/sqrt(alpha))")]
+            for s_text, w, rho_text in combos:
+                elem = sq.make_source_element(model, sq.source_fn(s_text), w)
+                rho = sq.order_fn(rho_text)
+                for grid in grids:
+                    study = sq.run_convergence(model, filt, elem, rho, grid)
+                    got = assert_columns_read_like_records(study, self.WINDOWS)
+                    outcomes.update(o[0] for o in got[2:])
+        assert "error" in outcomes and len(outcomes) > 1  # fits and errors both compared
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_columns_with_bad_errors(self, seed):
+        """-inf, NaN and underflowing errors (ln err below ln 2^-1075, and
+        just above it, where err is the smallest subnormal) inside the
+        window."""
+        rng = np.random.default_rng(seed)
+        n = 60
+        alpha = np.geomspace(0.5, 1e-6, n)
+        log_err = 0.7 * np.log(alpha) + rng.normal(0.0, 0.05, n)
+        log_rho = np.log(alpha) + rng.normal(0.0, 0.01, n)
+        bad = rng.choice(n, size=rng.integers(1, 12), replace=False)
+        log_err[bad] = rng.choice([-math.inf, math.nan, -745.2, -745.0, -744.5, -1e3],
+                                  size=bad.size)
+        study = ConvergenceStudy(alpha=alpha, log_err=log_err, log_rho=log_rho,
+                                 filter_id="synthetic", model_provenance="none",
+                                 source_label="s", rho_label="alpha")
+        windows = [(float(alpha[-1]), float(alpha[0])), (1e-5, 1e-2), (1e-3, 0.5)]
+        for k in bad.tolist():
+            windows.append((float(alpha[min(k + 5, n - 1)]), float(alpha[max(k - 5, 0)])))
+        assert_columns_read_like_records(study, windows)
+
+    def test_zero_error_edge_matches_records(self):
+        """err is 0.0 from ln 2^-1075 down and 2^-1074 just above it;
+        the zero-error check reads the same side of that edge as a record."""
+        alpha = np.geomspace(0.5, 1e-4, 20)
+        edge = -1075 * math.log(2.0)
+        values = (edge, math.nextafter(edge, 0.0), edge - 1e-9, edge + 1e-9, -746.0, -744.4)
+        assert {math.exp(v) for v in values} == {0.0, 5e-324}
+        for v in values:
+            log_err = np.log(alpha)
+            log_err[7] = v
+            study = ConvergenceStudy(alpha=alpha, log_err=log_err, log_rho=np.log(alpha),
+                                     filter_id="synthetic", model_provenance="none",
+                                     source_label="s", rho_label="alpha")
+            got = assert_columns_read_like_records(study)
+            assert (got[2] == ("error", "window contains exact-zero errors; shrink it")) == \
+                (math.exp(v) == 0.0)
+
+
+class TestColumnsAreTheStudy:
+    def test_study_to_fit_builds_no_records(self, model200, tikhonov, s_lambda, rho_alpha,
+                                            w06):
+        """A study runs, fits, probes and prints without a record; the first
+        read of ``records`` gives the per-alpha loop's records."""
+        elem = sq.make_source_element(model200, s_lambda, w06)
+        study = sq.run_convergence(model200, tikhonov, elem, rho_alpha, STUDY_GRID)
+        sq.fit_order(study)
+        sq.converse_probe(study, tikhonov, rho_alpha, s_lambda, rho_alpha)
+        study.to_json_dict()
+        study.to_csv()
+        assert "records" not in vars(study)
+        want = study_by_loop(model200, tikhonov, elem, rho_alpha, STUDY_GRID)
+        assert repr(study.records) == repr(want)
+        assert "records" in vars(study) and study.records is study.records
+
+    def test_columns_are_read_only_copies(self):
+        alpha = np.geomspace(0.5, 1e-4, 20)
+        log_err = np.log(alpha)
+        study = ConvergenceStudy(alpha=alpha, log_err=log_err, log_rho=log_err,
+                                 filter_id="synthetic", model_provenance="none",
+                                 source_label="s", rho_label="alpha")
+        for col in (study.alpha, study.log_err, study.log_rho, study.alphas()):
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+        log_err[0] = 1.0  # the caller's array is not the study's
+        assert study.log_err[0] == math.log(0.5)
+
+    def test_ragged_columns_rejected(self):
+        with pytest.raises(sq.ExperimentError, match="one length"):
+            ConvergenceStudy(alpha=[0.5, 0.1], log_err=[0.0], log_rho=[0.0, 0.0],
+                             filter_id="synthetic", model_provenance="none",
+                             source_label="s", rho_label="alpha")
+
+
 class TestFitOrder:
     """Windows chosen inside the low-end clip rule; the generator tail
     j^-0.6 adds a +0.05 drift to the scaling exponent, so each source
@@ -192,12 +371,9 @@ class TestFitOrder:
         assert fit.slope == pytest.approx(0.25, abs=0.05)
 
     def test_constant_error_gives_zero_slope(self, rho_alpha):
-        records = [
-            StudyRecord(alpha=a, err=2.0, rho=a, ratio=2.0 / a,
-                        log_err=math.log(2.0), log_ratio=math.log(2.0 / a))
-            for a in np.geomspace(0.5, 1e-4, 40)
-        ]
-        study = ConvergenceStudy(records=records, filter_id="synthetic",
+        alphas = np.geomspace(0.5, 1e-4, 40)
+        study = ConvergenceStudy(alpha=alphas, log_err=np.full(40, math.log(2.0)),
+                                 log_rho=np.log(alphas), filter_id="synthetic",
                                  model_provenance="none", source_label="s",
                                  rho_label="alpha")
         fit = sq.fit_order(study, (1e-4, 0.5))
@@ -216,8 +392,8 @@ class TestFitOrder:
         assert type(fit.r_squared) is float
 
     def test_empty_study_raises(self):
-        study = ConvergenceStudy(records=[], filter_id="synthetic", model_provenance="none",
-                                 source_label="s", rho_label="alpha")
+        study = ConvergenceStudy(alpha=[], log_err=[], log_rho=[], filter_id="synthetic",
+                                 model_provenance="none", source_label="s", rho_label="alpha")
         with pytest.raises(sq.ExperimentError) as err:
             sq.fit_order(study, (0.1, 1))
         assert str(err.value) == "need at least 8 usable records in the window, got 0"
@@ -225,8 +401,8 @@ class TestFitOrder:
     def test_empty_study_without_window_raises(self):
         """The default window of an empty study is empty, not numpy's
         "zero-size array to reduction operation" ValueError."""
-        study = ConvergenceStudy(records=[], filter_id="synthetic", model_provenance="none",
-                                 source_label="s", rho_label="alpha")
+        study = ConvergenceStudy(alpha=[], log_err=[], log_rho=[], filter_id="synthetic",
+                                 model_provenance="none", source_label="s", rho_label="alpha")
         with pytest.raises(sq.ExperimentError) as err:
             sq.fit_order(study)
         assert str(err.value) == "need at least 8 usable records in the window, got 0"

@@ -69,6 +69,16 @@ class TestSpectralModels:
         with pytest.raises(sq.OperatorError):
             sq.SpectralModel(eigenvalues=np.array([1.0, 0.0]), provenance="bad")
 
+    @pytest.mark.parametrize("eig", [[1.0, math.nan], [math.inf, 1.0], [math.nan]])
+    def test_non_finite_eigenvalues_rejected(self, eig):
+        """NaN passes both the positivity and the order test, and inf
+        passes positivity; each must fail on its own."""
+        with pytest.raises(sq.OperatorError, match="finite"):
+            sq.SpectralModel(eigenvalues=np.array(eig), provenance="bad")
+        with pytest.raises(sq.OperatorError, match="finite"):
+            sq.model_from_json(f'{{"eigenvalues": [{", ".join(map(repr, eig))}]}}'
+                               .replace("nan", "NaN").replace("inf", "Infinity"))
+
     def test_json_round_trip(self):
         m = sq.make_model("j^-4", 4)
         import json
