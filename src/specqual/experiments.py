@@ -9,7 +9,7 @@ demonstrates maximality of the induced source set R(s_rho(T*T)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -117,8 +117,7 @@ class ConvergenceStudy:
         })
 
 
-@dataclass(frozen=True)
-class SlopeFit:
+class SlopeFit(NamedTuple):
     slope: float
     intercept: float
     r_squared: float
@@ -196,6 +195,11 @@ def fit_order(study: ConvergenceStudy, window: tuple[float, float] | None = None
     # as ln err - ln ratio, the form the records hold
     y = log_err[usable]
     x = y - study.log_ratio[in_window][usable]
+    finite = np.isfinite(x)  # x is ln rho itself where ln rho is not finite
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise ExperimentError(f"ln rho is {x[k]} at alpha={study.alpha[in_window][usable][k]:.6g}, "
+                              "where ln err is finite")
     xm, ym = float(x.mean()), float(y.mean())
     sxx = float(np.sum((x - xm) ** 2))
     sxy = float(np.sum((x - xm) * (y - ym)))
@@ -223,8 +227,7 @@ def _default_window(study: ConvergenceStudy) -> tuple[float, float]:
     return (lo, hi)
 
 
-@dataclass(frozen=True)
-class ConverseProbe:
+class ConverseProbe(NamedTuple):
     pair_certificate: PairVerdict
     prediction: bool
     verification: MembershipVerdict
@@ -285,8 +288,7 @@ def _study_ratio_bounded(study: ConvergenceStudy) -> bool:
     return bool(est.bounded and est.value < STUDY_RATIO_CAP)
 
 
-@dataclass(frozen=True)
-class InclusionEntry:
+class InclusionEntry(NamedTuple):
     source_label: str
     strong_pair: bool
     domination_k: float | None
@@ -295,12 +297,11 @@ class InclusionEntry:
     included: bool
 
 
-@dataclass(frozen=True)
-class MaximalSourceReport:
+class MaximalSourceReport(NamedTuple):
     filter_id: str
     rho_label: str
     level: str
-    entries: list[InclusionEntry] = field(default_factory=list)
+    entries: list[InclusionEntry] = ()
     qualification: object = None  # the QualificationReport backing `level`
 
     def to_json_dict(self) -> dict:

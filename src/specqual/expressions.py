@@ -22,7 +22,7 @@ Unary minus binds tighter than '^', i.e. ``-2^2`` is ``(-2)^2 = 4``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,24 +59,20 @@ class UnboundVariableError(ExprError):
         self.name = name
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(NamedTuple):
     name: str
 
 
-@dataclass(frozen=True)
-class Unary:
+class Unary(NamedTuple):
     op: str  # neg, exp, ln, sqrt, abs, sin
     child: "FuncExpr"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # + - * / ^
     left: "FuncExpr"
     right: "FuncExpr"

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ class ParameterRangeError(FilterError):
     """alpha or lambda outside the family's valid range."""
 
 
-@dataclass(frozen=True)
-class ResidualValue:
+class ResidualValue(NamedTuple):
     """r_alpha(lambda) with an underflow-safe logarithmic channel."""
 
     value: float
@@ -472,8 +471,7 @@ def make_custom_filter(
 # axiom verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Grid verdicts for the three regularization-method hypotheses."""
 
     h1_finite: bool
@@ -481,8 +479,8 @@ class AxiomReport:
     h3_pointwise: bool
     h2_observed_sup: float
     h3_worst_deviation: float
-    failures: list[dict] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
+    failures: list[dict] = ()
+    notes: list[str] = ()
 
     @property
     def all_pass(self) -> bool:

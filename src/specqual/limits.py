@@ -29,7 +29,6 @@ move less than 5% when the window is advanced by one block).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -43,8 +42,7 @@ TAIL_FRACTION = 0.5
 LOG_SATURATION = 709.0  # exp overflow edge for IEEE doubles
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
+class LimitEstimate(NamedTuple):
     """A numerically estimated liminf or limsup with tail diagnostics."""
 
     kind: str             # "liminf" | "limsup"
@@ -52,7 +50,7 @@ class LimitEstimate:
     tail_min: float
     tail_max: float
     stabilized: bool
-    grid_meta: dict = field(default_factory=dict)
+    grid_meta: dict       # trend, extrapolated, blocks: see ``tail_limit``
 
     @property
     def trend(self) -> str:

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -66,8 +67,7 @@ class SpectralModel:
         }
 
 
-@dataclass(frozen=True)
-class SourceElement:
+class SourceElement(NamedTuple):
     """x_j = s(eig_j) w_j : an element of the source set R(s(T*T))."""
 
     x_dagger: np.ndarray
@@ -218,8 +218,7 @@ def log_regularization_error(model: SpectralModel, filt: FilterFamily,
     return float(out[0]) if a.ndim == 0 else out
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     inside: bool
     bound: float | None = None
     witness_index: int | None = None  # 1-based eigenvalue index

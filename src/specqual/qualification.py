@@ -33,7 +33,8 @@ import collections
 import functools
 import math
 import weakref
-from dataclasses import dataclass, field
+from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,16 +77,18 @@ class HypothesisViolation(QualificationError):
         self.lam = lam
 
 
-@dataclass(frozen=True)
-class PairVerdict:
+_NO_ENTRIES = MappingProxyType({})  # a record's empty default mapping, read-only
+
+
+class PairVerdict(NamedTuple):
     """Outcome of a source-order / order-source pair test."""
 
     holds: bool
     bound_k: float | None = None
     gamma: float | None = None
     h_used: str | None = None
-    witnesses: list = field(default_factory=list)
-    detail: dict = field(default_factory=dict)
+    witnesses: list = ()
+    detail: dict = _NO_ENTRIES
 
     def __bool__(self) -> bool:
         return self.holds
@@ -100,8 +103,7 @@ class PairVerdict:
         })
 
 
-@dataclass(frozen=True)
-class ClassicalOrder:
+class ClassicalOrder(NamedTuple):
     """Dyadic bracket for the classical qualification order.
 
     ``classify`` shares one instance between the reports of a filter, so
@@ -125,8 +127,7 @@ class ClassicalOrder:
         })
 
 
-@dataclass(frozen=True)
-class MPVerdict:
+class MPVerdict(NamedTuple):
     """Result of the increasing-weight qualification inequality check."""
 
     passes: bool
@@ -147,8 +148,7 @@ class MPVerdict:
         return jsonable(out)
 
 
-@dataclass(frozen=True)
-class QualificationReport:
+class QualificationReport(NamedTuple):
     """Full qualification verdict for one (filter, rho) combination."""
 
     filter_id: str
@@ -159,7 +159,7 @@ class QualificationReport:
     mp_verdict: MPVerdict | None
     evidence: dict  # level name -> PairVerdict
     source_label: str | None = None
-    grid_meta: dict = field(default_factory=dict)
+    grid_meta: dict = _NO_ENTRIES
 
     def to_json_dict(self) -> dict:
         return jsonable({
@@ -183,10 +183,15 @@ def jsonable(x):
     """``x`` as RFC 8259 JSON values, walking dicts, lists and tuples: a
     float becomes a Python float or the string +inf, -inf or nan (an
     infinite s_rho or ratio is an answer, and JSON has no number for it);
-    any other value passes through unchanged."""
-    if isinstance(x, dict):
+    any other value passes through unchanged.  A record (a NamedTuple)
+    raises TypeError, as ``json.dumps`` would: its document is its
+    ``to_json_dict``, never the list of its fields."""
+    if isinstance(x, (dict, MappingProxyType)):
         return {k: jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
+        if hasattr(x, "_fields"):
+            raise TypeError(f"{type(x).__name__} record is not a JSON value; "
+                            "use its to_json_dict()")
         return [jsonable(v) for v in x]
     if isinstance(x, float) and not math.isfinite(x):
         return "nan" if math.isnan(x) else ("+inf" if x > 0 else "-inf")
@@ -634,8 +639,7 @@ def _suffix_max(R):
 BISECT_TOL = 1e-10  # absolute alpha tolerance of the theta bisection
 
 
-@dataclass(frozen=True)
-class ConstructResult:
+class ConstructResult(NamedTuple):
     h: TabulatedOrder
     rho_star: TabulatedOrder
     certificate: PairVerdict

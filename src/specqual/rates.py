@@ -28,6 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,8 +79,7 @@ def _scalar_or_array(out):
     return float(out) if np.ndim(out) == 0 else out
 
 
-@dataclass(frozen=True)
-class _ClosedForm:
+class _ClosedForm(NamedTuple):
     """A certified (or rejected) closed-form function of ``_var``."""
 
     expr: FuncExpr
@@ -98,12 +98,14 @@ class _ClosedForm:
 class OrderFn(_ClosedForm):
     """A certified (or rejected) order-of-convergence function of alpha."""
 
+    __slots__ = ()
     _var, _kind = "alpha", "order"
 
 
 class SourceFn(_ClosedForm):
     """A certified (or rejected) source function of lambda."""
 
+    __slots__ = ()
     _var, _kind = "lambda", "source"
 
 
@@ -202,8 +204,7 @@ def certify_source_fn(expr_or_text, grid: np.ndarray | None = None) -> SourceFn:
     return _certify(SourceFn, expr_or_text, grid, _no_jump)
 
 
-@dataclass(frozen=True)
-class CompareVerdict:
+class CompareVerdict(NamedTuple):
     """Outcome of a precedes/equivalence comparison near the origin."""
 
     holds: bool

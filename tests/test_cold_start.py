@@ -5,7 +5,9 @@
 unloaded; the package hands out their names on first access.  The module
 sets are read from ``python -X importtime``, which lists each module as it
 is imported and leaves stdout alone, so the same calls also pin their
-printed bytes against the golden files.
+printed bytes against the golden files.  A cold call also generates no
+dataclass code for a result record: only the five classes that need a
+dataclass are one.
 """
 
 import json
@@ -93,6 +95,40 @@ def test_subcommand_skips_study_modules(tmp_path, case):
     else:
         assert code == 0
         assert json.loads(out)["level"] == "optimal"
+
+
+# a fresh interpreter imports specqual.cli, runs the CLI on its arguments if
+# it has any, and prints the names of the dataclasses specqual's loaded
+# modules define
+DATACLASSES_AFTER = """
+import contextlib, dataclasses, io, json, sys
+from specqual import cli
+if sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0
+print(json.dumps(sorted(
+    cls.__name__ for name, module in list(sys.modules.items()) if name.split(".")[0] == "specqual"
+    for cls in vars(module).values()
+    if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls))))
+"""
+
+# what stays a dataclass: a filter is copied with dataclasses.replace and has
+# a __post_init__, a table keeps a cached_property, and a spectral model and
+# a convergence study check their fields in a __post_init__; every result
+# record is a NamedTuple, which a cold call builds without generating code
+CLI_DATACLASSES = ["FilterFamily", "TabulatedOrder", "TabulatedSource"]
+STUDY_DATACLASSES = ["ConvergenceStudy", "SpectralModel"]
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ((), CLI_DATACLASSES),
+    (README_CONVERGE, sorted(CLI_DATACLASSES + STUDY_DATACLASSES)),
+], ids=["import", "converge"])
+def test_only_the_named_classes_are_dataclasses(tmp_path, argv, expected):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", DATACLASSES_AFTER, *argv], env=env,
+                          cwd=tmp_path, capture_output=True, timeout=120, check=True)
+    assert json.loads(proc.stdout) == expected
 
 
 def test_converge_loads_study_modules(tmp_path):

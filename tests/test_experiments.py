@@ -391,6 +391,19 @@ class TestFitOrder:
         assert type(fit.intercept) is float
         assert type(fit.r_squared) is float
 
+    @pytest.mark.parametrize("log_rho", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rate_in_window_raises(self, log_rho):
+        """ln rho that is not finite where ln err is gives an error, not a
+        NaN slope with r^2 = 1."""
+        alpha = np.geomspace(0.5, 1e-4, 40)
+        lr = np.log(alpha)
+        lr[30] = log_rho
+        study = ConvergenceStudy(alpha=alpha, log_err=0.7 * np.log(alpha), log_rho=lr,
+                                 filter_id="synthetic", model_provenance="none",
+                                 source_label="s", rho_label="alpha")
+        with pytest.raises(sq.ExperimentError, match=f"ln rho is {log_rho} at alpha=0.000713852"):
+            sq.fit_order(study)
+
     def test_empty_study_raises(self):
         study = ConvergenceStudy(alpha=[], log_err=[], log_rho=[], filter_id="synthetic",
                                  model_provenance="none", source_label="s", rho_label="alpha")

@@ -636,6 +636,16 @@ class TestClassifier:
                 {"x": -math.inf, "y": 3, "ok": False}]
         assert qualification.csv_text(rows) == "x,y,ok\n0.5,,true\n+inf,nan,false\n-inf,3,false\n"
 
+    def test_a_record_is_not_a_json_value(self, classify_reports):
+        """A record is a tuple, but jsonable raises TypeError on one, as
+        json.dumps does, instead of printing the list of its fields."""
+        report, _ = classify_reports[("tikhonov", "alpha")]
+        est = next(iter(report.srho_table.values()))
+        for record in (report, report.evidence["optimal"], est, sq.order_fn("alpha")):
+            with pytest.raises(TypeError, match=type(record).__name__):
+                qualification.jsonable({"doc": [record]})
+        assert qualification.jsonable({"range": (1.0, math.inf)}) == {"range": [1.0, "+inf"]}
+
     def test_uncertified_order_raises(self, tikhonov):
         with pytest.raises(sq.UncertifiedError):
             sq.classify(tikhonov, sq.certify_order_fn("1+alpha"))

@@ -235,6 +235,16 @@ class TestComparatorAlgebra:
             assert not sq.precedes(catalog[hi], catalog[lo]).holds
 
 
+def test_closed_forms_take_no_new_attribute():
+    """Orders and sources are NamedTuples with no instance dict: a field or
+    any other attribute is read-only."""
+    for fn in (sq.order_fn("alpha"), sq.source_fn("lambda")):
+        with pytest.raises(AttributeError):
+            fn.label = "other"
+        with pytest.raises(AttributeError):
+            fn.cache = {}
+
+
 class TestTabulated:
     def test_loglog_interpolation_recovers_power_law(self):
         lams = np.geomspace(0.01, 10, 13)
