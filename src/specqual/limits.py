@@ -230,14 +230,16 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap):
 
     if monotone_up and d43 > DRIFT_TOL:
         if geometric:
-            # saturating from below toward a finite limit
+            # saturating from below toward a finite limit; a limit past
+            # the cap counts as +inf, as a statistic past it does
             lhat = m4 - delta4 * delta4 / (delta4 - delta3)
-            meta.update(trend="saturating", extrapolated=True)
             if math.isfinite(lhat) and lhat < cap:
+                meta.update(trend="saturating", extrapolated=True)
                 stab = abs(lhat - m4) <= STAB_TOL * max(abs(lhat), FLOOR)
                 return LimitEstimate(kind, lhat, raw_min,
                                      max(raw_max, lhat), stab, meta)
-            return LimitEstimate(kind, m4, raw_min, raw_max, False, meta)
+            meta.update(trend="up", extrapolated=True)
+            return LimitEstimate(kind, math.inf, raw_min, raw_max, False, meta)
         lhat = _richardson(x3, m3, x4, m4)
         lprev = _richardson(x2, m2, x3, m3)
         meta["trend"] = "up"

@@ -103,17 +103,23 @@ def model_from_json(text: str) -> SpectralModel:
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
-    """Dense row-major CSV, optional header row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    """Dense row-major CSV in UTF-8, optional header row."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [(n, ln.strip()) for n, ln in enumerate(fh, 1) if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise OperatorError(f"matrix file is not UTF-8: {path}") from exc
     if not lines:
         raise OperatorError(f"empty matrix file: {path}")
-    start = 0
-    try:
-        [float(tok) for tok in lines[0].split(",")]
-    except ValueError:
-        start = 1  # header row
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[start:]]
+    rows = []
+    for i, (n, ln) in enumerate(lines):
+        try:
+            rows.append([float(tok) for tok in ln.split(",")])
+        except ValueError as exc:
+            if i:  # only the first line may be a header
+                raise OperatorError(f"{path}, line {n}: {exc}") from None
+    if not rows:
+        raise OperatorError(f"no numeric rows in matrix file: {path}")
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise OperatorError("ragged CSV matrix")

@@ -626,12 +626,6 @@ def _windowed_certificate(R, lrho, lams) -> dict:
     }
 
 
-def _suffix_max(R):
-    """Suffix maxima along each row: entry j holds max(R[i, j:])."""
-    with np.errstate(all="ignore"):
-        return np.flip(np.maximum.accumulate(np.flip(R, axis=1), axis=1), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # constructive weak qualification
 # ---------------------------------------------------------------------------
@@ -722,20 +716,19 @@ def construct_weak_qualification(
 def _construct_certificate(filt, h, alphas, log_bound, sweep) -> PairVerdict:
     """Does sup_{lm >= h(alpha)} |r_alpha(lm)| stay below exp(log_bound)?
 
-    One (alpha x sweep) residual mesh; each row is read at the first sweep
-    point at or above h(alpha) through its suffix maxima.  An alpha whose
-    window holds no sweep point is skipped.  Witnesses are (alpha, the
-    lambda of the largest residual in its window) for each alpha whose
-    supremum exceeds the bound by more than 1e-6 in log.
+    One (alpha x sweep) residual mesh; each row is read over its window,
+    the sweep points at or above h(alpha).  An alpha whose window holds
+    no sweep point is skipped.  Witnesses are (alpha, the lambda of the
+    largest residual in its window) for each alpha whose supremum exceeds
+    the bound by more than 1e-6 in log.
     """
+    window = sweep >= np.exp(h.log_at(alphas))[:, None]
     with np.errstate(all="ignore"):
-        R = np.asarray(filt._r_log(alphas[:, None], sweep), dtype=float)
-    start = np.searchsorted(sweep, np.exp(h.log_at(alphas)), "left")
-    rows = np.nonzero(start < sweep.size)[0]
-    gap = _suffix_max(R)[rows, start[rows]] - log_bound[rows]
+        R = np.where(window, filt._r_log(alphas[:, None], sweep), -np.inf)
+    rows = np.nonzero(window.any(axis=1))[0]
+    gap = R[rows].max(axis=1) - log_bound[rows]
     failing = rows[gap > 1e-6]
-    witnesses = [(float(alphas[i]), float(sweep[start[i] + np.argmax(R[i, start[i]:])]))
-                 for i in failing.tolist()]
+    witnesses = [(float(alphas[i]), float(sweep[np.argmax(R[i])])) for i in failing.tolist()]
     return PairVerdict(
         holds=not witnesses,
         witnesses=witnesses,

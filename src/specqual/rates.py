@@ -25,9 +25,7 @@ positive and decaying.
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -109,43 +107,37 @@ class SourceFn(_ClosedForm):
     _var, _kind = "lambda", "source"
 
 
-class _Tabulated:
-    """A table over the ``_knots`` field, interpolated log-log linearly."""
-
-    @functools.cached_property
-    def _log_knots(self):
-        """ln of the knots, taken on the first ``log_at``; the table is
-        not to be changed in place after that."""
-        return np.log(getattr(self, self._knots))
-
-    def log_at(self, x):
-        out = _loglog_interp(np.log(np.asarray(x, dtype=float)), self._log_knots, self.log_values)
-        return _scalar_or_array(out)
-
-    def at(self, x):
-        return _scalar_or_array(sat_exp_array(self.log_at(x)))
+def _table_log_at(table, x):
+    """ln of ``table`` at x, log-log linear in its knots (the first field),
+    whose ln is taken on each call: the table reads as it stands."""
+    out = _loglog_interp(np.log(np.asarray(x, dtype=float)), np.log(table[0]), table.log_values)
+    return _scalar_or_array(out)
 
 
-@dataclass(frozen=True)
-class TabulatedOrder(_Tabulated):
+def _table_at(table, x):
+    return _scalar_or_array(sat_exp_array(_table_log_at(table, x)))
+
+
+class TabulatedOrder(NamedTuple):
     """Order function backed by a table, interpolated log-log linearly."""
 
     alphas: np.ndarray
     log_values: np.ndarray
     certified: bool = True
     label: str = "tabulated"
-    _knots = "alphas"
+
+    log_at, at = _table_log_at, _table_at
 
 
-@dataclass(frozen=True)
-class TabulatedSource(_Tabulated):
+class TabulatedSource(NamedTuple):
     """Source function backed by a table over lambda, log-log interpolated."""
 
     lambdas: np.ndarray
     log_values: np.ndarray
     certified: bool = True
     label: str = "tabulated"
-    _knots = "lambdas"
+
+    log_at, at = _table_log_at, _table_at
 
 
 def _loglog_interp(x, xs, ys):

@@ -517,10 +517,11 @@ CONVERGE = ("converge", "--filter", "tikhonov", "--source", "lambda", "--dim", "
     ((*CONVERGE, "--fit-window", "2:1"), {}),
     ((*CONVERGE, "--model", "diag:foo"), {}),
     ((*CONVERGE, "--model", "ragged.csv"), {"ragged.csv": "1,2\n3\n"}),
+    ((*CONVERGE, "--generator", "x^-1"), {}),
 ], ids=["no-command", "bad-command", "config-not-object", "param-not-number",
         "param-unknown", "geo-three-parts", "geo-not-numbers", "generator-not-number",
         "fit-window-one-part", "fit-window-not-numbers", "fit-window-reversed",
-        "model-unknown-rule", "model-ragged-csv"])
+        "model-unknown-rule", "model-ragged-csv", "generator-not-j"])
 def test_input_error_branches(capsys, tmp_path, monkeypatch, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():
@@ -782,6 +783,12 @@ CONVERGE_ERRORS = {
                     "matrix is numerically zero; no spectral model"),
     "ragged-csv": (("--model", "ragged.csv"), "input-error", "ragged CSV matrix"),
     "empty-csv": (("--model", "empty.csv"), "input-error", "empty matrix file: empty.csv"),
+    "non-numeric-csv": (("--model", "letter.csv"), "input-error",
+                        "letter.csv, line 2: could not convert string to float: 'x'"),
+    "non-utf8-csv": (("--model", "utf16.csv"), "input-error",
+                     "matrix file is not UTF-8: utf16.csv"),
+    "header-only-csv": (("--model", "header.csv"), "input-error",
+                        "no numeric rows in matrix file: header.csv"),
     "unknown-rule": (("--model", "diag:nosuch"), "input-error",
                      "unknown spectrum rule 'nosuch' (choose from ['exp', 'j^-2', 'j^-4'])"),
     "dim-too-large": (("--dim", "100000"), "input-error", "dim must be in [1, 512], got 100000"),
@@ -800,6 +807,9 @@ def test_converge_error_bytes(capsys, tmp_path, monkeypatch, case):
     (tmp_path / "zero.csv").write_text("0,0\n0,0\n")
     (tmp_path / "ragged.csv").write_text("1,2\n3\n")
     (tmp_path / "empty.csv").write_text("")
+    (tmp_path / "letter.csv").write_text("1,2\n3,x\n")
+    (tmp_path / "utf16.csv").write_bytes(b"\xff\xfe1\x00,\x002\x00\n\x00")
+    (tmp_path / "header.csv").write_text("a,b\n")
     extra, error, message = CONVERGE_ERRORS[case]
     code, out, err = run(capsys, "converge", "--filter", "tikhonov", "--source", "lambda", *extra)
     assert (code, out) == (2, "")

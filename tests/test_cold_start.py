@@ -6,8 +6,8 @@ unloaded; the package hands out their names on first access.  The module
 sets are read from ``python -X importtime``, which lists each module as it
 is imported and leaves stdout alone, so the same calls also pin their
 printed bytes against the golden files.  A cold call also generates no
-dataclass code for a result record: only the five classes that need a
-dataclass are one.
+dataclass code for a result record or a table: only the three classes
+that check their fields in a ``__post_init__`` are dataclasses.
 """
 
 import json
@@ -112,11 +112,11 @@ print(json.dumps(sorted(
     if isinstance(cls, type) and cls.__module__ == name and dataclasses.is_dataclass(cls))))
 """
 
-# what stays a dataclass: a filter is copied with dataclasses.replace and has
-# a __post_init__, a table keeps a cached_property, and a spectral model and
-# a convergence study check their fields in a __post_init__; every result
-# record is a NamedTuple, which a cold call builds without generating code
-CLI_DATACLASSES = ["FilterFamily", "TabulatedOrder", "TabulatedSource"]
+# what stays a dataclass: a class that checks its fields in a __post_init__,
+# that is a filter, a spectral model and a convergence study; every result
+# record and table is a NamedTuple, which a cold call builds without
+# generating code
+CLI_DATACLASSES = ["FilterFamily"]
 STUDY_DATACLASSES = ["ConvergenceStudy", "SpectralModel"]
 
 

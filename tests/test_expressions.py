@@ -208,6 +208,29 @@ class TestLogEval:
         np.testing.assert_allclose(lv, np.log((alpha - 2) ** 2), rtol=1e-15)
         assert np.all(sign == 1.0)
 
+    @pytest.mark.parametrize("text", ["abs(sin(1/alpha))*alpha", "alpha*(2+sin(1/alpha))"])
+    def test_sin_and_abs_match_eval_array(self, text):
+        alpha = np.geomspace(1e-4, 0.5, 37)
+        lv, sign = log_eval(parse_expr(text), {"alpha": alpha})
+        v = eval_array(parse_expr(text), {"alpha": alpha})
+        assert np.all(sign == 1.0)
+        np.testing.assert_allclose(np.exp(lv), v, rtol=1e-14)
+
+    def test_sin_and_abs_past_underflow(self):
+        """exp(-1/alpha)*|sin(1/alpha)| is 0.0 as a double; its log is the
+        50-digit value, up to the rounding of 1/alpha inside sin."""
+        mpmath = pytest.importorskip("mpmath")
+        tree = parse_expr("exp(-1/alpha)*abs(sin(1/alpha))")
+        alpha = np.array([1e-3, 3e-4, 1e-4])
+        assert np.all(eval_array(tree, {"alpha": alpha}) == 0.0)
+        lv, sign = log_eval(tree, {"alpha": alpha})
+        assert np.all(sign == 1.0)
+        with mpmath.workdps(50):
+            for a, got in zip(alpha.tolist(), lv.tolist()):
+                x = 1 / mpmath.mpf(a)
+                want = float(-x + mpmath.log(abs(mpmath.sin(x))))
+                assert got == pytest.approx(want, rel=1e-12), a
+
 
 # -- a 50-digit mpmath oracle for log_eval ---------------------------------
 #

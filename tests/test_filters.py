@@ -315,6 +315,19 @@ def test_parameter_must_be_positive_and_finite(fid, param, value):
         sq.get_filter(fid, **{param: value})
 
 
+@pytest.mark.parametrize("field", ["alpha_max", "h2_constant"])
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan])
+def test_family_constants_must_be_positive(field, value):
+    kwargs = {"alpha_max": 1.0, "h2_constant": 1.0, field: value}
+    with pytest.raises(sq.FilterError, match=f"{field} must be positive"):
+        sq.make_custom_filter("custom", lambda a, lm: 1.0 / (a + lm), **kwargs)
+
+
+def test_negative_lambda_rejected():
+    with pytest.raises(sq.ParameterRangeError, match="lambda must be nonnegative"):
+        sq.eval_residual(sq.get_filter("tikhonov"), 0.1, -1.0)
+
+
 @pytest.mark.parametrize("mu", [95.0, 100.0, 1e4, 1e300])
 def test_landweber_default_lambda_grid_ascends_below_sup(mu):
     """A clamped top at or below 0.01 used to give a descending grid that

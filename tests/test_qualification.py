@@ -66,6 +66,22 @@ class TestTailLimit:
         est = tail_limit(*_x_tail(xs, np.log(vals)), "liminf")
         assert math.isfinite(est.value)
 
+    @pytest.mark.parametrize("cap", [CAP, 1e6])
+    def test_saturation_past_the_cap_diverges(self, cap):
+        """A geometric climb whose Aitken limit lies past the cap reads as
+        divergent, since the cap counts as +inf; one whose limit lies
+        below the cap saturates to that limit."""
+        xs = np.linspace(1.0, 41.0, 401)
+        t = tail_of(np.exp(-xs))
+        tau = 5.0 / math.log(1.0 / 0.3)
+        climb = 3e-3 * cap * np.exp((41.0 - t.xs) / tau)
+        est = tail_limit(t, np.log(1.001 * cap - climb), "limsup", cap=cap)
+        assert (est.value, est.trend, est.stabilized) == (math.inf, "up", False)
+        assert not est.bounded
+        est = tail_limit(t, np.log(0.999 * cap - climb), "limsup", cap=cap)
+        assert est.value == pytest.approx(0.999 * cap) and est.trend == "saturating"
+        assert est.bounded
+
 
 def _fields(est):
     """Every field of an estimate, as exact text (repr keeps each double's bits)."""
@@ -443,6 +459,14 @@ class TestStrongPairs:
 
     def test_oscillatory_strong_pair(self, ex8, s_sqrt, rho_alpha):
         assert sq.check_strong_pair(ex8, s_sqrt, rho_alpha).holds
+
+    def test_failed_weak_pair_is_named(self, tikhonov, s_sqrt):
+        """alpha^2 is faster than tikhonov can reach, so the weak pair
+        fails first and the strong verdict says so."""
+        verdict = sq.check_strong_pair(tikhonov, s_sqrt, sq.order_fn("alpha^2"))
+        assert not verdict.holds
+        assert verdict.detail["failed"] == "weak"
+        assert verdict.witnesses[0] == (1e-7, 0.01)
 
     def test_limsup_lands_at_one_for_tikhonov(self, tikhonov, s_lambda, rho_alpha):
         for lam in (0.01, 1.0, 10.0):
@@ -1098,6 +1122,13 @@ class TestConstructiveWeakQualification:
         with pytest.raises(sq.HypothesisViolation) as err:
             sq.construct_weak_qualification(ex8)
         assert err.value.alpha > 0 and err.value.lam > 0
+
+    def test_negative_residual_rejected(self):
+        """g = 2/lambda gives r = 1 - lambda*g = -1 everywhere."""
+        filt = sq.make_custom_filter("twice", lambda a, lm: 2.0 / lm + 0.0 * a,
+                                     alpha_max=1.0, h2_constant=2.0)
+        with pytest.raises(sq.HypothesisViolation, match="residual is not positive"):
+            sq.construct_weak_qualification(filt)
 
 
 class TestLimitEstimateContracts:

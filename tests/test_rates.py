@@ -35,6 +35,11 @@ class TestOrderCertification:
     def test_iteration_rate_certifies(self):
         assert sq.certify_order_fn("(1-0.5*sqrt(alpha))^(1/alpha)").certified
 
+    def test_undefined_far_tail_rejected(self):
+        """sqrt(alpha - 1e-200) is positive on the grid but NaN at the
+        far-tail probe alpha = 1e-300, so it does not vanish at 0."""
+        assert not sq.certify_order_fn("sqrt(alpha-1e-200)").certified
+
     def test_wrong_variable_raises(self):
         """Parsing accepts either variable; certification admits only alpha."""
         for text in ("lambda", "alpha+lambda"):
@@ -190,6 +195,19 @@ class TestComparators:
     def test_self_equivalence(self, rho_exp):
         assert sq.equivalent_at_origin(rho_exp, rho_exp).holds
 
+    def test_uncertified_order_raises(self, rho_alpha):
+        rejected = sq.certify_order_fn("sqrt(alpha-1e-200)")
+        for pair in ((rejected, rho_alpha), (rho_alpha, rejected)):
+            with pytest.raises(sq.DomainError, match="certified"):
+                sq.precedes(*pair)
+
+    def test_undefined_ratio_raises(self, rho_alpha):
+        """alpha^3*sqrt(alpha-1e-9) is certified on the order grid, which
+        ends at 1e-7, but is undefined below 1e-9 on the comparison grid."""
+        rho = sq.order_fn("alpha^3*sqrt(alpha-1e-9)")
+        with pytest.raises(sq.DomainError, match="left the functions' domain"):
+            sq.precedes(rho, rho_alpha)
+
 
 @pytest.fixture(scope="module")
 def catalog():
@@ -257,6 +275,34 @@ class TestTabulated:
         tab = sq.TabulatedOrder(alphas=alphas, log_values=-1.0 / alphas)
         assert tab.log_at(1e-7) == pytest.approx(-1e7)
         assert tab.at(1e-7) == 0.0  # underflows as a double, by design
+
+    @pytest.mark.parametrize("cls, knots_field", [(sq.TabulatedOrder, "alphas"),
+                                                  (sq.TabulatedSource, "lambdas")])
+    def test_reads_the_knots_as_they_stand(self, cls, knots_field):
+        """ln of the knots is taken on every read, so a table whose knot
+        array is changed in place reads the new knots."""
+        knots = np.geomspace(0.01, 10, 13)
+        tab = cls(**{knots_field: knots, "log_values": np.log(knots)})
+        assert tab.log_at(0.5) == pytest.approx(math.log(0.5), rel=1e-14)
+        knots *= 2
+        assert tab.log_at(0.5) == pytest.approx(math.log(0.25), rel=1e-14)
+        assert tab.at(0.5) == pytest.approx(0.25, rel=1e-14)
+
+    def test_tables_are_records(self):
+        """A table is a NamedTuple: its four fields in order, read-only,
+        copied with _replace, and equal to a table of the other kind on
+        the same field objects."""
+        knots = np.geomspace(0.01, 10, 13)
+        order = sq.TabulatedOrder(alphas=knots, log_values=np.log(knots))
+        source = sq.TabulatedSource(lambdas=knots, log_values=order.log_values)
+        assert sq.TabulatedOrder._fields == ("alphas", "log_values", "certified", "label")
+        assert sq.TabulatedSource._fields == ("lambdas", "log_values", "certified", "label")
+        assert len(order) == 4 and tuple(order)[2:] == (True, "tabulated")
+        assert order == source
+        with pytest.raises(AttributeError):
+            order.label = "other"
+        copy = order._replace(label="h")
+        assert copy.label == "h" and copy.alphas is knots and order.label == "tabulated"
 
 
 @settings(max_examples=40, deadline=None)
