@@ -1,7 +1,11 @@
 """Parser and evaluator for the closed-form expression language."""
 
+import hashlib
 import math
 import operator
+import platform
+import random
+import re
 import sys
 
 import numpy as np
@@ -12,6 +16,7 @@ from hypothesis import strategies as st
 from specqual.expressions import (
     Binary,
     Const,
+    ExprError,
     ExprSyntaxError,
     UnboundVariableError,
     Unary,
@@ -449,3 +454,151 @@ def test_iteration_rate_keeps_its_decay():
         for x, got in zip(xs.tolist(), lv.tolist()):
             want = mpmath.log(_mp_eval(mpmath.mp, tree, "alpha", x))
             assert abs(got - want) / max(1, abs(want)) <= 1e-13, x
+
+
+# -- a pinned corpus -----------------------------------------------------------
+#
+# 2,000 seeded trees, printed with random spaces and spare parentheses, and a
+# one-character corruption of each (an insertion, a deletion or a
+# substitution) pin what parse_expr gives: the tree's repr, or the error's
+# class, message and position.  The first 400 trees pin the bytes of
+# eval_array and log_eval, NaN sign bits, result types and shapes included,
+# on signed zeros, infinities, signed NaNs, +-1e-300, Python floats, numpy
+# scalars and 0-d arrays.  Literals are finite.
+#
+# numpy's kernels differ from one SIMD level, numpy release or libm to the
+# next: on one x86-64 machine the AVX-512, AVX2 and SSE4 kernels of numpy
+# 2.4 differ in the last bit of exp and power, in the sign of log's NaN and
+# in which of two NaNs a sum keeps.  So the evaluator digest is checked only
+# on PIN_PLATFORM, where it was recorded; everywhere eval_array is held to
+# the plain operators node by node, NaN sign bits included.
+PIN_PARSE_DIGEST = "b995b3b5d991dfa9de44fedfaaacdcf15d276c172ea840a45f9fe2133d0bef0a"
+PIN_EVAL_DIGEST = "5253d58e0c98a8e32b2a5911ad004d72866796cfb20bf27d334ebd96b5b382b6"
+PIN_PLATFORM = "numpy 2.4.6 x86_64 glibc 2.36 X86_V3 X86_V4 baseline(X86_V2)"
+_PIN_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+_PIN_LITERALS = ("0", "1", "2", "0.5", "3.", ".25", "1e3", "2.5E-2", "1e-400", "7e+2",
+                 "12.75", "1e300", "0.1")
+_PIN_CHARS = "0123456789.eE+-*/^() \tabdlnpqstx$_,"
+_PIN_NUMBER = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?")
+_PIN_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e-300, -1e-300)
+
+
+def _pin_pad(rng, text):
+    return rng.choice(("", "", "", " ", "\t", "  ")) + text + rng.choice(("", "", "", " "))
+
+
+def _pin_tree(rng, depth):
+    """A random tree, its text and its binding strength as a child."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        if rng.random() < 0.5:
+            name = rng.choice(("alpha", "lambda"))
+            return Var(name), name, 9
+        text = rng.choice(_PIN_LITERALS)
+        return Const(float(text)), text, 9
+    if roll < 0.5:
+        op = rng.choice(("neg", "exp", "ln", "sqrt", "abs", "sin"))
+        child, text, _ = _pin_tree(rng, depth - 1)
+        if op == "neg":  # '-a^b' is '(-a)^b', so a binary operand is wrapped
+            text = f"({text})" if isinstance(child, Binary) else text
+            return Unary(op, child), _pin_pad(rng, "-") + text, 9
+        return Unary(op, child), f"{op}({_pin_pad(rng, text)})", 9
+    op = rng.choice("+-*/^")
+    left, ltext, lprec = _pin_tree(rng, depth - 1)
+    right, rtext, rprec = _pin_tree(rng, depth - 1)
+    p = _PIN_PREC[op]
+    if lprec < p or (op == "^" and lprec == p) or rng.random() < 0.15:
+        ltext = f"({_pin_pad(rng, ltext)})"
+    if rprec < p or (op != "^" and rprec == p) or rng.random() < 0.15:
+        rtext = f"({_pin_pad(rng, rtext)})"
+    return Binary(op, left, right), ltext + _pin_pad(rng, op) + rtext, p
+
+
+def _pin_corpus():
+    """(texts, trees): each printed tree, then its corruption unless that
+    holds a literal a double cannot."""
+    rng = random.Random(31)
+    texts, trees = [], []
+    while len(trees) < 2000:
+        tree, text, _ = _pin_tree(rng, rng.randrange(1, 6))
+        assert parse_expr(text) == tree, text
+        trees.append(tree)
+        texts.append(text)
+        i = rng.randrange(len(text) + 1)
+        c = rng.choice(_PIN_CHARS)
+        bad = rng.choice((text[:i] + c + text[i:], text[:i] + text[i + 1:],
+                          text[:i] + c + text[i + 1:]))
+        if all(math.isfinite(float(m)) for m in _PIN_NUMBER.findall(bad)):
+            texts.append(bad)
+    return texts, trees
+
+
+def _pin_bindings():
+    grid = np.array([*_PIN_SPECIAL, 0.5, 2.0, -3.0, 1.0])
+    yield {"alpha": grid, "lambda": grid[::-1].copy()}
+    for x in _PIN_SPECIAL:
+        yield {"alpha": x, "lambda": -x}
+        yield {"alpha": np.array(x), "lambda": np.float64(x)}
+
+
+def _pin_bytes(value):
+    a = np.asarray(value)
+    return f"{type(value).__name__}|{a.dtype.str}|{a.shape}|".encode() + a.tobytes()
+
+
+def _pin_platform():
+    """numpy's version, the machine, the C library and numpy's float64 kernels."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2
+        return None
+    kernels = {k["current"] for sigs in opt_func_info(signature="^d+$").values()
+               for k in sigs.values()}
+    return " ".join(["numpy", np.__version__, platform.machine(), *platform.libc_ver(),
+                     *sorted(kernels)])
+
+
+_PIN_UNARY = {"neg": operator.neg, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
+              "abs": np.abs, "sin": np.sin}
+_PIN_BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+               "/": operator.truediv, "^": np.power}
+
+
+def _pin_reference(tree, binding):
+    """eval_array's contract: Python's operators on numpy values, np.power
+    for '^' and numpy's functions."""
+    match tree:
+        case Const(v):
+            return np.float64(v)
+        case Var(name):
+            return np.asarray(binding[name], dtype=float)
+        case Unary(op, child):
+            return _PIN_UNARY[op](_pin_reference(child, binding))
+        case Binary(op, left, right):
+            return _PIN_BINARY[op](_pin_reference(left, binding), _pin_reference(right, binding))
+
+
+class TestPinnedCorpus:
+    def test_parse_outcomes(self):
+        digest = hashlib.sha256()
+        for text in _pin_corpus()[0]:
+            try:
+                outcome = repr(parse_expr(text))
+            except ExprError as exc:
+                outcome = f"{type(exc).__name__}|{exc}|{exc.position}"
+            digest.update(outcome.encode() + b"\n")
+        assert digest.hexdigest() == PIN_PARSE_DIGEST
+
+    def test_eval_bytes(self):
+        digest = hashlib.sha256()
+        for tree in _pin_corpus()[1][:400]:
+            for binding in _pin_bindings():
+                got = _pin_bytes(eval_array(tree, binding))
+                with np.errstate(all="ignore"):
+                    assert got == _pin_bytes(_pin_reference(tree, binding)), (tree, binding)
+                digest.update(got)
+                for part in log_eval(tree, binding):
+                    digest.update(_pin_bytes(part))
+        if _pin_platform() != PIN_PLATFORM:
+            pytest.skip(f"PIN_EVAL_DIGEST holds on {PIN_PLATFORM}, not {_pin_platform()}")
+        assert digest.hexdigest() == PIN_EVAL_DIGEST
