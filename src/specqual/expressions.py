@@ -17,17 +17,28 @@ Grammar::
     base   := number | ident | ident '(' expr ')' | '(' expr ')' | '-' base
 
 Unary minus binds tighter than '^', i.e. ``-2^2`` is ``(-2)^2 = 4``.
+``parse_expr`` reads the binary operators by precedence climbing over the
+precedences in ``_BINARY``, the table that also evaluates and prints them.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import NamedTuple
 
 import numpy as np
 
 VARIABLES = ("alpha", "lambda")
-FUNCTIONS = ("exp", "ln", "sqrt", "abs", "sin")
+# each operator once: its function for eval_array and, for a binary one, its
+# precedence for parsing and printing.  Python's operators, not np.negative
+# or np.add: on numpy scalars the two can pick a different NaN sign bit, and
+# log_eval's division reads the sign bit of its divisor.
+_UNARY = {"neg": operator.neg, "exp": np.exp, "ln": np.log, "sqrt": np.sqrt,
+          "abs": np.abs, "sin": np.sin}
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul),
+           "/": (2, operator.truediv), "^": (3, np.power)}
+FUNCTIONS = tuple(op for op in _UNARY if op != "neg")
 
 
 class ExprError(ValueError):
@@ -105,91 +116,6 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i] if self.i < len(self.tokens) else None
-
-    def next(self):
-        tok = self.peek()
-        if tok is not None:
-            self.i += 1
-        return tok
-
-    def expect_op(self, op: str):
-        tok = self.peek()
-        if tok is None or tok[0] != "op" or tok[1] != op:
-            raise ExprSyntaxError(f"expected '{op}'", self.err_pos())
-        self.next()
-
-    def err_pos(self) -> int:
-        tok = self.peek()
-        return tok[2] if tok is not None else len(self.text)
-
-    def parse(self) -> FuncExpr:
-        node = self.expr()
-        if self.peek() is not None:
-            raise ExprSyntaxError("trailing input", self.err_pos())
-        return node
-
-    def expr(self) -> FuncExpr:
-        node = self.term()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "+-":
-            self.next()
-            node = Binary(tok[1], node, self.term())
-        return node
-
-    def term(self) -> FuncExpr:
-        node = self.factor()
-        while (tok := self.peek()) and tok[0] == "op" and tok[1] in "*/":
-            self.next()
-            node = Binary(tok[1], node, self.factor())
-        return node
-
-    def factor(self) -> FuncExpr:
-        node = self.base()
-        tok = self.peek()
-        if tok and tok[0] == "op" and tok[1] == "^":
-            self.next()
-            node = Binary("^", node, self.factor())  # right-associative
-        return node
-
-    def base(self) -> FuncExpr:
-        tok = self.peek()
-        if tok is None:
-            raise ExprSyntaxError("expected a value", self.err_pos())
-        kind, value, pos = tok
-        if kind == "number":
-            self.next()
-            return Const(float(value))
-        if kind == "ident":
-            self.next()
-            nxt = self.peek()
-            if nxt and nxt[0] == "op" and nxt[1] == "(":
-                if value not in FUNCTIONS:
-                    raise UnknownIdentifierError(value, pos)
-                self.next()
-                arg = self.expr()
-                self.expect_op(")")
-                return Unary(value, arg)
-            if value not in VARIABLES:
-                raise UnknownIdentifierError(value, pos)
-            return Var(value)
-        if kind == "op" and value == "(":
-            self.next()
-            node = self.expr()
-            self.expect_op(")")
-            return node
-        if kind == "op" and value == "-":
-            self.next()
-            return Unary("neg", self.base())
-        raise ExprSyntaxError(f"expected a value, found '{value}'", pos)
-
-
 def variables_of(expr: FuncExpr) -> set[str]:
     match expr:
         case Const():
@@ -208,16 +134,57 @@ def parse_expr(text: str) -> FuncExpr:
 
     Raises ExprSyntaxError / UnknownIdentifierError on malformed input.
     """
-    return _Parser(text).parse()
+    tokens = _tokenize(text)[::-1]  # a stack: the next token is on top
+    end = ("end", None, len(text))
 
+    def peek():
+        return tokens[-1] if tokens else end
 
-_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 3}
+    def climb(min_prec: int) -> FuncExpr:
+        # the operators binding at least min_prec; '^' takes its own level
+        # on the right, so it is right-associative
+        node = operand()
+        while (prec := _BINARY.get(peek()[1], (0,))[0]) >= min_prec:
+            op = tokens.pop()[1]
+            node = Binary(op, node, climb(prec if op == "^" else prec + 1))
+        return node
+
+    def group() -> FuncExpr:
+        node = climb(1)
+        if peek()[1] != ")":
+            raise ExprSyntaxError("expected ')'", peek()[2])
+        tokens.pop()
+        return node
+
+    def operand() -> FuncExpr:
+        kind, value, pos = tokens.pop() if tokens else end
+        if kind == "number":
+            return Const(float(value))
+        if kind == "ident" and peek()[1] == "(":
+            if value not in FUNCTIONS:
+                raise UnknownIdentifierError(value, pos)
+            tokens.pop()
+            return Unary(value, group())
+        if kind == "ident":
+            if value not in VARIABLES:
+                raise UnknownIdentifierError(value, pos)
+            return Var(value)
+        if value == "(":
+            return group()
+        if value == "-":
+            return Unary("neg", operand())
+        raise ExprSyntaxError("expected a value" + (f", found '{value}'" if value else ""), pos)
+
+    node = climb(1)
+    if tokens:
+        raise ExprSyntaxError("trailing input", tokens[-1][2])
+    return node
 
 
 def _prec(expr: FuncExpr) -> int:
     match expr:
         case Binary(op, _, _):
-            return _PRECEDENCE[op]
+            return _BINARY[op][0]
         case Unary("neg", _):
             return 2  # prints like a product with -1
         case _:
@@ -242,15 +209,15 @@ def to_string(expr: FuncExpr) -> str:
         case Unary(op, child):
             return f"{op}({to_string(child)})"
         case Binary(op, left, right):
-            lp, rp = _PRECEDENCE[op], _PRECEDENCE[op]
+            p = _prec(expr)
             ls = to_string(left)
             rs = to_string(right)
             # left child: parenthesize on lower precedence ('^' is right-assoc,
             # so equal precedence on the left needs parens too)
-            if _prec(left) < lp or (op == "^" and _prec(left) == lp):
+            if _prec(left) < p or (op == "^" and _prec(left) == p):
                 ls = f"({ls})"
             # right child: lower precedence, or equal for left-assoc ops
-            if _prec(right) < rp or (op in "+-*/" and _prec(right) == rp):
+            if _prec(right) < p or (op in "+-*/" and _prec(right) == p):
                 rs = f"({rs})"
             # a leading unary minus on the right of '-' or '^' must be wrapped
             if isinstance(right, Unary) and right.op == "neg" and op in "-^":
@@ -281,12 +248,10 @@ def _signed_log(v):
 
 def _log_eval(expr: FuncExpr, binding):
     match expr:
-        case Const() | Var():
+        case Const() | Var() | Unary("sin", _):
             return _signed_log(_eval_array(expr, binding))
         case Unary("exp", child):
             return _eval_array(child, binding), np.float64(1.0)
-        case Unary("sin", child):
-            return _signed_log(np.sin(_eval_array(child, binding)))
         case Unary(op, child):
             lc, sc = _log_eval(child, binding)
             if op == "neg":
@@ -365,30 +330,7 @@ def _eval_array(expr: FuncExpr, binding):
                 raise UnboundVariableError(name)
             return np.asarray(binding[name], dtype=float)
         case Unary(op, child):
-            x = _eval_array(child, binding)
-            if op == "neg":
-                return -x
-            if op == "exp":
-                return np.exp(x)
-            if op == "ln":
-                return np.log(x)
-            if op == "sqrt":
-                return np.sqrt(x)
-            if op == "abs":
-                return np.abs(x)
-            if op == "sin":
-                return np.sin(x)
+            return _UNARY[op](_eval_array(child, binding))
         case Binary(op, left, right):
-            a = _eval_array(left, binding)
-            b = _eval_array(right, binding)
-            if op == "+":
-                return a + b
-            if op == "-":
-                return a - b
-            if op == "*":
-                return a * b
-            if op == "/":
-                return a / b
-            if op == "^":
-                return np.power(a, b)
+            return _BINARY[op][1](_eval_array(left, binding), _eval_array(right, binding))
     raise TypeError(f"not a FuncExpr node: {expr!r}")
