@@ -23,6 +23,7 @@ precedences in ``_BINARY``, the table that also evaluates and prints them.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from typing import NamedTuple
@@ -159,7 +160,9 @@ def parse_expr(text: str) -> FuncExpr:
     def operand() -> FuncExpr:
         kind, value, pos = tokens.pop() if tokens else end
         if kind == "number":
-            return Const(float(value))
+            if math.isinf(v := float(value)):
+                raise ExprSyntaxError(f"number '{value}' does not fit a double", pos)
+            return Const(v)
         if kind == "ident" and peek()[1] == "(":
             if value not in FUNCTIONS:
                 raise UnknownIdentifierError(value, pos)

@@ -518,10 +518,12 @@ CONVERGE = ("converge", "--filter", "tikhonov", "--source", "lambda", "--dim", "
     ((*CONVERGE, "--model", "diag:foo"), {}),
     ((*CONVERGE, "--model", "ragged.csv"), {"ragged.csv": "1,2\n3\n"}),
     ((*CONVERGE, "--generator", "x^-1"), {}),
+    (("classify", "--filter", "tikhonov", "--order", "1e999*alpha"), {}),
 ], ids=["no-command", "bad-command", "config-not-object", "param-not-number",
         "param-unknown", "geo-three-parts", "geo-not-numbers", "generator-not-number",
         "fit-window-one-part", "fit-window-not-numbers", "fit-window-reversed",
-        "model-unknown-rule", "model-ragged-csv", "generator-not-j"])
+        "model-unknown-rule", "model-ragged-csv", "generator-not-j",
+        "order-number-overflows"])
 def test_input_error_branches(capsys, tmp_path, monkeypatch, argv, files):
     monkeypatch.chdir(tmp_path)
     for name, text in files.items():

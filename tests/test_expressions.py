@@ -69,6 +69,15 @@ class TestParsing:
     def test_numbers_with_exponents(self):
         assert eval_array(parse_expr("1e-3 + 2.5E+1"), {}) == pytest.approx(25.001)
 
+    @pytest.mark.parametrize("text,position", [("1e999*alpha", 0), ("alpha^1e400", 6),
+                                               ("lambda ^ 1e999", 9)])
+    def test_number_past_a_double_is_a_syntax_error(self, text, position):
+        """1e999 read as inf, and printing it back ended in an OverflowError."""
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text)
+        assert err.value.position == position
+        assert "does not fit a double" in str(err.value)
+
     def test_unbalanced_parens(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("(alpha + 1")
