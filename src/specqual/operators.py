@@ -102,6 +102,14 @@ def model_from_json(text: str) -> SpectralModel:
     )
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def load_matrix_csv(path: str) -> np.ndarray:
     """Dense row-major CSV in UTF-8, optional header row."""
     try:
@@ -116,7 +124,8 @@ def load_matrix_csv(path: str) -> np.ndarray:
         try:
             rows.append([float(tok) for tok in ln.split(",")])
         except ValueError as exc:
-            if i:  # only the first line may be a header
+            # only a first line without a single number is a header
+            if i or any(map(_is_number, ln.split(","))):
                 raise OperatorError(f"{path}, line {n}: {exc}") from None
     if not rows:
         raise OperatorError(f"no numeric rows in matrix file: {path}")

@@ -791,6 +791,8 @@ CONVERGE_ERRORS = {
                      "matrix file is not UTF-8: utf16.csv"),
     "header-only-csv": (("--model", "header.csv"), "input-error",
                         "no numeric rows in matrix file: header.csv"),
+    "typo-header-csv": (("--model", "typo.csv"), "input-error",
+                        "typo.csv, line 1: could not convert string to float: 'x'"),
     "unknown-rule": (("--model", "diag:nosuch"), "input-error",
                      "unknown spectrum rule 'nosuch' (choose from ['exp', 'j^-2', 'j^-4'])"),
     "dim-too-large": (("--dim", "100000"), "input-error", "dim must be in [1, 512], got 100000"),
@@ -812,6 +814,7 @@ def test_converge_error_bytes(capsys, tmp_path, monkeypatch, case):
     (tmp_path / "letter.csv").write_text("1,2\n3,x\n")
     (tmp_path / "utf16.csv").write_bytes(b"\xff\xfe1\x00,\x002\x00\n\x00")
     (tmp_path / "header.csv").write_text("a,b\n")
+    (tmp_path / "typo.csv").write_text("1,x\n3,4\n")
     extra, error, message = CONVERGE_ERRORS[case]
     code, out, err = run(capsys, "converge", "--filter", "tikhonov", "--source", "lambda", *extra)
     assert (code, out) == (2, "")
