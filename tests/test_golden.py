@@ -16,7 +16,10 @@ estimate ``tail_limit`` returns in a warm classify of each catalog row
 (30 calls) and on a seeded set of degenerate inputs (grids of 8 to 12
 alphas, so that some blocks are empty, rows with +-inf and nan, both
 kinds, 4 and 5 blocks, two caps, 1-d and 2-d), each float as its
-``float.hex``.  ``tests/golden/cli_*.txt`` hold the exit code (first
+``float.hex``.  ``TAIL_CORPUS_SHA256`` is the sha256 of every estimate of
+a seeded corpus of a few thousand ``tail_limit`` rows on hand-built
+tails, which reaches all 11 outcome classes; the golden file reaches 9.
+``tests/golden/cli_*.txt`` hold the exit code (first
 line) and stdout of five CLI calls that print no passing mp-check: the
 README ``srho`` and ``classical`` calls, two failing ``mp-check`` calls
 and ``construct`` in CSV.  A change that moves any printed value shows up
@@ -25,10 +28,12 @@ regenerate the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and review its diff.
+and review its diff; that run prints the corpus digest to copy in.
 """
 
+import collections
 import dataclasses
+import hashlib
 import io
 import itertools
 import json
@@ -103,10 +108,13 @@ def order_source_text() -> str:
     return json.dumps(jsonable(docs), indent=2, allow_nan=False) + "\n"
 
 
+def bits(v) -> str | None:
+    """A float as its ``float.hex``; None stays None."""
+    return None if v is None else float(v).hex()
+
+
 def estimate_doc(est) -> dict:
     """The fields of one tail estimate, each float as its ``float.hex``."""
-    def bits(v):
-        return None if v is None else float(v).hex()
     return {"value": bits(est.value), "tail_min": bits(est.tail_min),
             "tail_max": bits(est.tail_max), "stabilized": est.stabilized, "trend": est.trend,
             "extrapolated": est.grid_meta["extrapolated"],
@@ -267,6 +275,91 @@ def test_tail_estimates_match_golden():
     assert tail_limit_text() == TAIL_LIMIT.read_text(encoding="utf-8")
 
 
+def tail_corpus_calls():
+    """Seeded 2-d ``tail_limit`` calls on hand-built tails, for both kinds
+    and caps 1e12 and 1e6: 60 tails of 8 to 32 points, some with spacings
+    below 1e-9, each carrying 10 to 19 rows of noise, 1/x drifts, signed
+    geometric approaches, linear trends in x, constants at exp's overflow
+    edge and at the cap, and geometric approaches to a limit just below
+    or past the cap; three rows in ten hold some +-inf and nan."""
+    rng = np.random.default_rng(20261020)
+    for _ in range(60):
+        n = int(rng.integers(8, 33))
+        steps = rng.uniform(0.05, 2.0, n - 1)
+        steps[rng.random(n - 1) < 0.1] *= 1e-11
+        edge = rng.uniform(-1.0, 20.0)
+        x = edge + np.concatenate(([0.0], np.cumsum(steps)))
+        tail = sq.limits.Tail(np.exp(-x), np.arange(n), x, edge)
+        for cap in (sq.limits.CAP, 1e6):
+            rows = []
+            for _ in range(int(rng.integers(10, 20))):
+                lvl = rng.uniform(-3.0, math.log(cap) + 2.0)
+                c = rng.uniform(-2, 2) * 10.0 ** rng.integers(-1, 3)
+                k = rng.uniform(0.1, 3.0)
+                u = rng.uniform(0.05, 1.0)
+                decay = np.exp(-4.0 * k * (x - edge) / (x[-1] - edge))  # ratio e^-k per block
+                with np.errstate(all="ignore"):
+                    row = [lvl + 10.0 ** rng.uniform(-4, 0) * rng.standard_normal(n),
+                           lvl + np.log(np.abs(1.0 + c / x)),
+                           lvl + np.log1p(u * np.sign(c) * decay),
+                           lvl + c * (x - edge),
+                           np.full(n, rng.choice([lvl, 705.0, 712.0, math.log(cap),
+                                                  math.log(cap) - 1e-3])),
+                           math.log(cap) + 0.02 * (u - 0.5) + np.log1p(-u * decay),
+                           ][int(rng.integers(0, 6))]
+                if rng.random() < 0.3:
+                    hit = rng.random(n) < 0.15
+                    row[hit] = rng.choice([math.inf, -math.inf, math.nan], int(hit.sum()))
+                rows.append(row)
+            for kind in ("liminf", "limsup"):
+                yield tail, np.array(rows), kind, cap
+
+
+# the first value of ``tail_corpus_digest``
+TAIL_CORPUS_SHA256 = "10255d154edb1ff03c0e31065615cdf5d4b45621e23d73025ef9a4360eacf3a6"
+
+# (trend, extrapolated, stabilized, value is inf): the outcome class of each
+# exit of tail_limit under a cap below 1e307
+OUTCOME_CLASSES = {
+    ("up", False, True, True), ("up", False, False, True),    # past the cap / mixed inf
+    ("down", True, True, False), ("down", True, False, False),
+    ("saturating", True, True, False), ("saturating", True, False, False),
+    ("up", True, False, True),                                 # Aitken limit past the cap
+    ("up", True, True, False), ("up", False, False, False),    # coherent 1/x / divergent
+    ("flat", False, True, False), ("flat", False, False, False),
+}
+
+
+def estimate_record(est) -> str:
+    """Every field of one estimate, floats as ``float.hex`` and
+    ``grid_meta`` in its key order."""
+    meta = [(k, [bits(b) for b in v] if k == "blocks" else v) for k, v in est.grid_meta.items()]
+    return repr((est.kind, bits(est.value), bits(est.tail_min), bits(est.tail_max),
+                 est.stabilized, meta))
+
+
+def tail_corpus_digest() -> tuple[str, collections.Counter]:
+    """The sha256 of every estimate of ``tail_corpus_calls`` as
+    ``estimate_record``, and the number of estimates in each outcome class."""
+    digest, classes = hashlib.sha256(), collections.Counter()
+    for tail, lv, kind, cap in tail_corpus_calls():
+        for est in sq.limits.tail_limit(tail, lv, kind, cap=cap):
+            digest.update(estimate_record(est).encode())
+            classes[est.trend, est.grid_meta["extrapolated"], est.stabilized,
+                    math.isinf(est.value)] += 1
+    return digest.hexdigest(), classes
+
+
+def test_tail_corpus_matches_digest():
+    """A few thousand rows through every outcome class of ``tail_limit``,
+    bit for bit, the unstabilized saturating ones and the Aitken limits
+    past the cap among them, which the golden file's calls never reach."""
+    digest, classes = tail_corpus_digest()
+    assert set(classes) == OUTCOME_CLASSES
+    assert sum(classes.values()) > 3000
+    assert digest == TAIL_CORPUS_SHA256
+
+
 def test_order_source_verdicts_match_golden():
     assert order_source_text() == ORDER_SOURCE.read_text(encoding="utf-8")
 
@@ -296,3 +389,4 @@ if __name__ == "__main__":
             (GOLDEN_DIR / f"{name}.stderr").write_text(err, encoding="utf-8")
     for name, argv in CLI_CALLS.items():
         (GOLDEN_DIR / name).write_text(cli_text(argv), encoding="utf-8")
+    print("TAIL_CORPUS_SHA256 =", tail_corpus_digest()[0])
