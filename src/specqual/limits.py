@@ -188,75 +188,48 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap):
     x2, x3, x4 = xe[-3], xe[-2], xe[-1]
 
     # literal divergence: the statistic itself exceeded the cap (or was
-    # +inf from a zero residual) throughout the late blocks
-    if all(m >= cap for m in (m3, m4)):
+    # +inf from a zero residual) throughout the late blocks; mixed
+    # finite/infinite late blocks: unstable divergence
+    past_cap = m3 >= cap and m4 >= cap
+    if past_cap or math.isinf(m2) or math.isinf(m3) or math.isinf(m4):
         meta["trend"] = "up"
-        return LimitEstimate(kind, math.inf, raw_min, raw_max, True, meta)
+        return LimitEstimate(kind, math.inf, raw_min, raw_max, past_cap, meta)
 
-    scale = max(abs(m3), abs(m4), 1e-300)
-    d43 = (m4 - m3) / scale
+    delta3, delta4 = m3 - m2, m4 - m3
+    drift = delta4 / max(abs(m3), abs(m4), 1e-300)
+    down = m4 < m3 < m2 and -drift > DRIFT_TOL
+    up = m4 > m3 > m2 and drift > DRIFT_TOL
+    if not (down or up) or x4 - x3 < 1e-9 or x3 - x2 < 1e-9:
+        # flat (or noisy) blocks, or a degenerate extremum placement:
+        # report the late-window extremum
+        value = min(m3, m4) if kind == "liminf" else max(m3, m4)
+        stab = abs(m4 - m3) <= STAB_TOL * max(abs(m3), abs(m4), FLOOR)
+        meta["trend"] = "flat"
+        return LimitEstimate(kind, value, raw_min, raw_max, stab, meta)
 
-    monotone_down = m4 < m3 < m2
-    monotone_up = m4 > m3 > m2
-
-    if math.isinf(m2) or math.isinf(m3) or math.isinf(m4):
-        # mixed finite/infinite late blocks: unstable divergence
-        meta["trend"] = "up"
-        return LimitEstimate(kind, math.inf, raw_min, raw_max, False, meta)
-
-    if x4 - x3 < 1e-9 or x3 - x2 < 1e-9:
-        # degenerate extremum placement; fall back to the flat verdict
-        monotone_down = monotone_up = False
-
-    delta4 = m4 - m3
-    delta3 = m3 - m2
     # geometric approach (exponential in x): increments shrink by more
     # than half per block, and the Aitken delta-squared limit applies;
-    # a 1/x drift keeps the increment ratio near (x2/x4) ~ 0.75
+    # a 1/x drift keeps the increment ratio near (x2/x4) ~ 0.75.  Either
+    # model gives the limit and the estimate one block earlier.
     geometric = abs(delta4) < 0.5 * abs(delta3)
+    if geometric:
+        lhat, lprev = m4 - delta4 * delta4 / (delta4 - delta3), m4
+    else:
+        # invert the 1/x approach
+        lhat, lprev = _richardson(x3, m3, x4, m4), _richardson(x2, m2, x3, m3)
+    if down:
+        lhat, lprev = max(lhat, 0.0), max(lprev, 0.0)
+    stab = abs(lhat - lprev) <= STAB_TOL * max(abs(lhat), FLOOR)
 
-    if monotone_down and -d43 > DRIFT_TOL:
+    if down:
         meta.update(trend="down", extrapolated=True)
-        if geometric:
-            lhat = m4 - delta4 * delta4 / (delta4 - delta3)
-            value = max(lhat, 0.0)
-            stab = abs(value - m4) <= STAB_TOL * max(abs(value), FLOOR)
-        else:
-            # invert the 1/x approach
-            value = max(_richardson(x3, m3, x4, m4), 0.0)
-            lprev = max(_richardson(x2, m2, x3, m3), 0.0)
-            stab = abs(value - lprev) <= STAB_TOL * max(abs(value), FLOOR)
-        return LimitEstimate(kind, value, min(raw_min, value), raw_max, stab, meta)
-
-    if monotone_up and d43 > DRIFT_TOL:
-        if geometric:
-            # saturating from below toward a finite limit; a limit past
-            # the cap counts as +inf, as a statistic past it does
-            lhat = m4 - delta4 * delta4 / (delta4 - delta3)
-            if math.isfinite(lhat) and lhat < cap:
-                meta.update(trend="saturating", extrapolated=True)
-                stab = abs(lhat - m4) <= STAB_TOL * max(abs(lhat), FLOOR)
-                return LimitEstimate(kind, lhat, raw_min,
-                                     max(raw_max, lhat), stab, meta)
-            meta.update(trend="up", extrapolated=True)
-            return LimitEstimate(kind, math.inf, raw_min, raw_max, False, meta)
-        lhat = _richardson(x3, m3, x4, m4)
-        lprev = _richardson(x2, m2, x3, m3)
-        meta["trend"] = "up"
-        if (
-            math.isfinite(lhat)
-            and math.isfinite(lprev)
-            and abs(lhat - lprev) <= STAB_TOL * max(abs(lhat), FLOOR)
-            and lhat < cap
-        ):
-            # coherent slow convergence from below
-            meta["extrapolated"] = True
-            return LimitEstimate(kind, lhat, raw_min, max(raw_max, lhat), True, meta)
-        # sustained growth with no coherent limit: treat as divergent
-        return LimitEstimate(kind, m4, raw_min, raw_max, False, meta)
-
-    # flat (or noisy) blocks: report the late-window extremum
-    value = min(m3, m4) if kind == "liminf" else max(m3, m4)
-    stab = abs(m4 - m3) <= STAB_TOL * max(abs(m3), abs(m4), FLOOR)
-    meta["trend"] = "flat"
-    return LimitEstimate(kind, value, raw_min, raw_max, stab, meta)
+        return LimitEstimate(kind, lhat, min(raw_min, lhat), raw_max, stab, meta)
+    # saturating from below toward a finite limit, or coherent slow
+    # convergence from below; a limit past the cap counts as +inf, as a
+    # statistic past it does
+    if math.isfinite(lhat) and lhat < cap and (geometric or (math.isfinite(lprev) and stab)):
+        meta.update(trend="saturating" if geometric else "up", extrapolated=True)
+        return LimitEstimate(kind, lhat, raw_min, max(raw_max, lhat), stab, meta)
+    # sustained growth with no coherent limit: treat as divergent
+    meta.update(trend="up", extrapolated=geometric)
+    return LimitEstimate(kind, math.inf if geometric else m4, raw_min, raw_max, False, meta)
