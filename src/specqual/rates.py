@@ -220,7 +220,12 @@ def precedes(rho1, rho2, grid: np.ndarray | None = None) -> CompareVerdict:
     if not (rho1.certified and rho2.certified):
         raise DomainError("precedes requires certified order functions")
     grid = default_compare_grid() if grid is None else np.asarray(grid, dtype=float)
-    lr = rho1.log_at(grid) - rho2.log_at(grid)
+    l1, l2 = rho1.log_at(grid), rho2.log_at(grid)
+    # where both logs underflow to -inf the ratio is unobserved, not undefined
+    seen = (l1 != -np.inf) | (l2 != -np.inf)
+    if not seen.all() and seen.sum() < 8:
+        raise DomainError(f"both logs underflow on all but {seen.sum()} comparison points")
+    grid, lr = grid[seen], l1[seen] - l2[seen]
     if np.any(np.isnan(lr)):
         raise DomainError("comparison grid left the functions' domain")
     t = tail_of(grid)

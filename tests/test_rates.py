@@ -201,6 +201,21 @@ class TestComparators:
             with pytest.raises(sq.DomainError, match="certified"):
                 sq.precedes(*pair)
 
+    def test_ratio_where_both_logs_underflow_is_unobserved(self):
+        """exp(-exp(1e-5/alpha)) is certified, but its log underflows to
+        -inf on 70 of the 192 comparison points; there the ratio of two
+        such orders is unobserved, not undefined, and the other points
+        decide.  Deep in the grid ln 2 is lost against exp(1e-5/alpha), so
+        the constant of the doubled order is 2 only to about 1e-9."""
+        rho = sq.order_fn("exp(-exp(1e-5/alpha))")
+        assert np.isneginf(rho.log_at(default_compare_grid())).sum() == 70
+        verdict = sq.precedes(rho, rho)
+        assert verdict.holds and verdict.constant == 1.0
+        doubled = sq.precedes(sq.order_fn("2*exp(-exp(1e-5/alpha))"), rho)
+        assert doubled.holds and doubled.constant == pytest.approx(2.0, rel=1e-6)
+        with pytest.raises(sq.DomainError, match="all but 0 comparison points"):
+            sq.precedes(rho, rho, np.geomspace(1e-12, 1e-8, 10))
+
     def test_undefined_ratio_raises(self, rho_alpha):
         """alpha^3*sqrt(alpha-1e-9) is certified on the order grid, which
         ends at 1e-7, but is undefined below 1e-9 on the comparison grid."""
