@@ -198,6 +198,8 @@ def to_string(expr: FuncExpr) -> str:
     """Render a tree back to text that re-parses to an equivalent tree."""
     match expr:
         case Const(v):
+            if not math.isfinite(v):  # the parser reads no literal for it
+                raise ExprError(f"constant {v!r} has no literal")
             if v == int(v) and abs(v) < 1e16:
                 return str(int(v))
             return repr(v)

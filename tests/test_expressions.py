@@ -27,6 +27,7 @@ from specqual.expressions import (
     parse_expr,
     to_string,
 )
+from specqual.rates import certify_order_fn
 
 
 class TestParsing:
@@ -186,6 +187,18 @@ class TestRoundTrip:
                 np.asarray(eval_array(again, {var: pts}), dtype=float),
                 rtol=1e-15,
             )
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_constant_has_no_text(self, value):
+        """The parser reads no literal for inf or nan, so a hand-built tree
+        holding one cannot be printed: printing it, and certifying it as an
+        order, raise ExprError naming the constant (an OverflowError or a
+        bare ValueError before)."""
+        tree = Binary("*", Const(value), Var("alpha"))
+        with pytest.raises(ExprError, match=f"constant {value!r} "):
+            to_string(tree)
+        with pytest.raises(ExprError, match=f"constant {value!r} "):
+            certify_order_fn(tree)
 
 
 class TestLogEval:
