@@ -20,10 +20,14 @@ Raw tail extrema are not enough.  Three behaviors must be told apart:
 small-alpha half of the grid in log scale, as the alphas, their
 positions in the grid and x = -ln(alpha), ascending in x.  A caller
 evaluates its statistic on ``Tail.alphas`` only and hands the values to
-``tail_limit``.  The tail is split into consecutive geometric blocks;
-block extrema and their locations drive the trend classification, the
-Richardson correction, and the stabilization verdict (the estimate must
-move less than 5% when the window is advanced by one block).
+``tail_limit``.  The tail is split into consecutive geometric blocks,
+whose extrema and their locations drive the trend classification.  A
+drift (three monotone block extrema, the last step over 0.5%) takes one
+path, down or up: the rate model is chosen once, Aitken's delta-squared
+for a geometric approach or the Richardson step for L + c/x, and gives
+the limit and the estimate one block earlier.  One agreement test, the
+same for both models, makes the stabilized verdict of every extrapolated
+limit: it must move less than 5% when the window advances by one block.
 """
 
 from __future__ import annotations
