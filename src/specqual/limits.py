@@ -27,7 +27,8 @@ path, down or up: the rate model is chosen once, Aitken's delta-squared
 for a geometric approach or the Richardson step for L + c/x, and gives
 the limit and the estimate one block earlier.  One agreement test, the
 same for both models, makes the stabilized verdict of every extrapolated
-limit: it must move less than 5% when the window advances by one block.
+limit: it must be finite and move less than 5% when the window advances
+by one block.
 """
 
 from __future__ import annotations
@@ -223,7 +224,7 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap):
         lhat, lprev = _richardson(x3, m3, x4, m4), _richardson(x2, m2, x3, m3)
     if down:
         lhat, lprev = max(lhat, 0.0), max(lprev, 0.0)
-    stab = abs(lhat - lprev) <= STAB_TOL * max(abs(lhat), FLOOR)
+    stab = math.isfinite(lhat) and abs(lhat - lprev) <= STAB_TOL * max(abs(lhat), FLOOR)
 
     if down:
         meta.update(trend="down", extrapolated=True)
@@ -231,7 +232,7 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap):
     # saturating from below toward a finite limit, or coherent slow
     # convergence from below; a limit past the cap counts as +inf, as a
     # statistic past it does
-    if math.isfinite(lhat) and lhat < cap and (geometric or (math.isfinite(lprev) and stab)):
+    if math.isfinite(lhat) and lhat < cap and (geometric or stab):
         meta.update(trend="saturating" if geometric else "up", extrapolated=True)
         return LimitEstimate(kind, lhat, raw_min, max(raw_max, lhat), stab, meta)
     # sustained growth with no coherent limit: treat as divergent

@@ -763,14 +763,11 @@ def _verify_part_b_hypotheses(filt, alphas, lams):
 # classifier
 # ---------------------------------------------------------------------------
 
-CANONICAL_SOURCES = ("lambda", "lambda^0.5", "lambda/(1+lambda)")
-
-
 @functools.cache
-def _canonical_sources():
-    """The certified CANONICAL_SOURCES, made once per process on first use
-    (not at import, so a CLI call that never needs them pays nothing)."""
-    return tuple(certify_source_fn(text) for text in CANONICAL_SOURCES)
+def _lambda_source():
+    """The certified source ``lambda``, made once per process on first use
+    (not at import, so a CLI call that never needs it pays nothing)."""
+    return certify_source_fn("lambda")
 
 
 def classify(
@@ -786,8 +783,10 @@ def classify(
     strictly between the positivity floor and the divergence cap;
     optimal additionally requires the tabulated s_rho to form an
     order-source pair with rho (the window h is rho itself, clamped into
-    the lambda range); weak falls back to a canonical list of
-    bounded certified sources when strong fails.  With ``companions``
+    the lambda range).  When strong fails, weak checks one source, the
+    capped s_rho table if it has a finite positive value and lambda
+    otherwise: a positive factor on s(lm) cannot change whether
+    s(lm)|r_alpha(lm)|/rho(alpha) stays bounded at lm.  With ``companions``
     the report also carries the classical-order bracket and the
     increasing-weight check; without them both are None.  The bracket
     depends on the filter alone, so it is probed once per filter
@@ -833,18 +832,12 @@ def classify(
             witnesses=[(float(np.min(m.alphas)), lam) for lam in failing[:4]],
             detail={"criterion": "s_rho must be finite, positive and stabilized"},
         )
-        # weak fallback: a bounded certified source that keeps the ratio bounded
-        candidates = [*_capped_srho_candidates(lams, vals), *_canonical_sources()]
-        for cand in candidates:
-            verdict = _weak_pair(m, cand, lrho)
-            if verdict.holds:
-                level = "weak"
-                source_label = getattr(cand, "label", "candidate")
-                evidence["weak"] = verdict
-                break
-        else:
-            evidence["weak"] = PairVerdict(holds=False,
-                                           detail={"criterion": "no candidate source found"})
+        source = _weak_source(lams, vals)
+        weak = _weak_pair(m, source, lrho)
+        if weak.holds:
+            level, source_label = "weak", source.label
+        evidence["weak"] = weak if weak.holds else PairVerdict(
+            holds=False, detail={"criterion": "no candidate source found"})
 
     return QualificationReport(
         filter_id=filt.id,
@@ -863,12 +856,12 @@ def classify(
     )
 
 
-def _capped_srho_candidates(lams, vals):
-    """A bounded source built by capping the finite part of the s_rho
-    table, its values ``vals`` at the ascending ``lams``."""
+def _weak_source(lams, vals):
+    """The s_rho table (``vals`` at ``lams``), each value not finite and
+    positive set to 10x the largest that is, or lambda when none is: the
+    table scales the weak ratio to O(1), away from ``FLOOR`` and ``CAP``."""
     finite = np.isfinite(vals) & (vals > 0)
-    if finite.sum() >= 2:
-        cap_val = float(10.0 * np.max(vals[finite]))
-        capped = np.minimum(np.where(finite, vals, cap_val), cap_val)
-        yield TabulatedSource(lambdas=lams, log_values=np.log(capped),
-                              label="capped s_rho")
+    if not finite.any():
+        return _lambda_source()
+    capped = np.where(finite, vals, 10.0 * np.max(vals[finite]))
+    return TabulatedSource(lambdas=lams, log_values=np.log(capped), label="capped s_rho")

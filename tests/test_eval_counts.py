@@ -128,8 +128,12 @@ def test_interior_lanes_cost_no_extra_call(counts, check_calls, fid, params, ord
 
 
 def test_canonical_sources_certified_once(monkeypatch):
-    """Two weak rows certify the weak fallback's three canonical sources
-    once between them; each row certified all three (6 calls) before."""
+    """Two weak rows certify the weak fallback's one fixed source, lambda,
+    once between them: tsvd x alpha reads it, and tikhonov x alpha^0.5
+    reads its capped s_rho table.  Each row certified three canonical
+    sources (6 calls) before they were made once per process, and the
+    two rows certified those three once before the fallback read one
+    source."""
     certify = qualification.certify_source_fn
     made = []
 
@@ -138,11 +142,11 @@ def test_canonical_sources_certified_once(monkeypatch):
         return certify(text, *args, **kwargs)
 
     monkeypatch.setattr(qualification, "certify_source_fn", counted_certify)
-    qualification._canonical_sources.cache_clear()
+    qualification._lambda_source.cache_clear()
     for fid, order in [("tsvd", "alpha"), ("tikhonov", "alpha^0.5")]:
         report = sq.classify(sq.get_filter(fid), sq.order_fn(order), companions=False)
         assert report.level == "weak"
-    assert made == list(qualification.CANONICAL_SOURCES)
+    assert made == ["lambda"]
 
 
 def test_classical_probe_runs_once_per_filter(counts):
@@ -199,16 +203,16 @@ def test_second_classify_makes_the_scan_and_mp_calls(counts, check_calls, mp_cal
 
 @pytest.mark.parametrize("fid,order,grids,candidates", [
     ("tsvd", "alpha", False, 1),
-    ("tikhonov", "alpha^3", False, 4),
-    ("tikhonov", "alpha^3", True, 4),
+    ("tikhonov", "alpha^3", False, 1),
+    ("tikhonov", "alpha^3", True, 1),
 ])
 def test_weak_fallback_reads_the_srho_mesh(counts, fid, order, grids, candidates):
     """A first classify without companions makes one ``_r_log`` call, the
-    s_rho table's mesh, however many weak-pair candidates it tries and
-    whether its grids are the defaults or given: each candidate built the
-    mesh again before (2 calls on tsvd x alpha, 5 on tikhonov x alpha^3).
-    ``candidates`` is the number of weak-pair checks, one ``tail_limit``
-    call each after the table's."""
+    s_rho table's mesh, whether its grids are the defaults or given: each
+    candidate built the mesh again before (2 calls on tsvd x alpha, 5 on
+    tikhonov x alpha^3).  ``candidates`` is the number of weak-pair
+    checks, one ``tail_limit`` call each after the table's: one source
+    is checked, where the level-none tikhonov x alpha^3 tried four."""
     filt = counted_filter(counts, fid)
     given = (sq.default_lambda_grid(filt), sq.default_alpha_grid(filt)) if grids else ()
     sq.classify(filt, sq.order_fn(order), *given, companions=False)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import specqual as sq
-from specqual.limits import CAP, FLOOR, TAIL_FRACTION, sat_exp, tail_limit, tail_of
+from specqual.limits import CAP, FLOOR, TAIL_FRACTION, _row_limit, sat_exp, tail_limit, tail_of
 from specqual import qualification
 from specqual.filters import residual_value
 from specqual.qualification import (_construct_certificate, _windowed_certificate,
@@ -81,6 +81,17 @@ class TestTailLimit:
         est = tail_limit(t, np.log(0.999 * cap - climb), "limsup", cap=cap)
         assert est.value == pytest.approx(0.999 * cap) and est.trend == "saturating"
         assert est.bounded
+
+    def test_overflowing_extrapolation_is_not_stabilized(self):
+        """A drift down whose Richardson step overflows (m4 * x4 is inf,
+        m3 * x3 is not; only a cap near the largest double lets it past
+        the divergence exit) has no finite limit, so it cannot agree with
+        the estimate one block earlier: it is not stabilized and not
+        positive."""
+        est = _row_limit("liminf", [8.2e307, 8e307, 7e307], [1.5, 2.0, 3.0], 0.0, 9.0, {},
+                         1e308)
+        assert (est.value, est.trend, est.stabilized) == (math.inf, "down", False)
+        assert not est.positive
 
 
 def _fields(est):
@@ -673,6 +684,31 @@ class TestClassifier:
     def test_uncertified_order_raises(self, tikhonov):
         with pytest.raises(sq.UncertifiedError):
             sq.classify(tikhonov, sq.certify_order_fn("1+alpha"))
+
+    @pytest.mark.parametrize("fid,params,order,lams,level,source", [
+        # |r|/rho = sqrt(-ln alpha) / (1e13 (alpha + lambda)) tends to
+        # infinity, so no source is weak.  The capped table fails; lambda held
+        # (the search's second source) only because its ratio read ~6e-13,
+        # under FLOOR.
+        ("tikhonov", {}, "1e13*alpha*(-ln(alpha))^(-0.5)",
+         np.geomspace(1e-3, 10.0, 30)[[9, 18, 25]], "none", None),
+        # |r|/rho <= (e^(-lambda/alpha) + alpha^0.4 / sqrt(lambda)) /
+        # (1.34e-13 alpha^0.25) tends to 0, so every source is weak.  With
+        # lambda the ratio reads past CAP on the tail; the s_rho table's one
+        # finite value scales it to O(1).
+        ("ex8_osc", {"k": 0.4}, "1.34e-13*alpha^0.25+6.54e-09*exp(-1/alpha^0.5)",
+         np.array([2.0433597178569416]), "weak", "capped s_rho"),
+    ])
+    def test_weak_fallback_reads_one_source(self, fid, params, order, lams, level, source):
+        """A positive factor on s(lambda) cannot change whether
+        s(lambda)|r|/rho stays bounded, so the fallback checks one source:
+        the capped s_rho table when it has a finite positive value, lambda
+        otherwise.  The first row read weak and the second read weak with
+        lambda^0.5 when four sources were tried in turn."""
+        filt = sq.get_filter(fid, **params)
+        rho = sq.order_fn(order, sq.default_alpha_grid(filt))
+        report = sq.classify(filt, rho, lams, companions=False)
+        assert (report.level, report.source_label) == (level, source)
 
 
 class TestObservationInvariants:
