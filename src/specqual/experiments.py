@@ -355,7 +355,10 @@ def maximal_source_demo(
 
     # tabulate s_rho on a grid covering the model spectrum
     eigs = model.eigenvalues
-    lam_tab = np.geomspace(float(eigs[-1]) * 0.5, float(eigs[0]) * 2.0, 33)
+    lo, hi = float(eigs[-1]) * 0.5, float(eigs[0]) * 2.0
+    if not (lo > 0 and math.isfinite(hi)):
+        raise ExperimentError(f"s_rho is not finite and positive over the spectrum [{lo}, {hi}]")
+    lam_tab = np.geomspace(lo, hi, 33)
     vals = np.array([est.value for est in srho_table(filt, rho, lam_tab, alpha_grid).values()])
     if not np.all(np.isfinite(vals) & (vals > 0)):
         raise ExperimentError("s_rho is not finite and positive over the spectrum")

@@ -141,10 +141,11 @@ def tail_limit(
 
     ``log_values`` may also be 2-d, one row per sequence on the shared
     tail (rows x points); then the result is a list with one estimate
-    per row, each the one a 1-d call on that row returns.  The block and
-    raw extrema of all rows go through libm's exp in one map (``np.exp``'s
-    SIMD path can differ in the last bit); the scalar ``_row_limit`` then
-    reads each row, which on 1 to 13 rows beats whole-array branches.
+    per row, each the one a 1-d call on that row returns.  The blocks, cut
+    at Python-float edges, give one column of extrema each; joined once with
+    the raw extrema, they go through libm's exp in one map (``np.exp``'s
+    SIMD path can differ in the last bit); the scalar ``_row_limit`` reads
+    each row as a strided slice, which on 1 to 13 rows beats whole-array branches.
 
     ``grid_meta`` of each estimate holds its trend class, whether an
     extrapolation fired, and the block extrema.
@@ -158,31 +159,31 @@ def tail_limit(
                          "(1-d, or 2-d with one row per sequence)")
     t_lv = lv.reshape(-1, t_xs.size)
 
-    # each closed block [lo, hi] of the ascending t_xs is a column slice;
-    # per row: the block extrema, then the raw tail min and max
-    edges = np.linspace(tail.edge, t_xs[-1], n_blocks + 1)
-    starts = np.searchsorted(t_xs, edges[:-1], "left").tolist()
-    ends = np.searchsorted(t_xs, edges[1:], "right").tolist()
+    # each closed block of the ascending t_xs, edges made as np.linspace makes them,
+    # is a column slice; one column per block, then the raw tail min and max
+    lo, hi = float(tail.edge), float(t_xs[-1])
+    edges = [lo + j * ((hi - lo) / n_blocks) for j in range(n_blocks)] + [hi]
+    starts = t_xs.searchsorted(edges[:-1], "left").tolist()
+    ends = t_xs.searchsorted(edges[1:], "right").tolist()
     rows = np.arange(t_lv.shape[0])
-    ext = np.full((rows.size, n_blocks + 2), math.nan)
-    xe = np.empty((rows.size, n_blocks))  # where each extremum is attained
-    pick = np.argmin if kind == "liminf" else np.argmax
+    pick = np.ndarray.argmin if kind == "liminf" else np.ndarray.argmax
+    ext, xe = [], []  # xe: where each block extremum lies
     for j, (i0, i1) in enumerate(zip(starts, ends)):
         if i0 >= i1:  # an empty block: nan at the block midpoint
-            xe[:, j] = 0.5 * (edges[j] + edges[j + 1])
+            ext.append(np.full(rows.size, math.nan))
+            xe.append(np.full(rows.size, 0.5 * (edges[j] + edges[j + 1])))
             continue
-        idx = i0 + pick(t_lv[:, i0:i1], axis=1)
-        ext[:, j] = t_lv[rows, idx]
-        xe[:, j] = t_xs[idx]
-    ext[:, -2], ext[:, -1] = np.min(t_lv, axis=1), np.max(t_lv, axis=1)
-    vals = sat_exp_column(ext.ravel())
-
-    out = []
-    for i, xs in enumerate(xe.tolist()):
-        *ms, raw_min, raw_max = vals[i * (n_blocks + 2):(i + 1) * (n_blocks + 2)]
+        idx = i0 + pick(t_lv[:, i0:i1], 1)
+        ext.append(t_lv[rows, idx])
+        xe.append(t_xs[idx])
+    vals = sat_exp_column(np.concatenate(ext + [t_lv.min(1), t_lv.max(1)]))
+    xe = np.concatenate(xe).tolist()
+    out, n = [], rows.size
+    for i in range(n):  # row i: every n-th value from i
+        *ms, raw_min, raw_max = vals[i::n]
         row_meta = {"blocks": [None if math.isnan(m) else m for m in ms],
                     "extrapolated": False}
-        out.append(_row_limit(kind, ms, xs, raw_min, raw_max, row_meta, cap))
+        out.append(_row_limit(kind, ms, xe[i::n], raw_min, raw_max, row_meta, cap))
     return out if lv.ndim == 2 else out[0]
 
 

@@ -402,7 +402,8 @@ def check_order_source_pair(
         ``QualificationError`` instead of a verdict; ex7's dip is the root
         of its residual, where q is 0.  Without a dip set, r is taken as
         continuous in lambda: a strict sign change between adjacent scan
-        lambdas brackets a root, and q reads 0 at the upper one.
+        lambdas brackets a root, and q reads 0 at the upper one; only a
+        family with a sign channel (``_r_log_sign``) can mark one.
 
     The per-alpha infima then go through the tail estimator: the pair
     holds when their liminf stays above the positivity floor, with gamma
@@ -436,19 +437,21 @@ def check_order_source_pair(
         with np.errstate(all="ignore"):
             return s.log_at(lam) + np.asarray(log_r, dtype=float) - log_rho
 
-    if filt._dips is None:
-        log_r, sign = residual_log_sign(filt, A, L)
-        Q = log_q(L, log_r)
-        Q[:, 1:][sign[:, :-1] * sign[:, 1:] < 0] = -math.inf
-    else:
-        Q = log_q(L, filt._r_log(A, L))
+    if filt._dips is not None:  # one log_q over the scan and the dips
         Ld, log_rd = filt._dips(A, L)
         inside = (Ld >= L[:, :1]) & (Ld <= lam_max)
-        L = np.concatenate([L, Ld], axis=1)
-        Q = np.concatenate([Q, np.where(inside, log_q(Ld, log_rd), np.inf)], axis=1)
-    best = np.argmin(Q, axis=1)[:, None]
-    gam_log = np.take_along_axis(Q, best, axis=1)[:, 0]
-    gam_lam = np.take_along_axis(L, best, axis=1)[:, 0]
+        log_r = np.concatenate([filt._r_log(A, L), log_rd], 1)
+        L = np.concatenate([L, Ld], 1)
+        Q = log_q(L, log_r)
+        Q[:, SCAN_POINTS:][~inside] = math.inf
+    elif filt._r_log_sign is None:  # r >= 0: no sign change to mark
+        Q = log_q(L, filt._r_log(A, L))
+    else:
+        log_r, sign = filt._r_log_sign(A, L)
+        Q = log_q(L, log_r)
+        Q[:, 1:][sign[:, :-1] * sign[:, 1:] < 0] = -math.inf
+    best = (np.arange(sub.size), Q.argmin(1))  # each row's least q
+    gam_log, gam_lam = Q[best], L[best]
 
     est = tail_limit(t, gam_log[t.index], "liminf")
 
@@ -668,6 +671,10 @@ def construct_weak_qualification(
         alpha_grid = default_alpha_grid(filt, per_decade=64)
     lams = np.asarray(lambda_grid, dtype=float)
     alphas = np.asarray(alpha_grid, dtype=float)
+    for name, grid in (("alpha", alphas), ("lambda", lams)):
+        bad = grid[~(np.isfinite(grid) & (grid > 0))]
+        if bad.size:
+            raise QualificationError(f"{name} grid value {bad[0]} is not finite and positive")
 
     _verify_part_b_hypotheses(filt, alphas, lams)
 

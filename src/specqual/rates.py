@@ -141,13 +141,12 @@ class TabulatedSource(NamedTuple):
 
 
 def _loglog_interp(x, xs, ys):
-    """Piecewise-linear interpolation with linear extrapolation at both ends."""
-    out = np.interp(x, xs, ys)
+    """Piecewise-linear interpolation; points outside the knots extrapolate linearly."""
+    out = np.asarray(np.interp(x, xs, ys))
     if len(xs) >= 2:
-        lo_slope = (ys[1] - ys[0]) / (xs[1] - xs[0])
-        hi_slope = (ys[-1] - ys[-2]) / (xs[-1] - xs[-2])
-        out = np.where(x < xs[0], ys[0] + lo_slope * (x - xs[0]), out)
-        out = np.where(x > xs[-1], ys[-1] + hi_slope * (x - xs[-1]), out)
+        lo, hi = x < xs[0], x > xs[-1]
+        out[lo] = ys[0] + (ys[1] - ys[0]) / (xs[1] - xs[0]) * (x[lo] - xs[0])
+        out[hi] = ys[-1] + (ys[-1] - ys[-2]) / (xs[-1] - xs[-2]) * (x[hi] - xs[-1])
     return out
 
 

@@ -52,12 +52,25 @@ class TestConstructHypotheses:
             sq.construct_weak_qualification(filt)
 
     def test_nan_alpha_fails_the_theta_bisection(self, tikhonov):
-        """A NaN first alpha passes the hypothesis probe of a custom family
-        (its NaN signs compare false) and leaves theta NaN."""
+        """A NaN first alpha, which would pass the hypothesis probe of a
+        custom family (its NaN signs compare false) and leave theta NaN, is
+        named up front."""
         custom = sq.make_custom_filter("custom", tikhonov._g, 1.0, 1.0)
         grid = np.concatenate([[np.nan], np.geomspace(1e-6, 0.5, 200)])
-        with pytest.raises(sq.QualificationError, match="bisection for theta failed"):
+        with pytest.raises(sq.QualificationError,
+                           match="alpha grid value nan is not finite and positive"):
             sq.construct_weak_qualification(custom, alpha_grid=grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("which", ["alpha", "lambda"])
+    def test_grid_values_must_be_finite_and_positive(self, tikhonov, which, bad):
+        """Either grid is checked before the hypothesis probe, catalog
+        family or custom, and the first bad value is named."""
+        grid = np.geomspace(1e-4, 0.5, 200)
+        grid[[7, 9]] = bad, -2.0
+        with pytest.raises(sq.QualificationError,
+                           match=f"{which} grid value {bad} is not finite and positive"):
+            sq.construct_weak_qualification(tikhonov, **{f"{which}_grid": grid})
 
 
 class TestExperiments:
@@ -84,11 +97,18 @@ class TestExperiments:
         assert _study_ratio_bounded(short) is True
 
     def test_maximal_source_needs_finite_srho_over_the_spectrum(self, tikhonov, rho_alpha):
-        """The s_rho table over the model's spectrum reaches lambda = 2e308
-        = inf, where s_rho is not finite."""
+        """The s_rho table over the model's spectrum would reach lambda =
+        2e308 = inf, where s_rho is not finite: the demo refuses before it
+        tabulates, with no numpy warning."""
         model = sq.SpectralModel(np.array([1e308, 1.0]), "wide")
-        with np.errstate(invalid="ignore"), pytest.raises(sq.ExperimentError,
-                                                          match="not finite and positive"):
+        with pytest.raises(sq.ExperimentError, match="not finite and positive"):
+            sq.maximal_source_demo(model, tikhonov, rho_alpha, [])
+
+    def test_maximal_source_needs_a_positive_table_bottom(self, tikhonov, rho_alpha):
+        """Half the least eigenvalue 5e-324 rounds to 0, where no geometric
+        table can start."""
+        model = sq.SpectralModel(np.array([1.0, 5e-324]), "subnormal")
+        with pytest.raises(sq.ExperimentError, match=r"spectrum \[0.0, 2.0\]"):
             sq.maximal_source_demo(model, tikhonov, rho_alpha, [])
 
 
