@@ -38,8 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import (ALPHA_GRID_MIN, FilterFamily, default_alpha_grid, default_lambda_grid,
-                      lambda_top, residual_log_sign)
+from .filters import (ALPHA_GRID_MIN, FilterFamily, ParameterRangeError, _check_alpha,
+                      _check_lambda, default_alpha_grid, default_lambda_grid, lambda_top,
+                      residual_log_sign)
 from .limits import CAP, FLOOR, LimitEstimate, sat_exp, sat_exp_array, tail_limit, tail_of
 from .rates import (
     TabulatedOrder,
@@ -217,14 +218,25 @@ def _require_certified(fn, what):
         raise UncertifiedError(what)
 
 
-def _grids(filt, lambda_grid, alpha_grid):
-    """The lambda and alpha grids as float arrays, each the family's
-    default (kept read-only per instance) where it is None."""
-    if lambda_grid is None:
-        lambda_grid = _kept(filt, "lams", lambda: default_lambda_grid(filt))
-    if alpha_grid is None:
-        alpha_grid = _kept(filt, "alphas", lambda: default_alpha_grid(filt))
-    return np.asarray(lambda_grid, dtype=float), np.asarray(alpha_grid, dtype=float)
+def _grid(filt, name, grid, default) -> np.ndarray:
+    """A verdict's alpha, lambda or mu grid: ``default()`` for None, else
+    ``grid`` as a float array.  QualificationError unless it is 1-d and
+    non-empty with every value finite and positive; ParameterRangeError if
+    an alpha or lambda grid breaks the family's range (the CLI's rule)."""
+    if grid is None:
+        return default()
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1 or not g.size:
+        raise QualificationError(f"{name} grid of shape {g.shape} is not 1-d and non-empty")
+    ok = np.isfinite(g) & (g > 0)
+    if not ok.all():
+        raise QualificationError(f"{name} grid value {g[~ok][0]} is not finite and positive")
+    if name == "mu":  # exponents, not points of the family's range
+        return g
+    try:
+        return (_check_alpha if name == "alpha" else _check_lambda)(filt, g)
+    except ParameterRangeError as exc:
+        raise ParameterRangeError(f"{name} grid value {g.max()} is out of range: {exc}") from exc
 
 
 # ln|r| over (lambda x tail) for the s_rho table and the weak pair, with its grids
@@ -234,7 +246,8 @@ _Mesh = collections.namedtuple("_Mesh", "lams alphas tail r_log")
 def _mesh(filt, lambda_grid, alpha_grid) -> _Mesh:
     """The residual mesh on the given grids, kept on the default ones."""
     def build():
-        lams, alphas = _grids(filt, lambda_grid, alpha_grid)
+        lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt))
+        alphas = _grid(filt, "alpha", alpha_grid, lambda: default_alpha_grid(filt))
         t = tail_of(alphas)
         with np.errstate(all="ignore"):
             return _Mesh(lams, alphas, t, np.asarray(filt._r_log(t.alphas, lams[:, None]), float))
@@ -255,14 +268,12 @@ _STORE = weakref.WeakKeyDictionary()  # a live family -> its ``_defaults``
 
 
 def _defaults(filt: FilterFamily) -> dict:
-    """What the verdicts read of ``filt`` alone, freed with ``filt``: its
-    classical order and the rho-free inputs on its default grids, the
-    mp-check's ln|r| mesh (233 kB at 65 x 447) for the last ``a`` only,
-    and never an explicit grid."""
-    kept = _STORE.get(filt)
-    if kept is None:
-        kept = _STORE[filt] = {}
-    return kept
+    """What the verdicts read of ``filt`` alone, freed with ``filt``: the
+    rho-free results of a call that takes every default, i.e. the s_rho
+    ``mesh``, the order-source ``window``, the ``classical`` order and the
+    ``mp`` mesh (233 kB at 65 x 447) of ``a`` = 1, the one ``classify``
+    checks.  A given grid or another ``a`` is never kept."""
+    return _STORE.setdefault(filt, {})
 
 
 def _kept(filt, key, build):
@@ -307,9 +318,6 @@ def srho_table(
 
 def _srho(m: _Mesh, lrho) -> dict[float, LimitEstimate]:
     """The s_rho table on the residual mesh ``m``; ``lrho`` is ln rho at its tail."""
-    bad = m.lams[~(m.lams > 0)]
-    if bad.size:
-        raise QualificationError(f"lambda must be positive, got {bad[0]}")
     with np.errstate(all="ignore"):
         log_ratio = lrho - m.r_log
     return dict(zip(m.lams.tolist(), tail_limit(m.tail, log_ratio, "liminf")))
@@ -360,11 +368,14 @@ def check_strong_pair(
     alpha_grid: np.ndarray | None = None,
 ) -> PairVerdict:
     """Weak pair whose limsup also stays bounded away from zero."""
-    weak = check_weak_pair(filt, s, rho, lambda_grid, alpha_grid)
+    _require_certified(s, "source function")
+    _require_certified(rho, "order function")
+    m = _mesh(filt, lambda_grid, alpha_grid)
+    weak = _weak_pair(m, s, rho.log_at(m.tail.alphas))
     if not weak.holds:
         return PairVerdict(holds=False, witnesses=weak.witnesses,
                            detail={"failed": "weak", **weak.detail})
-    alpha_min = float(np.min(_grids(filt, lambda_grid, alpha_grid)[1]))
+    alpha_min = float(np.min(m.alphas))
     witnesses = [(alpha_min, lam) for lam, est in weak.detail["estimates"].items()
                  if not est.positive]
     return PairVerdict(holds=not witnesses, bound_k=weak.bound_k, witnesses=witnesses,
@@ -417,10 +428,11 @@ def check_order_source_pair(
             f"oscillatory filter '{filt.id}' has its dips unknown (no dip set), "
             "so its order-source window infimum cannot be bounded"
         )
-    lams, alphas = _grids(filt, lambda_grid, alpha_grid)
+    lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt))
     lam_max = float(np.max(lams))
 
     def window():  # the alpha subgrid and its Tail
+        alphas = _grid(filt, "alpha", alpha_grid, lambda: default_alpha_grid(filt))
         sub = np.geomspace(np.min(alphas), np.max(alphas), min(WINDOW_ALPHAS, alphas.size))
         return sub, tail_of(sub)
     sub, t = _kept(filt, "window", window) if alpha_grid is None else window()
@@ -503,13 +515,9 @@ def estimate_classical_order(
     grid is one batch: one (lambda x alpha) residual mesh, one sampled-sup
     row per mu and one tail estimate; mu passes when its row reads bounded.
     """
-    mu_grid = default_mu_grid() if mu_grid is None else np.sort(np.asarray(mu_grid, dtype=float))
-    if lambda_grid is None:
-        lambda_grid = default_lambda_grid(filt, per_decade=2)
-    if alpha_grid is None:
-        alpha_grid = _deep_alpha_grid(filt)
-    lams = np.asarray(lambda_grid, dtype=float)
-    t = tail_of(alpha_grid)
+    mu_grid = np.sort(_grid(filt, "mu", mu_grid, default_mu_grid))
+    lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt, per_decade=2))
+    t = tail_of(_grid(filt, "alpha", alpha_grid, lambda: _deep_alpha_grid(filt)))
     with np.errstate(all="ignore"):
         rlog = filt._r_log(t.alphas, lams[:, None])
     mu = mu_grid[:, None]
@@ -555,37 +563,37 @@ def check_mp_qualification(
     is how methods with infinite classical order keep a meaningful order
     of convergence.
 
-    On the default grids the rho-free ln|r| mesh is built once and kept
-    per instance, for the last ``a`` only; given grids are never kept.
+    On the default grids and ``a`` = 1, the call ``classify`` makes, the
+    rho-free ln|r| mesh is built once and kept per instance; a given grid
+    or another ``a`` builds its own.
     """
     _require_certified(rho, "order function")
     if not 0 < a < math.inf:
         raise QualificationError(f"interval bound a must be positive and finite, got {a}")
 
-    def grids(lambda_grid=lambda_grid, alpha_grid=alpha_grid):
-        if lambda_grid is None:
-            lam_top = lambda_top(filt, a)
-            if not lam_top >= MP_LAMBDA_MIN:
-                raise QualificationError(
-                    f"interval bound a={a:g} leaves the default lambda grid "
-                    f"[{MP_LAMBDA_MIN:g}, {lam_top:g}] empty")
-            lambda_grid = np.geomspace(MP_LAMBDA_MIN, lam_top,
-                                       int(16 * math.log10(lam_top / MP_LAMBDA_MIN)) + 1)
-        if alpha_grid is None:
-            top = min(a, filt.alpha_max * (1 - 1e-12))
-            alpha_grid = np.geomspace(ALPHA_GRID_MIN, top,
-                                      int(64 * math.log10(top / ALPHA_GRID_MIN)))
-        lams = np.asarray(lambda_grid, dtype=float)
-        alphas = np.sort(np.asarray(alpha_grid, dtype=float))
+    def default_lams():
+        lam_top = lambda_top(filt, a)
+        if not lam_top >= MP_LAMBDA_MIN:
+            raise QualificationError(
+                f"interval bound a={a:g} leaves the default lambda grid "
+                f"[{MP_LAMBDA_MIN:g}, {lam_top:g}] empty")
+        return np.geomspace(MP_LAMBDA_MIN, lam_top,
+                            int(16 * math.log10(lam_top / MP_LAMBDA_MIN)) + 1)
+
+    def default_alphas():
+        top = min(a, filt.alpha_max * (1 - 1e-12))
+        return np.geomspace(ALPHA_GRID_MIN, top, int(64 * math.log10(top / ALPHA_GRID_MIN)))
+
+    def grids():
+        lams = _grid(filt, "lambda", lambda_grid, default_lams)
+        alphas = np.sort(_grid(filt, "alpha", alpha_grid, default_alphas))
         t = tail_of(alphas)
         with np.errstate(all="ignore"):
             R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
-        return a, lams, alphas, t, R
+        return lams, alphas, t, R
 
-    default = lambda_grid is None and alpha_grid is None
-    if default and _defaults(filt).get("mp", (a,))[0] != a:
-        del _defaults(filt)["mp"]  # one mp entry per instance: the last a's
-    _, lams, alphas, t, R = _kept(filt, "mp", grids) if default else grids()
+    default = lambda_grid is None and alpha_grid is None and a == 1.0
+    lams, alphas, t, R = _kept(filt, "mp", grids) if default else grids()
 
     with np.errstate(all="ignore"):
         lrho = rho.log_at(alphas)
@@ -663,18 +671,9 @@ def construct_weak_qualification(
     re-verifies sup_{lm >= h(alpha)} |r| <= rho*(alpha), for the same h,
     by an independent sweep.
     """
-    if lambda_grid is None:
-        # inside the family's lambda range, and at least a decade wide
-        top = lambda_top(filt, 100.0)
-        lambda_grid = np.geomspace(min(1e-4, top / 10.0), top, 321)
-    if alpha_grid is None:
-        alpha_grid = default_alpha_grid(filt, per_decade=64)
-    lams = np.asarray(lambda_grid, dtype=float)
-    alphas = np.asarray(alpha_grid, dtype=float)
-    for name, grid in (("alpha", alphas), ("lambda", lams)):
-        bad = grid[~(np.isfinite(grid) & (grid > 0))]
-        if bad.size:
-            raise QualificationError(f"{name} grid value {bad[0]} is not finite and positive")
+    alphas = _grid(filt, "alpha", alpha_grid, lambda: default_alpha_grid(filt, per_decade=64))
+    top = lambda_top(filt, 100.0)  # the default lambdas: in range, at least a decade wide
+    lams = _grid(filt, "lambda", lambda_grid, lambda: np.geomspace(min(1e-4, top / 10.0), top, 321))
 
     _verify_part_b_hypotheses(filt, alphas, lams)
 
@@ -844,7 +843,7 @@ def classify(
         if weak.holds:
             level, source_label = "weak", source.label
         evidence["weak"] = weak if weak.holds else PairVerdict(
-            holds=False, detail={"criterion": "no candidate source found"})
+            holds=False, detail={"criterion": f"the source checked, {source.label}, is not weak"})
 
     return QualificationReport(
         filter_id=filt.id,

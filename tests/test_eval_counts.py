@@ -269,6 +269,15 @@ def test_explicit_srho_and_weak_grids_are_never_cached(counts):
     assert counts["r_log"] == before + 1
 
 
+def test_strong_pair_on_given_grids_makes_one_call(counts):
+    """``check_strong_pair`` on given grids builds one residual mesh and
+    reads the weak pair and its own bound from it: one ``_r_log`` call."""
+    filt = counted_filter(counts, "tikhonov")
+    lams, alphas = np.geomspace(0.01, 1.0, 9), np.geomspace(1e-6, 0.5, 64)
+    assert sq.check_strong_pair(filt, sq.source_fn("lambda"), sq.order_fn("alpha"), lams, alphas)
+    assert counts["r_log"] == 1
+
+
 def arrays_in(x):
     """The arrays in ``x``, through nested tuples."""
     if isinstance(x, tuple):
@@ -283,9 +292,9 @@ def test_cached_arrays_are_read_only(counts):
     filt = counted_filter(counts, "ex8_osc", k=1.0)
     sq.classify(filt, sq.order_fn("alpha"))
     kept = qualification._defaults(filt)
-    assert sorted(kept) == ["alphas", "classical", "lams", "mesh", "mp", "window"]
+    assert sorted(kept) == ["classical", "mesh", "mp", "window"]
     arrays = arrays_in((*kept.values(), qualification._SCAN_FRACTIONS))
-    assert len(arrays) == 19  # the mp entry's ln|r| mesh is the 19th
+    assert len(arrays) == 17  # the mp entry's ln|r| mesh is the 16th
     for x in arrays:
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 0
@@ -311,20 +320,23 @@ def test_kept_bytes_are_bounded(fid, params, bound):
 
 
 def test_one_mp_entry_per_instance(counts, mp_calls):
-    """The store keeps the mp-check's grids and mesh for the last ``a``
-    alone: after 20 values of ``a`` it holds one mp entry, and the next
-    default classify (a = 1) builds that mesh again in one ``_r_log``
-    call.  One entry per distinct ``a`` was kept before."""
+    """The store keeps the mp-check's grids and mesh for the default
+    ``a`` = 1 alone, the one ``classify`` checks: 20 other values of ``a``
+    keep nothing, each building its mesh in one ``_r_log`` call, and the
+    next default classify keeps its mp entry, which a later default
+    mp-check reads without a call.  Before, the store kept the last ``a``'s
+    entry, and one entry per distinct ``a`` before that."""
     filt = counted_filter(counts, "tikhonov")
     rho = sq.order_fn("alpha")
     for a in np.geomspace(0.05, 0.95, 20):
         qualification.check_mp_qualification(filt, rho, a)
     kept = qualification._defaults(filt)
-    assert list(kept) == ["mp"] and kept["mp"][0] == 0.95
+    assert kept == {}
     sq.classify(filt, rho)
     assert mp_calls == [1] * 21
-    assert sorted(kept) == ["alphas", "classical", "lams", "mesh", "mp", "window"]
-    assert kept["mp"][0] == 1.0
+    assert sorted(kept) == ["classical", "mesh", "mp", "window"]
+    qualification.check_mp_qualification(filt, rho)
+    assert mp_calls == [1] * 21 + [0]
 
 
 def test_replaced_filter_builds_its_own_defaults(counts):

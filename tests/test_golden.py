@@ -260,7 +260,7 @@ def test_kept_mp_mesh_prints_the_bytes_of_a_fresh_one(fid, params, order, grid):
     rho = sq.order_fn(order, None if grid is None else np.geomspace(*grid))
     docs, made = [], []
     for i in range(4):
-        given = () if i < 2 else [x.copy() for x in sq.qualification._defaults(filt)["mp"][1:3]]
+        given = () if i < 2 else [x.copy() for x in sq.qualification._defaults(filt)["mp"][:2]]
         before = len(calls)
         docs.append(json.dumps(sq.check_mp_qualification(filt, rho, 1.0, *given).to_json_dict()))
         made.append(len(calls) - before)

@@ -73,6 +73,63 @@ class TestConstructHypotheses:
             sq.construct_weak_qualification(tikhonov, **{f"{which}_grid": grid})
 
 
+# every public verdict, called with one given grid and the other at its default
+VERDICTS = {
+    "srho_table": lambda f, rho, s, **g: sq.srho_table(f, rho, **g),
+    "check_weak_pair": lambda f, rho, s, **g: sq.check_weak_pair(f, s, rho, **g),
+    "check_strong_pair": lambda f, rho, s, **g: sq.check_strong_pair(f, s, rho, **g),
+    "check_order_source_pair":
+        lambda f, rho, s, **g: sq.check_order_source_pair(f, rho, s, rho, **g),
+    "estimate_classical_order": lambda f, rho, s, **g: sq.estimate_classical_order(f, **g),
+    "check_mp_qualification": lambda f, rho, s, **g: sq.check_mp_qualification(f, rho, **g),
+    "construct_weak_qualification":
+        lambda f, rho, s, **g: sq.construct_weak_qualification(f, **g),
+    "classify": lambda f, rho, s, **g: sq.classify(f, rho, **g),
+}
+
+
+def bad_grids():
+    """(slot, filter id, grid, error, message) for each bad grid in the
+    lambda slot, on landweber (mu = 0.5: lambda <= 2), and in the alpha
+    slot, on tikhonov (alpha <= 1)."""
+    for which, good in (("lambda", np.geomspace(0.01, 1.0, 9)),
+                        ("alpha", np.geomspace(1e-6, 0.5, 64))):
+        fid, top = ("landweber", 3.0) if which == "lambda" else ("tikhonov", 5.0)
+        for case, grid, error, message in [
+            ("empty", good[:0], sq.QualificationError, r"of shape \(0,\)"),
+            ("2-d", good[:8].reshape(2, 4), sq.QualificationError, r"of shape \(2, 4\)"),
+            ("nan", np.append(good, np.nan), sq.QualificationError, "value nan is not finite"),
+            ("zero", np.append(0.0, good), sq.QualificationError, "value 0.0 is not finite"),
+            ("negative", np.append(good, -1.0), sq.QualificationError, "value -1.0 is not finite"),
+            ("out-of-range", np.append(good, top), sq.ParameterRangeError,
+             f"value {top} is out of range"),
+        ]:
+            yield pytest.param(which, fid, grid, error, message, id=f"{which}-{case}")
+
+
+class TestVerdictGrids:
+    @pytest.mark.parametrize("verdict", sorted(VERDICTS))
+    @pytest.mark.parametrize("which,fid,grid,error,message", bad_grids())
+    def test_bad_grid_is_named(self, rho_alpha, s_lambda, verdict, which, fid, grid, error,
+                               message):
+        """Every verdict sends a given grid through one check: it must be
+        1-d, non-empty, finite and positive, and inside the family's range.
+        The error names the bad value, or the shape of an empty or 2-d
+        grid; before, each of these read a verdict, a nan or a numpy error."""
+        with pytest.raises(error, match=f"{which} grid {message}"):
+            VERDICTS[verdict](sq.get_filter(fid), rho_alpha, s_lambda, **{f"{which}_grid": grid})
+
+    @pytest.mark.parametrize("mu_grid,message", [
+        ([], r"of shape \(0,\)"), ([[0.5, 1.0]], r"of shape \(1, 2\)"),
+        ([np.nan, 1.0], "value nan is"), ([-1.0, 1.0], "value -1.0 is"),
+        ([0.0, 1.0], "value 0.0 is"), ([1.0, np.inf], "value inf is")])
+    def test_classical_mu_grid_must_be_finite_and_positive(self, tikhonov, mu_grid, message):
+        """An empty mu grid once read zero and infinite together, a nan
+        bounded the bracket with high = nan, and -1 read infinite."""
+        with pytest.raises(sq.QualificationError, match=f"mu grid {message}"):
+            sq.estimate_classical_order(tikhonov, mu_grid)
+
+
 class TestExperiments:
     def test_uncertified_order_is_rejected(self, model8, tikhonov, s_lambda):
         rho = sq.certify_order_fn("1+alpha")

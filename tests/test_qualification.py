@@ -894,7 +894,7 @@ class TestIncreasingWeightCheck:
         """The catalog rows whose mp-check fails, on the kept mp mesh."""
         filt, rho = sq.get_filter(fid), sq.order_fn(order, grid)
         assert not sq.check_mp_qualification(filt, rho).passes
-        _, lams, alphas, _, R = qualification._defaults(filt)["mp"]
+        lams, alphas, _, R = qualification._defaults(filt)["mp"]
         with np.errstate(all="ignore"):
             lrho = rho.log_at(alphas)
         got = _windowed_certificate(R.T, lrho, lams)

@@ -167,7 +167,7 @@ def reference_pair(filt, rho, s, h):
     through ``residual_log_sign`` (a root mark wherever the sign flips),
     the dips through their own ``log_q`` and ``np.where``, and gamma and
     its lambda through ``np.take_along_axis``."""
-    lams, alphas = qualification._grids(filt, None, None)
+    lams, alphas = sq.default_lambda_grid(filt), sq.default_alpha_grid(filt)
     lam_max = float(np.max(lams))
     sub = np.geomspace(np.min(alphas), np.max(alphas),
                        min(qualification.WINDOW_ALPHAS, alphas.size))
