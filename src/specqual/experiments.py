@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .filters import FilterFamily
-from .limits import sat_exp_column, tail_limit, tail_of
+from .limits import TAIL_MIN_POINTS, sat_exp_column, tail_limit, tail_of
 from .operators import (
     MembershipVerdict,
     SourceElement,
@@ -280,7 +280,7 @@ def _study_ratio_bounded(study: ConvergenceStudy) -> bool:
     """Bounded err/rho over the study grid: capped and not trending up."""
     log_ratio = study.log_ratio
     finite = np.isfinite(log_ratio)
-    if np.count_nonzero(finite) < 8:
+    if np.count_nonzero(finite) < TAIL_MIN_POINTS:
         return True
     t = tail_of(study.alpha[finite])
     lv = log_ratio[finite]

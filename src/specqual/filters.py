@@ -79,8 +79,8 @@ class FilterFamily:
     it is None for a family without one.  Instances are immutable and safe
     to share.  A family is made of closures, so it compares and hashes by
     identity: two ``get_filter`` calls give two unequal families, and
-    ``qualification.classify`` keeps its classical-order probe and its
-    default grids and meshes per instance, until the instance is freed.
+    ``qualification``'s verdicts keep the classical order and the default
+    grids and meshes per instance, until the instance is freed.
     """
 
     id: str
@@ -175,6 +175,18 @@ def _softplus(u):
     return out
 
 
+def _piecewise(a, lm, mask, on, off):
+    """An array of the broadcast shape of ``a`` and ``lm``: ``on(a, lm)``
+    where ``mask(a, lm)`` holds and ``off(a, lm)`` elsewhere, each closed
+    form evaluated on its own points only."""
+    a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
+    out = np.empty(a.shape)
+    m = mask(a, lm)
+    out[m] = on(a[m], lm[m])
+    out[~m] = off(a[~m], lm[~m])
+    return out
+
+
 def _tikhonov():
     def g(a, lm):
         return 1.0 / (lm + a)
@@ -209,14 +221,13 @@ def _ex3_exp():
             e = np.exp(-1.0 / a)
             return (1.0 - e) / (lm + e)
 
-    def r_log(a, lm):
-        a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.zeros(a.shape)
-        pos = lm > 0
+    def r_log_pos(a, lm):
         with np.errstate(divide="ignore"):
-            u = 1.0 / a[pos] + np.log(lm[pos])
-        out[pos] = np.log1p(lm[pos]) - _softplus(u)
-        return out
+            u = 1.0 / a + np.log(lm)
+        return np.log1p(lm) - _softplus(u)
+
+    def r_log(a, lm):  # lambda = 0: r = 1
+        return _piecewise(a, lm, lambda a, lm: lm > 0, r_log_pos, lambda a, lm: 0.0)
 
     return FilterFamily(
         id="ex3_exp", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
@@ -253,15 +264,12 @@ def _ex7_piecewise():
     def c_of(a):
         return 1.0 / root(a)
 
+    def g_outer(a, lm):
+        h = a / (a + np.log(a / (a + lm)))
+        return (1.0 - h) / (lm + h)
+
     def g(a, lm):
-        a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.empty(a.shape)
-        inner = lm < 2.0 * a
-        out[inner] = c_of(a[inner])
-        ao, lo = a[~inner], lm[~inner]
-        h = ao / (ao + np.log(ao / (ao + lo)))
-        out[~inner] = (1.0 - h) / (lo + h)
-        return out
+        return _piecewise(a, lm, lambda a, lm: lm < 2.0 * a, lambda a, lm: c_of(a), g_outer)
 
     def log_sign(a, lm):
         # inner: r = 1 - lm*c(a); outer: r = a(1+lm)/den, whose numerator
@@ -300,20 +308,13 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
     the first root).
     """
 
-    def g(a, lm):
-        a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.empty(a.shape)
-        zero = lm == 0
-        c = np.exp(coeff_log(a))
-        # limit at lambda -> 0: (1 - c(a))/a
-        out[zero] = (1.0 - c[zero]) / a[zero]
-        an, ln_ = a[~zero], lm[~zero]
-        cn = c[~zero]
-        out[~zero] = (
-            (1.0 - np.exp(-ln_ / an)) / ln_
-            - cn * ln_ ** -1.5 * np.abs(np.sin(ln_ ** 1.5 / an))
-        )
-        return out
+    def g_pos(a, lm):
+        return ((1.0 - np.exp(-lm / a)) / lm
+                - np.exp(coeff_log(a)) * lm ** -1.5 * np.abs(np.sin(lm ** 1.5 / a)))
+
+    def g(a, lm):  # limit at lambda -> 0: (1 - c(a))/a
+        return _piecewise(a, lm, lambda a, lm: lm == 0,
+                          lambda a, lm: (1.0 - np.exp(coeff_log(a))) / a, g_pos)
 
     def r_log(a, lm):
         # each factor on its own axis, then one broadcast; lambda == 0
@@ -359,13 +360,8 @@ def _ex10_osc():
 
 def _landweber(mu: float = 0.5):
     def g(a, lm):
-        a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.empty(a.shape)
-        zero = lm == 0
-        out[zero] = mu / a[zero]
-        an, ln_ = a[~zero], lm[~zero]
-        out[~zero] = -np.expm1(np.log1p(-mu * ln_) / an) / ln_
-        return out
+        return _piecewise(a, lm, lambda a, lm: lm == 0, lambda a, lm: mu / a,
+                          lambda a, lm: -np.expm1(np.log1p(-mu * lm) / a) / lm)
 
     def r_log(a, lm):
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -380,12 +376,8 @@ def _landweber(mu: float = 0.5):
 
 def _showalter():
     def g(a, lm):
-        a, lm = np.broadcast_arrays(np.asarray(a, float), np.asarray(lm, float))
-        out = np.empty(a.shape)
-        zero = lm == 0
-        out[zero] = 1.0 / a[zero]
-        out[~zero] = -np.expm1(-lm[~zero] / a[~zero]) / lm[~zero]
-        return out
+        return _piecewise(a, lm, lambda a, lm: lm == 0, lambda a, lm: 1.0 / a,
+                          lambda a, lm: -np.expm1(-lm / a) / lm)
 
     def r_log(a, lm):
         return -np.asarray(lm, float) / np.asarray(a, float)

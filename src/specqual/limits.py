@@ -44,6 +44,7 @@ DRIFT_TOL = 0.005  # relative block-to-block movement that triggers correction
 STAB_TOL = 0.05    # max relative movement for a "stabilized" verdict
 N_BLOCKS = 4
 TAIL_FRACTION = 0.5
+TAIL_MIN_POINTS = 8  # fewest alphas a grid needs for a tail estimate
 LOG_SATURATION = 709.0  # exp overflow edge for IEEE doubles
 
 
@@ -107,12 +108,12 @@ class Tail(NamedTuple):
 
 
 def tail_of(alpha_grid) -> Tail:
-    """The ``Tail`` of a 1-d grid of at least 8 alphas, in any order: the
-    points from x = -ln(alpha) at ``TAIL_FRACTION`` of the way from the
-    grid's smallest x to its largest on."""
+    """The ``Tail`` of a 1-d grid of at least ``TAIL_MIN_POINTS`` alphas, in
+    any order: the points from x = -ln(alpha) at ``TAIL_FRACTION`` of the
+    way from the grid's smallest x to its largest on."""
     alphas = np.asarray(alpha_grid, dtype=float)
-    if alphas.ndim != 1 or alphas.size < 8:
-        raise ValueError("need a 1-d alpha grid with at least 8 points")
+    if alphas.ndim != 1 or alphas.size < TAIL_MIN_POINTS:
+        raise ValueError(f"need a 1-d alpha grid with at least {TAIL_MIN_POINTS} points")
     xs = -np.log(alphas)
     order = np.argsort(xs)
     xs = xs[order]

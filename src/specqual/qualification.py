@@ -41,7 +41,7 @@ import numpy as np
 from .filters import (ALPHA_GRID_MIN, FilterFamily, ParameterRangeError, _check_alpha,
                       _check_lambda, default_alpha_grid, default_lambda_grid, lambda_top,
                       residual_log_sign)
-from .limits import CAP, FLOOR, LimitEstimate, sat_exp, sat_exp_array, tail_limit, tail_of
+from .limits import TAIL_MIN_POINTS, LimitEstimate, sat_exp, sat_exp_array, tail_limit, tail_of
 from .rates import (
     TabulatedOrder,
     TabulatedSource,
@@ -221,13 +221,16 @@ def _require_certified(fn, what):
 def _grid(filt, name, grid, default) -> np.ndarray:
     """A verdict's alpha, lambda or mu grid: ``default()`` for None, else
     ``grid`` as a float array.  QualificationError unless it is 1-d and
-    non-empty with every value finite and positive; ParameterRangeError if
-    an alpha or lambda grid breaks the family's range (the CLI's rule)."""
+    non-empty with every value finite and positive, and an alpha grid has
+    the ``TAIL_MIN_POINTS`` a tail estimate reads; ParameterRangeError if an
+    alpha or lambda grid breaks the family's range (the CLI's rule)."""
     if grid is None:
         return default()
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or not g.size:
         raise QualificationError(f"{name} grid of shape {g.shape} is not 1-d and non-empty")
+    if name == "alpha" and g.size < TAIL_MIN_POINTS:
+        raise QualificationError(f"alpha grid of {g.size} points has fewer than {TAIL_MIN_POINTS}")
     ok = np.isfinite(g) & (g > 0)
     if not ok.all():
         raise QualificationError(f"{name} grid value {g[~ok][0]} is not finite and positive")
@@ -251,7 +254,7 @@ def _mesh(filt, lambda_grid, alpha_grid) -> _Mesh:
         t = tail_of(alphas)
         with np.errstate(all="ignore"):
             return _Mesh(lams, alphas, t, np.asarray(filt._r_log(t.alphas, lams[:, None]), float))
-    return _kept(filt, "mesh", build) if lambda_grid is None and alpha_grid is None else build()
+    return _kept(filt, "mesh", build, lambda_grid, alpha_grid)
 
 
 def _frozen(x):
@@ -269,15 +272,17 @@ _STORE = weakref.WeakKeyDictionary()  # a live family -> its ``_defaults``
 
 def _defaults(filt: FilterFamily) -> dict:
     """What the verdicts read of ``filt`` alone, freed with ``filt``: the
-    rho-free results of a call that takes every default, i.e. the s_rho
-    ``mesh``, the order-source ``window``, the ``classical`` order and the
-    ``mp`` mesh (233 kB at 65 x 447) of ``a`` = 1, the one ``classify``
-    checks.  A given grid or another ``a`` is never kept."""
+    s_rho ``mesh``, the order-source ``window``, the ``classical`` order and
+    the ``mp`` mesh (233 kB at 65 x 447), as a call on every default, ``a``
+    = 1 for the mp-check, builds them (see ``_kept``)."""
     return _STORE.setdefault(filt, {})
 
 
-def _kept(filt, key, build):
-    """``build()``, made read-only and kept under ``key`` in ``_defaults(filt)``."""
+def _kept(filt, key, build, *given):
+    """``build()``, kept read-only under ``key`` in ``_defaults(filt)`` when
+    every input it is built from, ``given``, is None: the store's one rule."""
+    if any(g is not None for g in given):
+        return build()
     kept = _defaults(filt)
     if key not in kept:
         kept[key] = _frozen(build())
@@ -435,7 +440,7 @@ def check_order_source_pair(
         alphas = _grid(filt, "alpha", alpha_grid, lambda: default_alpha_grid(filt))
         sub = np.geomspace(np.min(alphas), np.max(alphas), min(WINDOW_ALPHAS, alphas.size))
         return sub, tail_of(sub)
-    sub, t = _kept(filt, "window", window) if alpha_grid is None else window()
+    sub, t = _kept(filt, "window", window, alpha_grid)
 
     # one row per alpha: the scan, then the dips
     A = sub[:, None]
@@ -514,29 +519,28 @@ def estimate_classical_order(
     hundreds of decades down, far below any working grid.  The whole mu
     grid is one batch: one (lambda x alpha) residual mesh, one sampled-sup
     row per mu and one tail estimate; mu passes when its row reads bounded.
+    The order depends on the filter alone, so on the default grids it is
+    probed once per instance and the same ``ClassicalOrder`` is returned.
     """
-    mu_grid = np.sort(_grid(filt, "mu", mu_grid, default_mu_grid))
-    lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt, per_decade=2))
-    t = tail_of(_grid(filt, "alpha", alpha_grid, lambda: _deep_alpha_grid(filt)))
-    with np.errstate(all="ignore"):
-        rlog = filt._r_log(t.alphas, lams[:, None])
-    mu = mu_grid[:, None]
-    lq = _sup_log_ratio(rlog, mu * np.log(lams), mu * np.log(t.alphas))
-    passed = tuple(est.bounded for est in tail_limit(t, lq, "limsup", n_blocks=5))
-    k = passed.index(False) if False in passed else len(passed)  # the first failing mu
-    return ClassicalOrder(
-        low=float(mu_grid[k - 1]) if k else None,
-        high=float(mu_grid[k]) if k < len(passed) else None,
-        zero=k == 0,
-        infinite=k == len(passed),
-        mu_grid=tuple(float(m) for m in mu_grid),
-        passed=passed,
-    )
-
-
-def _classical_order(filt: FilterFamily) -> ClassicalOrder:
-    """``estimate_classical_order(filt)`` on its default grids, kept per instance."""
-    return _kept(filt, "classical", lambda: estimate_classical_order(filt))
+    def probe():
+        mus = np.sort(_grid(filt, "mu", mu_grid, default_mu_grid))
+        lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt, per_decade=2))
+        t = tail_of(_grid(filt, "alpha", alpha_grid, lambda: _deep_alpha_grid(filt)))
+        with np.errstate(all="ignore"):
+            rlog = filt._r_log(t.alphas, lams[:, None])
+        mu = mus[:, None]
+        lq = _sup_log_ratio(rlog, mu * np.log(lams), mu * np.log(t.alphas))
+        passed = tuple(est.bounded for est in tail_limit(t, lq, "limsup", n_blocks=5))
+        k = passed.index(False) if False in passed else len(passed)  # the first failing mu
+        return ClassicalOrder(
+            low=float(mus[k - 1]) if k else None,
+            high=float(mus[k]) if k < len(passed) else None,
+            zero=k == 0,
+            infinite=k == len(passed),
+            mu_grid=tuple(float(m) for m in mus),
+            passed=passed,
+        )
+    return _kept(filt, "classical", probe, mu_grid, lambda_grid, alpha_grid)
 
 
 def check_mp_qualification(
@@ -592,8 +596,7 @@ def check_mp_qualification(
             R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
         return lams, alphas, t, R
 
-    default = lambda_grid is None and alpha_grid is None and a == 1.0
-    lams, alphas, t, R = _kept(filt, "mp", grids) if default else grids()
+    lams, alphas, t, R = _kept(filt, "mp", grids, lambda_grid, alpha_grid, a != 1.0 or None)
 
     with np.errstate(all="ignore"):
         lrho = rho.log_at(alphas)
@@ -627,7 +630,7 @@ def _windowed_certificate(R, lrho, lams) -> dict:
     holds = bool(np.all(tail))
     vanishing = False
     if holds:
-        lo = h_vals[np.nonzero(found)[0][0]]
+        lo = h_vals[0]  # row 0 is in the tail, so it has a window
         # clamped to the last lambda, so a one-point grid has a reference
         vanishing = bool(lo <= lams[min(max(1, len(lams) // 5), len(lams) - 1)])
     return {
@@ -794,12 +797,10 @@ def classify(
     otherwise: a positive factor on s(lm) cannot change whether
     s(lm)|r_alpha(lm)|/rho(alpha) stays bounded at lm.  With ``companions``
     the report also carries the classical-order bracket and the
-    increasing-weight check; without them both are None.  The bracket
-    depends on the filter alone, so it is probed once per filter
-    instance and the same ``ClassicalOrder`` is shared by every report
-    of that instance, as are the grids, tails and residual mesh of the
-    default grids; this assumes the family's ``g`` and ``_r_log`` are
-    pure functions.
+    increasing-weight check; without them both are None.  Every report
+    of one instance shares its ``ClassicalOrder`` and the grids, tails and
+    meshes of the default grids (see ``_kept``); this assumes the family's
+    ``g`` and ``_r_log`` are pure functions.
     """
     _require_certified(rho, "order function")
     m = _mesh(filt, lambda_grid, alpha_grid)
@@ -807,9 +808,8 @@ def classify(
     table = _srho(m, lrho)
     evidence: dict[str, PairVerdict] = {}
 
-    # FLOOR < v < CAP also rules out nan and inf
     failing = [lam for lam, est in table.items()
-               if not (est.stabilized and FLOOR < est.value < CAP)]
+               if not (est.stabilized and est.bounded and est.positive)]
     strong = not failing
     level = "none"
     source_label = None
@@ -850,7 +850,7 @@ def classify(
         rho_label=getattr(rho, "label", "rho"),
         level=level,
         srho_table=table,
-        classical_mu0=_classical_order(filt) if companions else None,
+        classical_mu0=estimate_classical_order(filt) if companions else None,
         mp_verdict=check_mp_qualification(filt, rho) if companions else None,
         evidence=evidence,
         source_label=source_label,

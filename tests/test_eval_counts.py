@@ -224,27 +224,42 @@ def test_replaced_filter_probes_again(counts):
     identity), so it is probed again and not served its original's
     cached order."""
     filt = counted_filter(counts, "tikhonov")
-    first = qualification._classical_order(filt)
+    first = sq.estimate_classical_order(filt)
     before = counts["tail_limit"]
-    assert qualification._classical_order(filt) is first
+    assert sq.estimate_classical_order(filt) is first
     assert counts["tail_limit"] == before
     copy = dataclasses.replace(filt)
     assert copy != filt
-    assert qualification._classical_order(copy) is not first
+    assert sq.estimate_classical_order(copy) is not first
     assert counts["tail_limit"] == before + 1
 
 
 def test_explicit_grids_are_never_cached(counts):
-    """``estimate_classical_order`` itself always probes, with a mu grid
-    or without one, before and after ``classify`` filled the cache."""
+    """An all-default ``estimate_classical_order`` returns the order that
+    ``classify`` reports, with no second probe; a given mu, lambda or alpha
+    grid probes afresh, before and after the store was filled, and leaves
+    the store's keys and entries as they were."""
     filt = counted_filter(counts, "tikhonov")
-    sq.classify(filt, sq.order_fn("alpha"))
-    for mu_grid in (None, [0.5, 1.0, 2.0], None):
+    report = sq.classify(filt, sq.order_fn("alpha"))
+    kept = qualification._defaults(filt)
+    entries = dict(kept)
+    before = dict(counts)
+    assert sq.estimate_classical_order(filt) is report.classical_mu0
+    assert counts == before
+    lams = sq.default_lambda_grid(filt, per_decade=2)
+    alphas = qualification._deep_alpha_grid(filt)
+    for given in ({"mu_grid": [0.5, 1.0, 2.0]}, {"lambda_grid": lams},
+                  {"alpha_grid": alphas}, {"mu_grid": qualification.default_mu_grid()}):
         before = dict(counts)
-        co = sq.estimate_classical_order(filt, mu_grid)
+        co = sq.estimate_classical_order(filt, **given)
         assert (counts["r_log"], counts["tail_limit"]) == (before["r_log"] + 1,
                                                            before["tail_limit"] + 1)
         assert (co.low, co.high) == (1.0, 2.0)
+        assert co is not report.classical_mu0
+        assert kept == entries and all(kept[k] is v for k, v in entries.items())
+    fresh = counted_filter(counts, "tikhonov")
+    sq.estimate_classical_order(fresh, lambda_grid=lams)
+    assert qualification._defaults(fresh) == {}
 
 
 def test_explicit_srho_and_weak_grids_are_never_cached(counts):

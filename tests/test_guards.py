@@ -91,7 +91,7 @@ VERDICTS = {
 def bad_grids():
     """(slot, filter id, grid, error, message) for each bad grid in the
     lambda slot, on landweber (mu = 0.5: lambda <= 2), and in the alpha
-    slot, on tikhonov (alpha <= 1)."""
+    slot, on tikhonov (alpha <= 1), where a 7-point grid is also bad."""
     for which, good in (("lambda", np.geomspace(0.01, 1.0, 9)),
                         ("alpha", np.geomspace(1e-6, 0.5, 64))):
         fid, top = ("landweber", 3.0) if which == "lambda" else ("tikhonov", 5.0)
@@ -105,6 +105,9 @@ def bad_grids():
              f"value {top} is out of range"),
         ]:
             yield pytest.param(which, fid, grid, error, message, id=f"{which}-{case}")
+    # fewer alphas than a tail estimate reads
+    yield pytest.param("alpha", "tikhonov", np.geomspace(1e-6, 0.5, 7), sq.QualificationError,
+                       "of 7 points has fewer than 8", id="alpha-short")
 
 
 class TestVerdictGrids:
