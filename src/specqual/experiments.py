@@ -369,28 +369,21 @@ def maximal_source_demo(
     generators = _default_generators(model.dim)
     srho_on_spec = np.asarray(s_rho.at(eigs), dtype=float)
     for cand in candidates:
-        certified = getattr(cand, "certified", False)
-        if not certified or not check_strong_pair(filt, cand, rho, lambda_grid,
-                                                  alpha_grid).holds:
-            entries.append(InclusionEntry(
-                source_label=getattr(cand, "label", "candidate"),
-                strong_pair=False, domination_k=None,
-                elements_inside=0, elements_total=0, included=False,
-            ))
-            continue
-        k_fit = float(np.max(np.asarray(cand.at(eigs), dtype=float) / srho_on_spec))
-        inside = 0
-        for w in generators:
-            elem = make_source_element(model, cand, w)
-            if membership_probe(model, elem.x_dagger, s_rho).inside:
-                inside += 1
+        strong = bool(getattr(cand, "certified", False)) and check_strong_pair(
+            filt, cand, rho, lambda_grid, alpha_grid).holds
+        k_fit, inside, total = None, 0, 0  # an excluded candidate's entry
+        if strong:
+            k_fit = float(np.max(np.asarray(cand.at(eigs), dtype=float) / srho_on_spec))
+            inside = sum(1 for w in generators if membership_probe(
+                model, make_source_element(model, cand, w).x_dagger, s_rho).inside)
+            total = len(generators)
         entries.append(InclusionEntry(
             source_label=getattr(cand, "label", "candidate"),
-            strong_pair=True,
+            strong_pair=strong,
             domination_k=k_fit,
             elements_inside=inside,
-            elements_total=len(generators),
-            included=inside == len(generators) and math.isfinite(k_fit),
+            elements_total=total,
+            included=strong and inside == total and math.isfinite(k_fit),
         ))
     return MaximalSourceReport(
         filter_id=filt.id, rho_label=getattr(rho, "label", "rho"),

@@ -105,7 +105,8 @@ def _check_alpha(filt: FilterFamily, alpha) -> np.ndarray:
     a = np.asarray(alpha, dtype=float)
     # ex10_osc's range is open at alpha_max = 1, where -1/ln(alpha) is infinite
     is_open = filt.id == "ex10_osc"
-    out = (a <= 0) | (a > filt.alpha_max) | (is_open & (a == filt.alpha_max))
+    # written so that NaN, which fails every comparison, is out of range
+    out = ~((a > 0) & (a <= filt.alpha_max)) | (is_open & (a == filt.alpha_max))
     if np.any(out):
         raise ParameterRangeError(
             f"alpha={a[out].flat[0]} outside (0, {filt.alpha_max}{')' if is_open else ']'} "
@@ -116,7 +117,7 @@ def _check_alpha(filt: FilterFamily, alpha) -> np.ndarray:
 
 def _check_lambda(filt: FilterFamily, lam) -> np.ndarray:
     lm = np.asarray(lam, dtype=float)
-    if np.any(lm < 0):
+    if not np.all(lm >= 0):  # NaN fails it too
         raise ParameterRangeError(f"lambda must be nonnegative for filter '{filt.id}'")
     if filt.lambda_sup is not None and np.any(lm > filt.lambda_sup):
         raise ParameterRangeError(

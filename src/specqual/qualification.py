@@ -38,9 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import (ALPHA_GRID_MIN, FilterFamily, ParameterRangeError, _check_alpha,
-                      _check_lambda, default_alpha_grid, default_lambda_grid, lambda_top,
-                      residual_log_sign)
+from .filters import (ALPHA_GRID_MIN, LAMBDA_GRID_MAX, FilterFamily, ParameterRangeError,
+                      _check_alpha, _check_lambda, default_alpha_grid, default_lambda_grid,
+                      lambda_top, residual_log_sign)
 from .limits import TAIL_MIN_POINTS, LimitEstimate, sat_exp, sat_exp_array, tail_limit, tail_of
 from .rates import (
     TabulatedOrder,
@@ -246,15 +246,18 @@ def _grid(filt, name, grid, default) -> np.ndarray:
 _Mesh = collections.namedtuple("_Mesh", "lams alphas tail r_log")
 
 
-def _mesh(filt, lambda_grid, alpha_grid) -> _Mesh:
-    """The residual mesh on the given grids, kept on the default ones."""
+def _mesh(filt, rho, lambda_grid, alpha_grid) -> tuple[_Mesh, np.ndarray]:
+    """Certify ``rho``, then the residual mesh on the given grids (kept,
+    rho-free, on the default ones) and ln rho at its tail."""
+    _require_certified(rho, "order function")
     def build():
         lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt))
         alphas = _grid(filt, "alpha", alpha_grid, lambda: default_alpha_grid(filt))
         t = tail_of(alphas)
         with np.errstate(all="ignore"):
             return _Mesh(lams, alphas, t, np.asarray(filt._r_log(t.alphas, lams[:, None]), float))
-    return _kept(filt, "mesh", build, lambda_grid, alpha_grid)
+    m = _kept(filt, "mesh", build, lambda_grid, alpha_grid)
+    return m, rho.log_at(m.tail.alphas)
 
 
 def _frozen(x):
@@ -316,9 +319,7 @@ def srho_table(
 ) -> dict[float, LimitEstimate]:
     """``estimate_srho`` at every lambda: one residual mesh over
     (lambda x alpha) and one batched tail estimate."""
-    _require_certified(rho, "order function")
-    m = _mesh(filt, lambda_grid, alpha_grid)
-    return _srho(m, rho.log_at(m.tail.alphas))
+    return _srho(*_mesh(filt, rho, lambda_grid, alpha_grid))
 
 
 def _srho(m: _Mesh, lrho) -> dict[float, LimitEstimate]:
@@ -341,12 +342,10 @@ def check_weak_pair(
 ) -> PairVerdict:
     """Is s(lm)|r|/rho bounded in alpha for every sampled lambda?"""
     _require_certified(s, "source function")
-    _require_certified(rho, "order function")
-    m = _mesh(filt, lambda_grid, alpha_grid)
-    return _weak_pair(m, s, rho.log_at(m.tail.alphas))
+    return _weak_pair(*_mesh(filt, rho, lambda_grid, alpha_grid), s)
 
 
-def _weak_pair(m: _Mesh, s, lrho) -> PairVerdict:
+def _weak_pair(m: _Mesh, lrho, s) -> PairVerdict:
     """The weak pair on the residual mesh ``m``, ``lrho`` being ln rho at its
     tail: the limsup over alpha of s(lm)|r_alpha(lm)| / rho(alpha) at each lambda."""
     with np.errstate(all="ignore"):
@@ -374,9 +373,8 @@ def check_strong_pair(
 ) -> PairVerdict:
     """Weak pair whose limsup also stays bounded away from zero."""
     _require_certified(s, "source function")
-    _require_certified(rho, "order function")
-    m = _mesh(filt, lambda_grid, alpha_grid)
-    weak = _weak_pair(m, s, rho.log_at(m.tail.alphas))
+    m, lrho = _mesh(filt, rho, lambda_grid, alpha_grid)
+    weak = _weak_pair(m, lrho, s)
     if not weak.holds:
         return PairVerdict(holds=False, witnesses=weak.witnesses,
                            detail={"failed": "weak", **weak.detail})
@@ -433,8 +431,8 @@ def check_order_source_pair(
             f"oscillatory filter '{filt.id}' has its dips unknown (no dip set), "
             "so its order-source window infimum cannot be bounded"
         )
-    lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt))
-    lam_max = float(np.max(lams))
+    lam_max = (lambda_top(filt, LAMBDA_GRID_MAX) if lambda_grid is None  # the default grid's top
+               else float(np.max(_grid(filt, "lambda", lambda_grid, None))))
 
     def window():  # the alpha subgrid and its Tail
         alphas = _grid(filt, "alpha", alpha_grid, lambda: default_alpha_grid(filt))
@@ -682,20 +680,18 @@ def construct_weak_qualification(
 
     # theta by vectorized bisection over the lambda batch
     lo = np.full(lams.shape, alphas[0] * 1e-3)
-    hi = np.full(lams.shape, filt.alpha_max * (1.0 - 1e-12))
+    top = hi = np.full(lams.shape, filt.alpha_max * (1.0 - 1e-12))  # np.where never writes hi
     with np.errstate(all="ignore"):
-        top_ok = sat_exp_array(filt._r_log(hi, lams)) <= lams
-    theta = np.where(top_ok, hi, np.nan)
-    active = ~top_ok
+        top_ok = sat_exp_array(filt._r_log(top, lams)) <= lams
     steps = int(math.ceil(math.log2(float(filt.alpha_max) / BISECT_TOL)))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
         with np.errstate(all="ignore"):
             ok = sat_exp_array(filt._r_log(mid, lams)) <= lams
-        lo = np.where(active & ok, mid, lo)
-        hi = np.where(active & ~ok, mid, hi)
-    theta = np.where(active, lo, theta)
-    if np.any(theta <= 0) or np.any(np.isnan(theta)):
+        lo = np.where(ok, mid, lo)
+        hi = np.where(ok, hi, mid)
+    theta = np.where(top_ok, top, lo)
+    if not np.all(theta > 0):  # NaN too
         raise QualificationError("bisection for theta failed to converge")
 
     f = -np.expm1(-lams) * theta
@@ -802,9 +798,7 @@ def classify(
     meshes of the default grids (see ``_kept``); this assumes the family's
     ``g`` and ``_r_log`` are pure functions.
     """
-    _require_certified(rho, "order function")
-    m = _mesh(filt, lambda_grid, alpha_grid)
-    lrho = rho.log_at(m.tail.alphas)  # both shared by the s_rho table and the weak fallback
+    m, lrho = _mesh(filt, rho, lambda_grid, alpha_grid)  # shared by s_rho and the weak fallback
     table = _srho(m, lrho)
     evidence: dict[str, PairVerdict] = {}
 
@@ -827,8 +821,8 @@ def classify(
             detail={"criterion": "0 < s_rho < inf at every sampled lambda"},
         )
         evidence["weak"] = evidence["strong"]
-        # alpha_grid as given: a default one takes the cached alpha subgrid
-        osp = check_order_source_pair(filt, rho, s_tab, rho, m.lams, alpha_grid)
+        # both grids as given: default ones take the kept alpha subgrid and the lambda top
+        osp = check_order_source_pair(filt, rho, s_tab, rho, lambda_grid, alpha_grid)
         evidence["optimal"] = osp
         if osp.holds:
             level = "optimal"
@@ -839,7 +833,7 @@ def classify(
             detail={"criterion": "s_rho must be finite, positive and stabilized"},
         )
         source = _weak_source(lams, vals)
-        weak = _weak_pair(m, source, lrho)
+        weak = _weak_pair(m, lrho, source)
         if weak.holds:
             level, source_label = "weak", source.label
         evidence["weak"] = weak if weak.holds else PairVerdict(

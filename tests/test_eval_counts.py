@@ -201,6 +201,24 @@ def test_second_classify_makes_the_scan_and_mp_calls(counts, check_calls, mp_cal
     assert check_calls == [1, 1] and mp_calls == [1, 0]
 
 
+def test_warm_default_classify_checks_no_lambda_grid(monkeypatch):
+    """A warm default classify reads every grid from the store, and the
+    order-source check reads the default lambda grid's top without building
+    it: no ``_check_lambda`` call and no ``default_lambda_grid`` call.  The
+    check sent the s_rho mesh's lambdas through ``_check_lambda`` again
+    before it read the default grid's top."""
+    filt, rho = sq.get_filter("tikhonov"), sq.order_fn("alpha")
+    sq.classify(filt, rho)
+    made = []
+    for name in ("_check_lambda", "default_lambda_grid"):
+        real = getattr(qualification, name)
+        monkeypatch.setattr(qualification, name,
+                            lambda *args, _real=real, _name=name, **kw:
+                            made.append(_name) or _real(*args, **kw))
+    assert sq.classify(filt, rho).level == "optimal"
+    assert made == []
+
+
 @pytest.mark.parametrize("fid,order,grids,candidates", [
     ("tsvd", "alpha", False, 1),
     ("tikhonov", "alpha^3", False, 1),

@@ -201,6 +201,21 @@ class TestInputChecks:
         with pytest.raises(sq.DomainError, match="'1' is not an admissible order function"):
             sq.order_fn("1")
 
+    @pytest.mark.parametrize("call", [
+        lambda t, m: sq.eval_g(t, np.nan, 1.0),
+        lambda t, m: sq.eval_residual(t, 0.1, np.nan),
+        lambda t, m: sq.regularize(m, t, np.nan, np.ones(m.dim)),
+        lambda t, m: study(m, t, sq.source_fn("lambda"), sq.order_fn("alpha"),
+                           np.append(np.geomspace(1e-5, 0.5, 40), np.nan)),
+    ], ids=["eval_g", "eval_residual", "regularize", "run_convergence"])
+    def test_nan_alpha_or_lambda_is_out_of_range(self, tikhonov, model8, call):
+        """NaN fails every comparison, so range checks written as "out if
+        below or above" let it through: eval_g gave nan, eval_residual
+        (nan, nan, 0), regularize nan coefficients, and a study read each
+        NaN alpha as log_err -inf, a zero error."""
+        with pytest.raises(sq.ParameterRangeError, match="nan|nonnegative"):
+            call(tikhonov, model8)
+
     def test_tail_limit_rejects_an_unknown_kind(self):
         t = sq.tail_of(np.geomspace(1e-6, 0.5, 16))
         with pytest.raises(ValueError, match="kind must be liminf or limsup"):

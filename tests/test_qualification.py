@@ -595,6 +595,8 @@ class TestOrderSourcePairs:
         assert len(calls) == len(infima) == 1
         _, rho, s, _, lambda_grid, _ = calls[0]
         (alphas, gam_log), = infima
+        if lambda_grid is None:  # classify's default grid
+            lambda_grid = sq.default_lambda_grid(ex9)
         lam_max = float(np.max(lambda_grid))
         k = np.floor(lam_max ** 1.5 / (math.pi * alphas))
         root = (k * math.pi * alphas) ** (2.0 / 3.0)

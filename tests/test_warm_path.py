@@ -4,11 +4,14 @@
 ``limits.tail_limit`` builds its block edges as Python floats and stacks
 its block columns once, and ``check_order_source_pair`` reads the scan and
 the dips through one ``log_q`` call and the residual without a sign
-channel through ``_r_log``.  Each test here compares one of them with a
-plain reference that does the same arithmetic the long way: two full-array
-``np.where`` passes, boolean block masks over ``np.linspace`` edges, and
-``residual_log_sign`` with ``np.take_along_axis``.  Every comparison is
-exact.
+channel through ``_r_log``; with no lambda grid it reads the default
+grid's top without building the grid.  ``construct_weak_qualification``
+bisects every lane and then picks theta once.  Each test here compares one
+of them with a plain reference that does the same arithmetic the long way:
+two full-array ``np.where`` passes, boolean block masks over
+``np.linspace`` edges, ``residual_log_sign`` with ``np.take_along_axis``,
+the check with the default lambda grid given, and a bisection that moves
+only the lanes below the top.  Every comparison is exact.
 """
 
 import math
@@ -239,3 +242,65 @@ def test_sign_flipping_family_marks_its_root():
     assert not v.holds and v.detail["inf_estimate"].value == 0.0
     (alpha, lam), = v.witnesses
     assert 2.0 * alpha <= lam
+
+
+_PAIR_FAMILIES = [(fid, {}) for fid in sq.list_filters()] + [
+    ("landweber", {"mu": mu}) for mu in (0.5, 95.0, 96.0, 1e3)]
+
+
+@pytest.mark.parametrize("fid,params", _PAIR_FAMILIES,
+                         ids=[f"{fid}-{params}" for fid, params in _PAIR_FAMILIES])
+def test_order_source_pair_reads_the_default_lambda_top(fid, params):
+    """With no lambda grid the check reads lambda_max as the default grid's
+    top, without building the grid: the same verdict, bytes and tail
+    estimate as with the default grid given, on every catalog family and
+    on landweber whose clamped top falls below the grid's 0.01 floor
+    (mu = 95 and past it)."""
+    filt = sq.get_filter(fid, **params)
+    rho, s = sq.order_fn("alpha"), sq.source_fn("lambda")
+    got = sq.check_order_source_pair(filt, rho, s, rho)
+    want = sq.check_order_source_pair(filt, rho, s, rho, sq.default_lambda_grid(filt))
+    assert got.to_json_dict() == want.to_json_dict()
+    assert repr(got.detail["inf_estimate"]) == repr(want.detail["inf_estimate"])
+
+
+# ---------------------------------------------------------------------------
+# construct_weak_qualification
+# ---------------------------------------------------------------------------
+
+def reference_theta(filt, alphas, lams):
+    """theta(lm) = sup{gamma : r_gamma(lm) <= lm} by the masked bisection:
+    the top where r is <= lm there, and otherwise a bisection that moves
+    only the lanes below the top."""
+    lo = np.full(lams.shape, alphas[0] * 1e-3)
+    hi = np.full(lams.shape, filt.alpha_max * (1.0 - 1e-12))
+    with np.errstate(all="ignore"):
+        top_ok = limits.sat_exp_array(filt._r_log(hi, lams)) <= lams
+    theta = np.where(top_ok, hi, np.nan)
+    active = ~top_ok
+    steps = int(math.ceil(math.log2(float(filt.alpha_max) / qualification.BISECT_TOL)))
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        with np.errstate(all="ignore"):
+            ok = limits.sat_exp_array(filt._r_log(mid, lams)) <= lams
+        lo = np.where(active & ok, mid, lo)
+        hi = np.where(active & ~ok, mid, hi)
+    return np.where(active, lo, theta)
+
+
+_FLOOR_GRID = np.geomspace(1e-2, 0.5, 200)
+
+
+@pytest.mark.parametrize("fid,grid", [(fid, None) for fid in (
+    "tikhonov", "ex3_exp", "ex4_log", "landweber", "showalter")] + [("tikhonov", _FLOOR_GRID)],
+    ids=["tikhonov", "ex3_exp", "ex4_log", "landweber", "showalter", "tikhonov-floor"])
+def test_construct_theta_matches_masked_bisection(fid, grid):
+    """Bisecting every lane and then taking the top where it passes gives
+    theta bit for bit.  On the high grid theta at lambda = 1e-4 stays at
+    its floor alphas[0] * 1e-3 = 1e-5, where the exact value is 1e-8."""
+    filt = sq.get_filter(fid)
+    got = sq.construct_weak_qualification(filt, alpha_grid=grid)
+    alphas = sq.default_alpha_grid(filt, per_decade=64) if grid is None else grid
+    assert_same_bits(got.theta, reference_theta(filt, alphas, got.lambdas))
+    if grid is not None:
+        assert got.lambdas[0] == 1e-4 and got.theta[0] == grid[0] * 1e-3
