@@ -76,8 +76,11 @@ class FilterFamily:
     ``_dips(alpha, lambda)`` is the dip set of a family whose |r| has
     known exact minima in lambda: it returns the largest such point
     <= lambda (the first one when lambda lies below it) and ln|r| there;
-    it is None for a family without one.  Instances are immutable and safe
-    to share.  A family is made of closures, so it compares and hashes by
+    it is None for a family without one.  The kernels are quiet: each one
+    given runs with numpy's floating-point errors ignored, as a kernel's
+    inf or nan (a vanishing residual, an overflowing e^(lambda/alpha)) is
+    a value, never a warning.  Lambda lies in [0, lambda_sup], the top
+    included.  Instances are immutable and safe to share.  A family is made of closures, so it compares and hashes by
     identity: two ``get_filter`` calls give two unequal families, and
     ``qualification``'s verdicts keep the classical order and the default
     grids and meshes per instance, until the instance is freed.
@@ -88,7 +91,7 @@ class FilterFamily:
     h2_constant: float
     oscillatory: bool
     params: dict[str, float] = field(default_factory=dict)
-    lambda_sup: float | None = None  # exclusive upper bound on valid lambda
+    lambda_sup: float | None = None  # inclusive upper bound on valid lambda
     _g: Callable = None
     _r_log: Callable = None
     _r_log_sign: Callable = None
@@ -99,6 +102,21 @@ class FilterFamily:
             raise FilterError(f"alpha_max must be positive, got {self.alpha_max}")
         if not self.h2_constant > 0:
             raise FilterError(f"h2_constant must be positive, got {self.h2_constant}")
+        for name in ("_g", "_r_log", "_r_log_sign", "_dips"):
+            object.__setattr__(self, name, _quiet(getattr(self, name)))
+
+
+def _quiet(kernel):
+    """``kernel`` with numpy's floating-point errors ignored; None and a
+    kernel already quiet (a ``dataclasses.replace`` copy's) pass through."""
+    if kernel is None or getattr(kernel, "quiet", False):
+        return kernel
+
+    def quiet(*args):
+        with np.errstate(all="ignore"):
+            return kernel(*args)
+    quiet.quiet = True
+    return quiet
 
 
 def _check_alpha(filt: FilterFamily, alpha) -> np.ndarray:
@@ -170,8 +188,7 @@ def _softplus(u):
     u = np.asarray(u, dtype=float)
     out = np.empty_like(u)
     big = u > 34.0
-    with np.errstate(over="ignore"):
-        out[~big] = np.log1p(np.exp(u[~big]))
+    out[~big] = np.log1p(np.exp(u[~big]))
     out[big] = u[big]  # + e^-u, below double resolution
     return out
 
@@ -203,8 +220,7 @@ def _tikhonov():
 
 def _tsvd():
     def g(a, lm):
-        with np.errstate(divide="ignore"):
-            return np.where(lm >= a, 1.0 / np.asarray(lm, dtype=float), 0.0)
+        return np.where(lm >= a, 1.0 / np.asarray(lm, dtype=float), 0.0)
 
     def r_log(a, lm):
         return np.where(lm >= a, NEG_INF, 0.0)
@@ -218,14 +234,11 @@ def _tsvd():
 def _ex3_exp():
     # g = (1 - e^(-1/a)) / (lm + e^(-1/a));  r = (1+lm) / (1 + lm*e^(1/a))
     def g(a, lm):
-        with np.errstate(over="ignore", divide="ignore"):
-            e = np.exp(-1.0 / a)
-            return (1.0 - e) / (lm + e)
+        e = np.exp(-1.0 / a)
+        return (1.0 - e) / (lm + e)
 
     def r_log_pos(a, lm):
-        with np.errstate(divide="ignore"):
-            u = 1.0 / a + np.log(lm)
-        return np.log1p(lm) - _softplus(u)
+        return np.log1p(lm) - _softplus(1.0 / a + np.log(lm))
 
     def r_log(a, lm):  # lambda = 0: r = 1
         return _piecewise(a, lm, lambda a, lm: lm > 0, r_log_pos, lambda a, lm: 0.0)
@@ -279,11 +292,10 @@ def _ex7_piecewise():
         out, v = np.empty(a.shape), np.empty(a.shape)
         inner = lm < 2.0 * a
         ao, lo = a[~inner], lm[~inner]
-        with np.errstate(divide="ignore"):
-            v[inner] = 1.0 - lm[inner] * c_of(a[inner])
-            v[~inner] = lo * np.log(ao / (ao + lo)) + ao * (1.0 + lo)
-            np.log(np.abs(v), out=out)
-            out[~inner] = np.log(ao) + np.log1p(lo) - out[~inner]
+        v[inner] = 1.0 - lm[inner] * c_of(a[inner])
+        v[~inner] = lo * np.log(ao / (ao + lo)) + ao * (1.0 + lo)
+        np.log(np.abs(v), out=out)
+        out[~inner] = np.log(ao) + np.log1p(lo) - out[~inner]
         return out, np.sign(v)
 
     def dips(a, lm):
@@ -321,9 +333,8 @@ def _osc_family(fid: str, coeff_log, h2: float, alpha_max: float = 1.0, params=N
         # each factor on its own axis, then one broadcast; lambda == 0
         # gives r = 1 (its nan from inf - inf is replaced by log 1 = 0)
         a, lm = np.asarray(a, float), np.asarray(lm, float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t2 = coeff_log(a) - 0.5 * np.log(lm) + np.log(np.abs(np.sin(lm ** 1.5 / a)))
-            return np.where(lm > 0, np.logaddexp(-lm / a, t2), 0.0)
+        t2 = coeff_log(a) - 0.5 * np.log(lm) + np.log(np.abs(np.sin(lm ** 1.5 / a)))
+        return np.where(lm > 0, np.logaddexp(-lm / a, t2), 0.0)
 
     def dips(a, lm):
         a, lm = np.asarray(a, float), np.asarray(lm, float)
@@ -365,8 +376,7 @@ def _landweber(mu: float = 0.5):
                           lambda a, lm: -np.expm1(np.log1p(-mu * lm) / a) / lm)
 
     def r_log(a, lm):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.log1p(-mu * np.asarray(lm, float)) / np.asarray(a, float)
+        return np.log1p(-mu * np.asarray(lm, float)) / np.asarray(a, float)
 
     return FilterFamily(
         id="landweber", alpha_max=1.0, h2_constant=1.0, oscillatory=False,
@@ -446,12 +456,13 @@ def make_custom_filter(
     unknown) rather than report a window infimum that missed them.  Its
     residual 1 - lambda g is assumed continuous in lambda: that check
     reads a sign change of r between two scanned lambdas as a root.
+    Like every family's kernels, g is quiet: an inf or nan it returns is a
+    value of g (and of ln|r|), never a warning.
     """
 
     def log_sign(a, lm):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = 1.0 - lm * g(a, lm)
-            return np.log(np.abs(r)), np.sign(r)
+        r = 1.0 - lm * g(a, lm)
+        return np.log(np.abs(r)), np.sign(r)
 
     return FilterFamily(
         id=fid, alpha_max=alpha_max, h2_constant=h2_constant,
@@ -546,9 +557,8 @@ def verify_srm_axioms(filt: FilterFamily,
     failures: list[dict] = []
     notes: list[str] = []
 
-    with np.errstate(all="ignore"):
-        gv = filt._g(A, L)
-        rv = residual_value(filt, A, L)
+    gv = filt._g(A, L)
+    rv = residual_value(filt, A, L)
 
     # H1: piecewise continuity proxy -- g defined (no NaN); infs at
     # lambda=0 come from overflow of finite values and are noted only
@@ -578,9 +588,8 @@ def verify_srm_axioms(filt: FilterFamily,
     h3_lams = lambda_grid[lambda_grid >= H3_LAMBDA_MIN]
     if h3_lams.size == 0:
         h3_lams = lambda_grid[lambda_grid > 0]
-    with np.errstate(all="ignore"):
-        r_floor = sat_exp_array(filt._r_log(np.array([alpha_grid[0]]), h3_lams))
-        r_deep = sat_exp_array(filt._r_log(np.array([H3_PROBE_ALPHA]), h3_lams))
+    r_floor = sat_exp_array(filt._r_log(np.array([alpha_grid[0]]), h3_lams))
+    r_deep = sat_exp_array(filt._r_log(np.array([H3_PROBE_ALPHA]), h3_lams))
     ok = (r_deep <= H3_ABS_TOL) | (r_deep <= H3_SHRINK * r_floor)
     h3 = bool(np.all(ok))
     worst = float(np.max(r_deep)) if r_deep.size else 0.0

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .filters import FilterFamily, ParameterRangeError, _check_alpha, residual_value
+from .filters import FilterFamily, _check_alpha, _check_lambda, residual_value
 from .limits import sat_exp
 
 MAX_DIM = 512
@@ -171,14 +171,6 @@ def make_source_element(model: SpectralModel, s, w: np.ndarray) -> SourceElement
     return SourceElement(x_dagger=x, generator_w=w, source_s=s, model=model)
 
 
-def _filter_lambda_check(model: SpectralModel, filt: FilterFamily):
-    if filt.lambda_sup is not None and model.eigenvalues[0] >= filt.lambda_sup:
-        raise ParameterRangeError(
-            f"model spectrum reaches {model.eigenvalues[0]:.3g}, beyond the "
-            f"valid range of filter '{filt.id}' (< {filt.lambda_sup:.3g})"
-        )
-
-
 def regularize(model: SpectralModel, filt: FilterFamily, alpha: float,
                solution_coefs: np.ndarray) -> np.ndarray:
     """Apply the regularized inverse to data y = T x, in the eigenbasis.
@@ -187,7 +179,7 @@ def regularize(model: SpectralModel, filt: FilterFamily, alpha: float,
     g_alpha(eig_j) * eig_j * x_j = (1 - r_alpha(eig_j)) x_j.
     """
     _check_alpha(filt, alpha)
-    _filter_lambda_check(model, filt)
+    _check_lambda(filt, model.eigenvalues[0])  # the spectrum's top
     x = np.asarray(solution_coefs, dtype=float)
     if x.shape != (model.dim,):
         raise OperatorError(f"coefficient length {x.shape} does not match dim {model.dim}")
@@ -214,7 +206,7 @@ def log_regularization_error(model: SpectralModel, filt: FilterFamily,
     drops any sums only the terms it keeps.
     """
     a = _check_alpha(filt, alpha)
-    _filter_lambda_check(model, filt)
+    _check_lambda(filt, model.eigenvalues[0])  # the spectrum's top
     with np.errstate(all="ignore"):
         lr = np.asarray(filt._r_log(a.reshape(-1, 1), model.eigenvalues), dtype=float)
         # 2(a + b) is 2a + 2b bit for bit: scaling by 2 commutes with rounding

@@ -254,8 +254,7 @@ def _mesh(filt, rho, lambda_grid, alpha_grid) -> tuple[_Mesh, np.ndarray]:
         lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt))
         alphas = _grid(filt, "alpha", alpha_grid, lambda: default_alpha_grid(filt))
         t = tail_of(alphas)
-        with np.errstate(all="ignore"):
-            return _Mesh(lams, alphas, t, np.asarray(filt._r_log(t.alphas, lams[:, None]), float))
+        return _Mesh(lams, alphas, t, np.asarray(filt._r_log(t.alphas, lams[:, None]), float))
     m = _kept(filt, "mesh", build, lambda_grid, alpha_grid)
     return m, rho.log_at(m.tail.alphas)
 
@@ -524,8 +523,7 @@ def estimate_classical_order(
         mus = np.sort(_grid(filt, "mu", mu_grid, default_mu_grid))
         lams = _grid(filt, "lambda", lambda_grid, lambda: default_lambda_grid(filt, per_decade=2))
         t = tail_of(_grid(filt, "alpha", alpha_grid, lambda: _deep_alpha_grid(filt)))
-        with np.errstate(all="ignore"):
-            rlog = filt._r_log(t.alphas, lams[:, None])
+        rlog = filt._r_log(t.alphas, lams[:, None])
         mu = mus[:, None]
         lq = _sup_log_ratio(rlog, mu * np.log(lams), mu * np.log(t.alphas))
         passed = tuple(est.bounded for est in tail_limit(t, lq, "limsup", n_blocks=5))
@@ -589,16 +587,13 @@ def check_mp_qualification(
     def grids():
         lams = _grid(filt, "lambda", lambda_grid, default_lams)
         alphas = np.sort(_grid(filt, "alpha", alpha_grid, default_alphas))
-        t = tail_of(alphas)
-        with np.errstate(all="ignore"):
-            R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
-        return lams, alphas, t, R
+        R = np.asarray(filt._r_log(alphas[None, :], lams[:, None]), dtype=float)
+        return lams, alphas, tail_of(alphas), R
 
     lams, alphas, t, R = _kept(filt, "mp", grids, lambda_grid, alpha_grid, a != 1.0 or None)
 
-    with np.errstate(all="ignore"):
-        lrho = rho.log_at(alphas)
-        ratio_log = _sup_log_ratio(R, rho.log_at(lams)[None], lrho[None])[0]
+    lrho = rho.log_at(alphas)
+    ratio_log = _sup_log_ratio(R, rho.log_at(lams)[None], lrho[None])[0]
 
     est = tail_limit(t, ratio_log[t.index], "limsup")
     hi, lo = float(np.max(ratio_log)), float(np.min(ratio_log))
@@ -681,13 +676,11 @@ def construct_weak_qualification(
     # theta by vectorized bisection over the lambda batch
     lo = np.full(lams.shape, alphas[0] * 1e-3)
     top = hi = np.full(lams.shape, filt.alpha_max * (1.0 - 1e-12))  # np.where never writes hi
-    with np.errstate(all="ignore"):
-        top_ok = sat_exp_array(filt._r_log(top, lams)) <= lams
+    top_ok = sat_exp_array(filt._r_log(top, lams)) <= lams
     steps = int(math.ceil(math.log2(float(filt.alpha_max) / BISECT_TOL)))
     for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        with np.errstate(all="ignore"):
-            ok = sat_exp_array(filt._r_log(mid, lams)) <= lams
+        ok = sat_exp_array(filt._r_log(mid, lams)) <= lams
         lo = np.where(ok, mid, lo)
         hi = np.where(ok, hi, mid)
     theta = np.where(top_ok, top, lo)
@@ -706,8 +699,7 @@ def construct_weak_qualification(
     h = TabulatedOrder(alphas=np.append(f, filt.alpha_max),
                        log_values=np.log(np.append(lams, lams[-1])),
                        label="h (inverse of f)")
-    with np.errstate(all="ignore"):
-        z_log = np.asarray(filt._r_log(alphas, np.exp(h.log_at(alphas))), dtype=float)
+    z_log = np.asarray(filt._r_log(alphas, np.exp(h.log_at(alphas))), dtype=float)
     rho_star_log = np.maximum.accumulate(z_log)
     rho_star = TabulatedOrder(alphas=alphas, log_values=rho_star_log,
                               label="rho* (envelope of r at the window edge)")
@@ -728,8 +720,7 @@ def _construct_certificate(filt, h, alphas, log_bound, sweep) -> PairVerdict:
     the bound by more than 1e-6 in log.
     """
     window = sweep >= np.exp(h.log_at(alphas))[:, None]
-    with np.errstate(all="ignore"):
-        R = np.where(window, filt._r_log(alphas[:, None], sweep), -np.inf)
+    R = np.where(window, filt._r_log(alphas[:, None], sweep), -np.inf)
     rows = np.nonzero(window.any(axis=1))[0]
     gap = R[rows].max(axis=1) - log_bound[rows]
     failing = rows[gap > 1e-6]
@@ -744,9 +735,8 @@ def _construct_certificate(filt, h, alphas, log_bound, sweep) -> PairVerdict:
 def _verify_part_b_hypotheses(filt, alphas, lams):
     probe_a = alphas[:: max(1, len(alphas) // 48)]
     probe_l = lams[:: max(1, len(lams) // 48)]
-    with np.errstate(all="ignore"):
-        R, signs = residual_log_sign(filt, probe_a[:, None], probe_l[None, :])
-        G = np.asarray(filt._g(probe_a[:, None], probe_l[None, :]), dtype=float)
+    R, signs = residual_log_sign(filt, probe_a[:, None], probe_l[None, :])
+    G = np.asarray(filt._g(probe_a[:, None], probe_l[None, :]), dtype=float)
     bad = signs <= 0
     if np.any(bad):
         i, j = np.argwhere(bad)[0]

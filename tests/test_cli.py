@@ -797,8 +797,7 @@ CONVERGE_ERRORS = {
                      "unknown spectrum rule 'nosuch' (choose from ['exp', 'j^-2', 'j^-4'])"),
     "dim-too-large": (("--dim", "100000"), "input-error", "dim must be in [1, 512], got 100000"),
     "landweber-mu-2": (("--filter", "landweber", "--param", "mu=2"), "ParameterRangeError",
-                       "model spectrum reaches 1, beyond the valid range of filter "
-                       "'landweber' (< 0.5)"),
+                       "lambda exceeds 0.5 (valid range) for filter 'landweber'"),
 }
 
 
@@ -819,3 +818,12 @@ def test_converge_error_bytes(capsys, tmp_path, monkeypatch, case):
     code, out, err = run(capsys, "converge", "--filter", "tikhonov", "--source", "lambda", *extra)
     assert (code, out) == (2, "")
     assert err == json.dumps({"error": error, "message": message}, indent=2) + "\n"
+
+
+def test_converge_runs_landweber_at_its_top(capsys):
+    """mu = 1 puts 1/mu on the default spectrum's top eigenvalue, 1: the
+    range [0, 1/mu] includes it, so the study runs."""
+    code, out, err = run(capsys, "converge", "--filter", "landweber", "--param", "mu=1",
+                         "--source", "lambda")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["study"]["filter"] == "landweber"

@@ -14,9 +14,8 @@ from specqual.experiments import (
     _default_window,
     _study_ratio_bounded,
 )
-from specqual.filters import _check_alpha
+from specqual.filters import _check_alpha, _check_lambda
 from specqual.limits import sat_exp, tail_limit, tail_of
-from specqual.operators import _filter_lambda_check
 
 STUDY_GRID = np.geomspace(1e-5, 0.5, 220)
 
@@ -88,7 +87,7 @@ def log_error_at(model, filt, alpha, source):
     """ln of the reconstruction error at one alpha, reduced on its own: the
     terms of the one row, compacted to the finite ones, then log-sum-exp."""
     _check_alpha(filt, alpha)
-    _filter_lambda_check(model, filt)
+    _check_lambda(filt, model.eigenvalues[0])
     with np.errstate(all="ignore"):
         lr = np.asarray(filt._r_log(np.float64(alpha), model.eigenvalues), dtype=float)
         terms = 2.0 * lr + 2.0 * np.log(np.abs(source.x_dagger))

@@ -147,6 +147,36 @@ class TestRegularize:
             sq.regularize(model, landweber, 0.5, np.array([1.0]))
 
 
+class TestLandweberAtItsTop:
+    """landweber's range [0, 1/mu] includes its top, where r = 0: mu = 1 on
+    the j^-2 spectrum, whose top eigenvalue is 1 = 1/mu."""
+
+    @pytest.fixture(scope="class")
+    def setting(self, s_lambda):
+        model = sq.make_model("j^-2", 50)
+        assert model.eigenvalues[0] == 1.0
+        w = np.arange(1, 51, dtype=float) ** -0.6
+        return sq.get_filter("landweber", mu=1.0), model, sq.make_source_element(model, s_lambda, w)
+
+    def test_regularize_keeps_the_top_component(self, setting):
+        filt, model, elem = setting
+        out = sq.regularize(model, filt, 0.1, elem.x_dagger)
+        assert out[0] == elem.x_dagger[0]
+        assert np.all(np.isfinite(out))
+
+    def test_convergence_drops_the_top_term(self, setting, rho_alpha):
+        """r = 0 at the top, so the error is that of the other 49 terms."""
+        filt, model, elem = setting
+        grid = np.geomspace(1e-3, 0.5, 12)
+        study = sq.run_convergence(model, filt, elem, rho_alpha, grid)
+        rest = sq.SpectralModel(eigenvalues=model.eigenvalues[1:], provenance="rest")
+        rest_elem = sq.SourceElement(x_dagger=elem.x_dagger[1:], generator_w=elem.generator_w[1:],
+                                     source_s=elem.source_s, model=rest)
+        assert np.all(np.isfinite(study.log_err))
+        np.testing.assert_array_equal(
+            study.log_err, sq.log_regularization_error(rest, filt, study.alpha, rest_elem))
+
+
 class TestRegularizationError:
     def test_truncation_exact_zero(self, tsvd, s_lambda):
         model = sq.make_model("j^-2", 10)
