@@ -204,7 +204,9 @@ def _row_limit(kind, ms, xe, raw_min, raw_max, meta, cap):
 
     delta3, delta4 = m3 - m2, m4 - m3
     drift = delta4 / max(abs(m3), abs(m4), 1e-300)
-    down = m4 < m3 < m2 and -drift > DRIFT_TOL
+    # a monotone drift down is extrapolated when it moves by more than
+    # DRIFT_TOL or is not geometric: a 1/x drift moves little per block
+    down = m4 < m3 < m2 and (-drift > DRIFT_TOL or abs(delta4) >= 0.5 * abs(delta3))
     up = m4 > m3 > m2 and drift > DRIFT_TOL
     if not (down or up) or x4 - x3 < 1e-9 or x3 - x2 < 1e-9:
         # flat (or noisy) blocks, or a degenerate extremum placement:

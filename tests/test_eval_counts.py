@@ -420,7 +420,7 @@ def test_import_certifies_nothing():
 
 @pytest.mark.parametrize("fid,order,grid,gamma", [
     ("tikhonov", "alpha", None, 0.5000001030390547),
-    ("ex3_exp", "exp(-1/alpha)", None, 0.49784656708935654),
+    ("ex3_exp", "exp(-1/alpha)", None, 0.4978465662777801),
     ("ex4_log", "-1/ln(alpha)", EX4_GRID, 0.49570486931451757),
 ])
 def test_optimal_catalog_gamma(fid, order, grid, gamma):

@@ -51,9 +51,6 @@ REL_TOL = 1e-3
 
 # (family, order, lambda to 4 digits) of each estimate that breaks a rule
 KNOWN_BREAKS = {
-    # defect 11: a 1/ln(1/alpha) drift under DRIFT_TOL per block reads
-    # flat and stabilized, 0.3% to 3.5% above lambda/(1+lambda)
-    *(("ex4_log", "-1/ln(alpha)", lam) for lam in ("1.778", "3.162", "5.623", "10")),
     # defect 9: exact +inf, turning up only near alpha = e^(-1/lambda),
     # read as a finite stabilized 0.18 to 0.62
     *(("ex4_log", "(-ln(alpha))^(-0.5)", lam)

@@ -316,7 +316,7 @@ def tail_corpus_calls():
 
 
 # the first value of ``tail_corpus_digest``
-TAIL_CORPUS_SHA256 = "10255d154edb1ff03c0e31065615cdf5d4b45621e23d73025ef9a4360eacf3a6"
+TAIL_CORPUS_SHA256 = "3a7320a492019abbc9637120648b1de2973dcda8a529c64ad9a8ca4aa1b1523c"
 
 # (trend, extrapolated, stabilized, value is inf): the outcome class of each
 # exit of tail_limit under a cap below 1e307

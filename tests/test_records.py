@@ -78,41 +78,41 @@ CATALOG = [
 
 # sha256 of json.dumps(to_json_dict(), indent=2) of each named output
 JSON_DIGESTS = {
-    "classify/ex10_osc/-1/ln(alpha)": "0cde217d4c4b5cfdcc3f7d8d4f3a9b8bd4621c1a9553a85fc272056837daf0d3",
+    "classify/ex10_osc/-1/ln(alpha)": "48e9218d565cdb7d37ed972fe9fb4f185c66c821a561e34ea891600c62db8de0",
     "classify/ex10_osc/-1/ln(alpha)/classical": "c484e7af5b38d40b349bd50dd6f2511ed1a0a784c2dba0108512f17e70d6e298",
     "classify/ex10_osc/-1/ln(alpha)/mp": "5f8ca911c5f0f0fd6a280b23a34fed4f7c95d9aa7a598fd55fec298eaf4de1b5",
     "classify/ex10_osc/-1/ln(alpha)/optimal": "8390bf94e99c58e5d4743f97e67aebb2da7ceace263566ed23841483dd8137f0",
     "classify/ex10_osc/-1/ln(alpha)/strong": "9665e4c2ec3ea7bc5f72d421b557e93b0194a3b5bdeae1ce2d9945b3a3543db3",
     "classify/ex10_osc/-1/ln(alpha)/weak": "9665e4c2ec3ea7bc5f72d421b557e93b0194a3b5bdeae1ce2d9945b3a3543db3",
-    "classify/ex3_exp/exp(-1/alpha)": "a9ab075672e59639b11176721732d85872a2f7124684f8d195e11cd234f2107c",
+    "classify/ex3_exp/exp(-1/alpha)": "ee19e5bbeaeca142da24e69fbd80f6aa97bfd3537c188006519e6a7414e88f9a",
     "classify/ex3_exp/exp(-1/alpha)/classical": "0f69974d0990a5b5627c2e98f34d63afab5b3b12a7b4895f10f345d3569cd84f",
     "classify/ex3_exp/exp(-1/alpha)/mp": "f442d7c8dbe1af68c640a5325c9e52ce29caf9e82b9871ade94f1378f21df26e",
-    "classify/ex3_exp/exp(-1/alpha)/optimal": "38e199b6287e80707e353c6746453fbe1111c67b17088bf4591fde6dfd83b86b",
-    "classify/ex3_exp/exp(-1/alpha)/strong": "adb5b64c7cce52fff884218eaf05fdfa82e44e06d426326e3bb91aaec4818eee",
-    "classify/ex3_exp/exp(-1/alpha)/weak": "adb5b64c7cce52fff884218eaf05fdfa82e44e06d426326e3bb91aaec4818eee",
-    "classify/ex4_log/(-ln(alpha))^(-0.5)": "9880cdbb7f20afb91c1263a0da3c3695515c99bcbcc5b8db48fee1b9781790e0",
+    "classify/ex3_exp/exp(-1/alpha)/optimal": "0f3659690866666267552218d767070ab599fbc4d0c87ab18b6291c7823d76bf",
+    "classify/ex3_exp/exp(-1/alpha)/strong": "108854c7f7af839bbbe4c0d5afea36a0e0df8b78f4b7af39a693563e3340ac4b",
+    "classify/ex3_exp/exp(-1/alpha)/weak": "108854c7f7af839bbbe4c0d5afea36a0e0df8b78f4b7af39a693563e3340ac4b",
+    "classify/ex4_log/(-ln(alpha))^(-0.5)": "97ef4eb42b49705fb59a10f3c57d56f429d34be85e634dbcd957c5fbff9c49e5",
     "classify/ex4_log/(-ln(alpha))^(-0.5)/classical": "c484e7af5b38d40b349bd50dd6f2511ed1a0a784c2dba0108512f17e70d6e298",
     "classify/ex4_log/(-ln(alpha))^(-0.5)/mp": "aaaf1fa117f00388abbc29d602ffcc8ade3a1352b06ce46fa0ebb38ccaac0824",
     "classify/ex4_log/(-ln(alpha))^(-0.5)/strong": "a243bc92fd273c3ed380022639c750c7390dcc6605e9dd1a5ca006a1933492d9",
     "classify/ex4_log/(-ln(alpha))^(-0.5)/weak": "63c11707e50feaf2e7484f14457060201c55078d8d12f3e0d4ab8bdd89339b14",
-    "classify/ex4_log/-1/ln(alpha)": "9533ac177510af049c068f9c04d1ab80ab3caec9be23bd9e03448907135cdb8a",
+    "classify/ex4_log/-1/ln(alpha)": "a085c05793c184cbeaae8d17172cecb2aabc98847ca7a611d4b9748281dfb2e1",
     "classify/ex4_log/-1/ln(alpha)/classical": "c484e7af5b38d40b349bd50dd6f2511ed1a0a784c2dba0108512f17e70d6e298",
     "classify/ex4_log/-1/ln(alpha)/mp": "7a8a6d4cf45f17fc679cc9966ee75bcfb65f936f94152d7ec049ce98c5cbff04",
     "classify/ex4_log/-1/ln(alpha)/optimal": "63726495a245960e53653470340f7228d3418c682e88ce2b192f9bfeeec99860",
-    "classify/ex4_log/-1/ln(alpha)/strong": "606746dff72e8abdd9e4d2cc98bbeb8bb46cc54dec8e73fb658a127891a56bfa",
-    "classify/ex4_log/-1/ln(alpha)/weak": "606746dff72e8abdd9e4d2cc98bbeb8bb46cc54dec8e73fb658a127891a56bfa",
+    "classify/ex4_log/-1/ln(alpha)/strong": "5592cf54e5b6d105f6b3ebb315b70bb0271543824879ba2298ad942a7faf9335",
+    "classify/ex4_log/-1/ln(alpha)/weak": "5592cf54e5b6d105f6b3ebb315b70bb0271543824879ba2298ad942a7faf9335",
     "classify/ex7_piecewise/alpha": "345978ab8ce768bf0c45bb38644e943278519efaa39bfba471fe8550d8bc94f6",
     "classify/ex7_piecewise/alpha/classical": "b5f89cf55f4103a6ee35600cc6162355687d0923a470ffc2bef51ddd7708e866",
     "classify/ex7_piecewise/alpha/mp": "aaaac058a37f97ccce09a1177fd4cf5dc1c998f13b78314b8f6b36bb3d9e4505",
     "classify/ex7_piecewise/alpha/strong": "779aeb7ae66a834afccf107debd802b1b253692fdac90981c576ba1c42982579",
     "classify/ex7_piecewise/alpha/weak": "9cc086e96f85006c24aa3504ef2e77f7d621b66104c7c86f7c91c432faea55a2",
-    "classify/ex8_osc/alpha": "b72a885dc0bb0af8a4a0ce86c20c1a645a3c7819155311e252ec1f6dcafe4108",
+    "classify/ex8_osc/alpha": "9efae410a4649c0161ca0835d0c89f743695da82ec032abb45510c1acd1b28ca",
     "classify/ex8_osc/alpha/classical": "b5f89cf55f4103a6ee35600cc6162355687d0923a470ffc2bef51ddd7708e866",
     "classify/ex8_osc/alpha/mp": "e01086d997b10d8a200e7f18a6cd3ef3b927b7418ebec6cb6d52896d4a10de7d",
     "classify/ex8_osc/alpha/optimal": "aa8978b6ac8d6e62b4557004ae35ebea4834084ecf761774a28fcccc22edd86d",
     "classify/ex8_osc/alpha/strong": "050d200f97601f0e747623da63389d9893cc119d09085d268c40a3120625063f",
     "classify/ex8_osc/alpha/weak": "050d200f97601f0e747623da63389d9893cc119d09085d268c40a3120625063f",
-    "classify/ex9_osc/exp(-1/sqrt(alpha))": "ff56de01f2a9af690bdcda9d6a38de60a2a370a86ed45f3a3a74785d4fb844fc",
+    "classify/ex9_osc/exp(-1/sqrt(alpha))": "048ad2c338d713289888c95d46ee67741806af9a12c9983b2912bd465369ea4d",
     "classify/ex9_osc/exp(-1/sqrt(alpha))/classical": "0f69974d0990a5b5627c2e98f34d63afab5b3b12a7b4895f10f345d3569cd84f",
     "classify/ex9_osc/exp(-1/sqrt(alpha))/mp": "e62f57230184b72d8c48e47021df1b6a971f99f878ea1e2e147453a8b605a713",
     "classify/ex9_osc/exp(-1/sqrt(alpha))/optimal": "4e74c80ae11f7b5c1e4475235434d479a2bd122a8f63db4e571ad8069b85771a",
