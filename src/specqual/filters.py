@@ -80,10 +80,11 @@ class FilterFamily:
     given runs with numpy's floating-point errors ignored, as a kernel's
     inf or nan (a vanishing residual, an overflowing e^(lambda/alpha)) is
     a value, never a warning.  Lambda lies in [0, lambda_sup], the top
-    included.  Instances are immutable and safe to share.  A family is made of closures, so it compares and hashes by
-    identity: two ``get_filter`` calls give two unequal families, and
-    ``qualification``'s verdicts keep the classical order and the default
-    grids and meshes per instance, until the instance is freed.
+    included.  Instances are immutable and safe to share.  A family is
+    made of closures, so it compares and hashes by identity: two
+    ``get_filter`` calls give two unequal families, and ``qualification``'s
+    verdicts keep the classical order and the default grids and meshes
+    per instance, until the instance is freed.
     """
 
     id: str
